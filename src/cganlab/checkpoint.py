@@ -13,8 +13,8 @@ The header is serialized with sorted keys and no whitespace, so identical
 content produces identical bytes. header["meta"] is free-form metadata;
 header["arrays"] is a list of {"name", "shape"} in sorted-name order.
 
-The same container carries model checkpoints (parameters plus Adam state),
-sample dumps, and cached datasets.
+The same container carries model checkpoints (parameters plus Adam state)
+and sample dumps.
 """
 
 from __future__ import annotations

@@ -43,17 +43,18 @@ DATA_SEEDS = {"mixture-3x2": 2024, "tiny-mnist-3": 11, "tiny-digits-3": 11,
 
 DATASET_NAMES = tuple(DATA_SEEDS)
 
+# the two 8x8 three-class presets share one shape
+_TINY_DEFAULTS = {"steps": 3000, "batch_size": 64, "lr": 5e-4, "noise_dim": 16,
+                  "g_hidden": "128,128", "d_hidden": "128", "q_hidden": "64",
+                  "q_steps": 2000, "irgan_lam": 2.0, "samples_per_condition": 2000}
+
 # desk-scale defaults per dataset; flags and config files override
 TRAIN_DEFAULTS = {
     "mixture-3x2": {"steps": 5000, "batch_size": 256, "lr": 1.5e-3, "noise_dim": 8,
                     "g_hidden": "64,64", "d_hidden": "64,64", "q_hidden": "32",
                     "q_steps": 1500, "irgan_lam": 2.0, "samples_per_condition": 2000},
-    "tiny-mnist-3": {"steps": 3000, "batch_size": 64, "lr": 5e-4, "noise_dim": 16,
-                     "g_hidden": "128,128", "d_hidden": "128", "q_hidden": "64",
-                     "q_steps": 2000, "irgan_lam": 2.0, "samples_per_condition": 2000},
-    "tiny-digits-3": {"steps": 3000, "batch_size": 64, "lr": 5e-4, "noise_dim": 16,
-                      "g_hidden": "128,128", "d_hidden": "128", "q_hidden": "64",
-                      "q_steps": 2000, "irgan_lam": 2.0, "samples_per_condition": 2000},
+    "tiny-mnist-3": _TINY_DEFAULTS,
+    "tiny-digits-3": _TINY_DEFAULTS,
     "mnist": {"steps": 30000, "batch_size": 64, "lr": 2e-4, "noise_dim": 64,
               "g_hidden": "512,512", "d_hidden": "512,512", "q_hidden": "256",
               "q_steps": 10000, "samples_per_condition": 10000},
@@ -183,7 +184,7 @@ def write_manifest(out_dir: Path, command: str, resolved: dict, dataset_info,
         if dataset_info else None,
         "artifacts": {k: str(v) for k, v in sorted(artifacts.items())},
         "wall_ms": round(wall_ms, 3),
-        "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -314,6 +315,12 @@ def do_train(res: dict, out_dir: Path) -> dict:
         g, gmeta = load_model(rdir / "g.ckpt")
         d, _ = load_model(rdir / "d.ckpt")
         start_step = int(gmeta.get("train_step", 0))
+        if d.meta.get("variant") != variant.value:
+            raise ConfigError(f"cannot resume {d.meta.get('variant')!r} run in {rdir} "
+                              f"as variant {variant.value!r}")
+        if cfg.total_steps < start_step:
+            raise ConfigError(f"--steps {cfg.total_steps} is below the {start_step} steps "
+                              f"already trained in {rdir}")
         _progress(f"resuming from {rdir} at step {start_step}")
     every = max(1, int(res["steps"]) // 20) if int(res["steps"]) else 1
 
@@ -568,6 +575,8 @@ def cmd_rerun(manifest, out):
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as e:
         raise DataError(f"manifest is not valid JSON: {e}") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("resolved"), dict):
+        raise DataError(f"manifest {p} is not an object with a 'resolved' object")
     command = doc.get("command")
     impl = {"pretrain-q": do_pretrain_q, "train": do_train, "eval": do_eval,
             "sample": do_sample}.get(command)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DataError, ParseError
 from .rng import RngStream
+from .tensor import is_one_hot
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -80,8 +81,7 @@ class LabeledDataset:
             raise DataError("dataset is empty")
         if self.labels.shape[0] != self.count or self.labels.ndim != 2:
             raise DataError(f"labels shape {self.labels.shape} does not match {self.count} images")
-        binary = np.all((self.labels == 0.0) | (self.labels == 1.0))
-        if not binary or not np.all(self.labels.sum(axis=1) == 1.0):
+        if not is_one_hot(self.labels):
             raise DataError("every label row must be one-hot")
         lo, hi = self.images.min(), self.images.max()
         if lo < -1.0 or hi > 1.0:
@@ -110,6 +110,23 @@ class LabeledDataset:
         if part:
             meta["part"] = part
         return LabeledDataset(self.images[idx], self.labels[idx], meta)
+
+
+def epoch_batches(count: int, batch_size: int, stream: RngStream, start: int, stop: int):
+    """Yield (i, row indices) of minibatch i for i in start..stop-1.
+
+    Each epoch draws a fresh permutation of range(count) from
+    stream.split(f"epoch-{epoch}"), so batch i depends only on i and the
+    stream; a partial trailing batch is dropped.
+    """
+    per_epoch = count // batch_size
+    order, current = None, -1
+    for i in range(start, stop):
+        epoch, bi = divmod(i, per_epoch)
+        if epoch != current:
+            order = stream.split(f"epoch-{epoch}").permutation(count)
+            current = epoch
+        yield i, order[bi * batch_size:(bi + 1) * batch_size]
 
 
 # ----------------------------------------------------------------------
@@ -384,24 +401,6 @@ def synth_mixture(spec: MixtureSpec, count_per_condition: int, seed) -> tuple:
     meta = {"name": "synthetic-mixture", "scale": PIXEL_SCALE,
             "checksum": sha256_arrays(images, labels)}
     return LabeledDataset(images, labels, meta), oracle
-
-
-# ----------------------------------------------------------------------
-# dataset cache (same binary container as model checkpoints)
-
-
-def save_dataset(path, ds: LabeledDataset):
-    from .checkpoint import write_container
-    write_container(path, {"kind": "dataset", "meta": ds.meta},
-                    {"images": ds.images, "labels": ds.labels})
-
-
-def load_dataset_cache(path) -> LabeledDataset:
-    from .checkpoint import read_container
-    meta, arrays = read_container(path)
-    if meta.get("kind") != "dataset":
-        raise ParseError(f"container {path} holds {meta.get('kind')!r}, not a dataset")
-    return LabeledDataset(arrays["images"], arrays["labels"], dict(meta.get("meta", {})))
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ discriminators differ:
 
 * cgan  - condition appended at the input image via replicate-concat.
 * fcgan - condition appended at the input and at every hidden activation
-          (a width-w activation is treated as a 1x1xw feature map).
+          (vector concatenation onto the width-w activation).
 * sbp   - input image replaced by its bilinear pooling with the condition.
 * irgan - unconditional discriminator; the condition never enters D.
 """
@@ -22,6 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .conditioning import spatial_bilinear_pool, spatial_replicate_concat, vector_concat
+from .data import epoch_batches
 from .errors import ConfigError, DataError, DimensionError
 from .rng import RngStream
 from .tensor import (AdamState, Tensor, activation, adam_step, backward, matmul,
@@ -120,26 +121,24 @@ class ModelParams:
             st.m[...] = arrays[f"adam.m:{name}"]
             st.v[...] = arrays[f"adam.v:{name}"]
 
-    def clone(self) -> "ModelParams":
-        mp = ModelParams([Tensor(w.data.copy()) for w in self.weights],
-                         [Tensor(b.data.copy()) for b in self.biases],
-                         self.spec, self.in_dim, self.out_dim, dict(self.meta))
-        for name, st in self.adam.items():
-            mp.adam[name] = AdamState(st.step, st.m.copy(), st.v.copy(),
-                                      st.lr, st.beta1, st.beta2, st.epsilon)
-        return mp
-
 
 def _layer_dims(in_dim, out_dim, spec: NetworkSpec, meta: dict):
     """(fan_in, fan_out) per layer; fan_in grows where a condition joins."""
     extra = int(meta.get("hidden_extra", 0))
-    factor = int(meta.get("hidden_extra_factor", 1))
     dims, cur = [], in_dim
     for w in spec.hidden:
         dims.append((cur, int(w)))
-        cur = int(w) * factor + extra
+        cur = int(w) + extra
     dims.append((cur, out_dim))
     return dims
+
+
+def _apply_grads(params: ModelParams):
+    """One Adam step on every parameter that received a gradient; clears it."""
+    for name, t in params.named().items():
+        if t.grad is not None:
+            adam_step(t, t.grad, params.adam[name])
+            t.grad = None
 
 
 def _dense_stack(x: Tensor, params: ModelParams, append=None) -> Tensor:
@@ -181,7 +180,7 @@ def build_generator(image_shape, cond_dim, noise_dim, spec: NetworkSpec,
 
 
 def build_discriminator(image_shape, cond_dim, spec: NetworkSpec, variant: Variant,
-                        stream: RngStream, hyper=None, sbp_hidden=False) -> ModelParams:
+                        stream: RngStream, hyper=None) -> ModelParams:
     h, w, d = image_shape
     variant = Variant(variant)
     m = int(cond_dim)
@@ -192,11 +191,9 @@ def build_discriminator(image_shape, cond_dim, spec: NetworkSpec, variant: Varia
     else:
         in_dim = h * w * d
     meta = {"role": "discriminator", "image_shape": [h, w, d], "cond_dim": m,
-            "variant": variant.value, "sbp_hidden": bool(sbp_hidden)}
+            "variant": variant.value}
     if variant is Variant.FCGAN:
         meta["hidden_extra"] = m
-    elif variant is Variant.SBP and sbp_hidden:
-        meta["hidden_extra_factor"] = m
     spec = NetworkSpec(spec.hidden, spec.activation, spec.alpha, "sigmoid_scalar")
     return ModelParams.init(in_dim, 1, spec, stream, hyper, meta)
 
@@ -228,36 +225,25 @@ def generator_forward(z, c, params: ModelParams) -> Tensor:
     return img.reshape((h, w, d)) if single else img
 
 
-def discriminator_forward(x, c, params: ModelParams, variant=None) -> Tensor:
+def discriminator_forward(x, c, params: ModelParams) -> Tensor:
     """D(x[, c]) as a probability in (0, 1); shape [b] (scalar if unbatched)."""
-    variant = Variant(variant or params.meta["variant"])
+    variant = Variant(params.meta["variant"])
     xb, single = _ensure_batched(x, 3)
     m = params.meta["cond_dim"]
+    append = None
     if variant is Variant.IRGAN:
         h0 = _flatten_rows(xb)
-        append = None
     else:
         cb, _ = _ensure_batched(c, 1)
         if cb.shape[1] != m:
             raise DimensionError(f"condition width {cb.shape[1]} != expected {m}")
-        if variant is Variant.CGAN:
-            h0 = _flatten_rows(spatial_replicate_concat(xb, cb))
-            append = None
-        elif variant is Variant.FCGAN:
-            h0 = _flatten_rows(spatial_replicate_concat(xb, cb))
-
-            def append(hid, cc=cb):
-                return _flatten_rows(spatial_replicate_concat(
-                    hid.reshape((hid.shape[0], 1, 1, hid.shape[1])), cc))
-
-        else:  # SBP
+        if variant is Variant.SBP:
             h0 = _flatten_rows(spatial_bilinear_pool(xb, cb))
-            if params.meta.get("sbp_hidden"):
-                def append(hid, cc=cb):
-                    return _flatten_rows(spatial_bilinear_pool(
-                        hid.reshape((hid.shape[0], 1, 1, hid.shape[1])), cc))
-            else:
-                append = None
+        else:
+            h0 = _flatten_rows(spatial_replicate_concat(xb, cb))
+        if variant is Variant.FCGAN:
+            def append(hid):
+                return vector_concat(hid, cb)
     if h0.shape[1] != params.in_dim:
         raise DimensionError(
             f"discriminator({variant.value}) expects input width {params.in_dim}, got {h0.shape[1]}")
@@ -307,20 +293,11 @@ def pretrain_approximator(train, valid, spec: NetworkSpec, budget: int,
     best_acc = classifier_accuracy(params, valid.images, valid.labels)
     history["val_acc"].append((0, best_acc))
     batch_size = min(batch_size, train.count)
-    per_epoch = train.count // batch_size
-    for i in range(int(budget)):
-        epoch, bi = divmod(i, per_epoch)
-        if bi == 0:
-            order = stream.split(f"epoch-{epoch}").permutation(train.count)
-        idx = order[bi * batch_size:(bi + 1) * batch_size]
-        xb = Tensor(train.images[idx])
-        yb = train.labels[idx]
-        logits = _dense_stack(_flatten_rows(xb), params)
-        loss = softmax_cross_entropy(logits, yb)
+    for i, idx in epoch_batches(train.count, batch_size, stream, 0, int(budget)):
+        logits = _dense_stack(_flatten_rows(Tensor(train.images[idx])), params)
+        loss = softmax_cross_entropy(logits, train.labels[idx])
         backward(loss)
-        for name, t in params.named().items():
-            adam_step(t, t.grad, params.adam[name])
-            t.grad = None
+        _apply_grads(params)
         history["loss"].append(loss.item())
         if (i + 1) % eval_every == 0 or i + 1 == int(budget):
             acc = classifier_accuracy(params, valid.images, valid.labels)

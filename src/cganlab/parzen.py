@@ -6,8 +6,9 @@ of a query point q against samples s_1..s_N in D dimensions is
     LL(q) = logsumexp_i(-|q - s_i|^2 / (2 sigma^2)) - log N - (D/2) log(2 pi sigma^2)
 
 evaluated entirely in the log domain with max subtraction, so any finite
-input is safe. Kernel exponents are sorted before the reduction, which makes
-the result exactly invariant to permutations of the sample set.
+input is safe. Each query's squared distances are sorted once, before any
+bandwidth is applied, which fixes the reduction order and makes the result
+exactly invariant to permutations of the sample set.
 
 The evaluation protocol mirrors the usual conditional setup: per condition,
 fit the window to generator samples, pick sigma on validation data by grid
@@ -37,7 +38,6 @@ def default_sigma_grid(n=20, lo=0.01, hi=1.0) -> np.ndarray:
 class ParzenConfig:
     sigma_grid: np.ndarray = field(default_factory=default_sigma_grid)
     samples_per_condition: int = 2000
-    chunk: int = 256
     sigma_mode: str = "per_condition"  # or "global"
 
     def validate(self):
@@ -66,13 +66,14 @@ class ParzenRow:
 
 
 def _sq_dists(queries: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Squared distances [t, n], each row sorted descending: the canonical reduction order."""
     diff = queries[:, None, :] - samples[None, :, :]
-    return np.einsum("tnd,tnd->tn", diff, diff)
+    d2 = np.einsum("tnd,tnd->tn", diff, diff)
+    return np.sort(d2, axis=1)[:, ::-1].copy()
 
 
 def _ll_from_d2(d2: np.ndarray, sigma: float, n: int, dim: int) -> np.ndarray:
-    k = -d2 / (2.0 * sigma * sigma)
-    k = np.sort(k, axis=1)  # canonical reduction order
+    k = -d2 / (2.0 * sigma * sigma)  # ascending per row, because d2 rows descend
     m = k[:, -1]
     body = m + np.log(np.exp(k - m[:, None]).sum(axis=1))
     return body - math.log(n) - 0.5 * dim * math.log(2.0 * math.pi * sigma * sigma)
@@ -98,6 +99,22 @@ def parzen_log_likelihood(samples, queries, sigma: float, chunk: int = 256) -> n
     return out
 
 
+def _sweep(blocks, grid) -> tuple:
+    """Grid sigma maximizing the mean LL over all queries of `blocks`.
+
+    blocks is a list of (d2, n, dim), one per sample set; distances are
+    sigma-independent, so each is computed once for the whole grid. Ties go
+    to the smaller sigma. Returns (sigma, mean LL).
+    """
+    best_sigma, best_ll = None, -np.inf
+    for sigma in grid:
+        lls = np.concatenate([_ll_from_d2(d2, float(sigma), n, dim) for d2, n, dim in blocks])
+        mean_ll = float(lls.mean())
+        if mean_ll > best_ll:
+            best_sigma, best_ll = float(sigma), mean_ll
+    return best_sigma, best_ll
+
+
 def select_sigma(samples, validation_queries, grid) -> tuple:
     """Grid sigma maximizing mean validation LL; ties go to the smaller sigma."""
     grid = np.asarray(grid, dtype=np.float64)
@@ -107,15 +124,7 @@ def select_sigma(samples, validation_queries, grid) -> tuple:
     if validation_queries.shape[0] < 1:
         raise DataError("validation set is empty")
     samples = np.asarray(samples, dtype=np.float64)
-    n, dim = samples.shape
-    best_sigma, best_ll = None, -np.inf
-    # distances are sigma-independent; compute once and sweep the grid
-    d2 = _sq_dists(validation_queries, samples)
-    for sigma in grid:
-        mean_ll = float(_ll_from_d2(d2, float(sigma), n, dim).mean())
-        if mean_ll > best_ll:
-            best_ll, best_sigma = mean_ll, float(sigma)
-    return best_sigma, best_ll
+    return _sweep([(_sq_dists(validation_queries, samples), *samples.shape)], grid)
 
 
 def generate_samples(g_params, condition: int, count: int, stream: RngStream) -> np.ndarray:
@@ -165,23 +174,11 @@ def conditional_eval(g_params, valid, test, cfg: ParzenConfig, seed,
 
     global_sigma = None
     if cfg.sigma_mode == "global":
-        pooled = []
-        for cond, samples, data, row in per_cond:
-            if row is not None:
-                continue
-            vq, _ = data
-            d2 = _sq_dists(vq, samples)
-            pooled.append((d2, samples.shape[0], samples.shape[1]))
+        pooled = [(_sq_dists(data[0], samples), *samples.shape)
+                  for _, samples, data, row in per_cond if row is None]
         if not pooled:
             raise DataError("no evaluable conditions for global sigma selection")
-        best, best_ll = None, -np.inf
-        for sigma in grid:
-            vals = np.concatenate([_ll_from_d2(d2, float(sigma), n, dim)
-                                   for d2, n, dim in pooled])
-            mean_ll = float(vals.mean())
-            if mean_ll > best_ll:
-                best, best_ll = float(sigma), mean_ll
-        global_sigma = best
+        global_sigma, _ = _sweep(pooled, grid)
 
     rows = []
     for cond, samples, data, row in per_cond:
@@ -193,7 +190,7 @@ def conditional_eval(g_params, valid, test, cfg: ParzenConfig, seed,
             sigma = global_sigma
         else:
             sigma, _ = select_sigma(samples, vq, grid)
-        lls = parzen_log_likelihood(samples, tq, sigma, cfg.chunk)
+        lls = parzen_log_likelihood(samples, tq, sigma)
         mean_ll = float(lls.mean())
         stderr = float(lls.std(ddof=1) / math.sqrt(lls.shape[0])) if lls.shape[0] > 1 else 0.0
         rows.append(ParzenRow(cond, sigma, mean_ll, stderr, int(tq.shape[0]),

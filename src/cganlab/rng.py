@@ -35,9 +35,6 @@ class RngStream:
     def normal(self, loc=0.0, scale=1.0, size=None):
         return self._gen.normal(loc, scale, size)
 
-    def integers(self, low, high=None, size=None):
-        return self._gen.integers(low, high, size)
-
     def permutation(self, n):
         return self._gen.permutation(n)
 

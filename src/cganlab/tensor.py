@@ -313,12 +313,9 @@ def softmax(logits) -> Tensor:
     return Tensor(p, (x,), "softmax", back)
 
 
-def _check_one_hot(t: np.ndarray, what: str = "target"):
-    if t.ndim != 2:
-        raise DimensionError(f"{what} must be 2-D, got shape {t.shape}")
-    binary = np.all((t == 0.0) | (t == 1.0))
-    if not binary or not np.all(t.sum(axis=1) == 1.0):
-        raise ContractError(f"{what} rows must be one-hot")
+def is_one_hot(t: np.ndarray) -> bool:
+    """True when every row of the 2-D array t is 0.0 everywhere except one 1.0."""
+    return bool(np.all((t == 0.0) | (t == 1.0)) and np.all(t.sum(axis=1) == 1.0))
 
 
 def softmax_cross_entropy(logits, target) -> Tensor:
@@ -333,7 +330,8 @@ def softmax_cross_entropy(logits, target) -> Tensor:
         raise DimensionError(f"logits must be 2-D, got shape {x.shape}")
     if x.shape != t.shape:
         raise DimensionError(f"logits shape {x.shape} != target shape {t.shape}")
-    _check_one_hot(t)
+    if not is_one_hot(t):
+        raise ContractError("target rows must be one-hot")
     b = x.shape[0]
     m = x.data.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(x.data - m).sum(axis=1))

@@ -20,12 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import epoch_batches
 from .errors import ConfigError, ContractError, DataError
-from .models import (ModelParams, NetworkSpec, Variant, approximator_forward,
+from .models import (ModelParams, NetworkSpec, Variant, _apply_grads, approximator_forward,
                      build_discriminator, build_generator, discriminator_forward,
                      generator_forward)
 from .rng import RngStream
-from .tensor import LOG_FLOOR, Tensor, adam_step, backward, log
+from .tensor import LOG_FLOOR, Tensor, backward, is_one_hot, log
 
 GENERATOR_LOSS_MODES = ("non_saturating", "minimax")
 
@@ -48,7 +49,6 @@ class TrainConfig:
     d_hidden: list = field(default_factory=lambda: [128, 128])
     activation: str = "leaky_relu"
     alpha: float = 0.2
-    sbp_hidden: bool = False
     checkpoint_every: int = 0
 
     def __post_init__(self):
@@ -78,10 +78,6 @@ class TrainLog:
     rows: list = field(default_factory=list)
 
     CSV_HEADER = "step,d_loss,g_loss,r_g,wall_ms"
-
-    def append(self, step, d_loss, g_loss, r_g, wall_ms):
-        self.rows.append({"step": step, "d_loss": d_loss, "g_loss": g_loss,
-                          "r_g": r_g, "wall_ms": wall_ms})
 
     def to_csv(self) -> str:
         lines = [self.CSV_HEADER]
@@ -136,8 +132,7 @@ def irgan_regularizer(q_out, c, lam: float) -> Tensor:
     d = q_out.data
     if np.any(d < 0.0) or np.any(np.abs(d.sum(axis=1) - 1.0) > 1e-8):
         raise ContractError("q_out rows must be probability distributions")
-    binary = np.all((c_arr == 0.0) | (c_arr == 1.0))
-    if not binary or not np.all(c_arr.sum(axis=1) == 1.0):
+    if not is_one_hot(c_arr):
         raise ContractError("condition rows must be one-hot")
     if lam < 0:
         raise ConfigError(f"lambda must be non-negative, got {lam}")
@@ -159,13 +154,6 @@ def _sample_conditions(stream, count, label_probs):
     onehot = np.zeros((count, m))
     onehot[np.arange(count), picks] = 1.0
     return Tensor(onehot)
-
-
-def _apply_grads(params: ModelParams):
-    for name, t in params.named().items():
-        if t.grad is not None:
-            adam_step(t, t.grad, params.adam[name])
-            t.grad = None
 
 
 def train_step(x_real, c_real, g: ModelParams, d: ModelParams, q, cfg: TrainConfig,
@@ -218,7 +206,7 @@ def build_models(cfg: TrainConfig, image_shape, cond_dim, root: RngStream):
     g = build_generator(image_shape, cond_dim, cfg.noise_dim, g_spec,
                         root.split("init-g"), cfg.hyper())
     d = build_discriminator(image_shape, cond_dim, d_spec, cfg.variant,
-                            root.split("init-d"), cfg.hyper(), sbp_hidden=cfg.sbp_hidden)
+                            root.split("init-d"), cfg.hyper())
     return g, d
 
 
@@ -244,16 +232,8 @@ def train(cfg: TrainConfig, dataset, q_params=None, g=None, d=None,
     if g is None or d is None:
         g, d = build_models(cfg, dataset.image_shape, dataset.cond_dim, root)
     label_probs = dataset.label_counts() / dataset.count
-    per_epoch = dataset.count // cfg.batch_size
     log_ = TrainLog()
-    order = None
-    current_epoch = -1
-    for i in range(start_step, cfg.total_steps):
-        epoch, bi = divmod(i, per_epoch)
-        if epoch != current_epoch:
-            order = root.split(f"epoch-{epoch}").permutation(dataset.count)
-            current_epoch = epoch
-        idx = order[bi * cfg.batch_size:(bi + 1) * cfg.batch_size]
+    for i, idx in epoch_batches(dataset.count, cfg.batch_size, root, start_step, cfg.total_steps):
         record = train_step(dataset.images[idx], dataset.labels[idx], g, d, q_params,
                             cfg, label_probs, root.split(f"step-{i}"), i)
         log_.rows.append(record)

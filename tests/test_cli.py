@@ -1,3 +1,4 @@
+import datetime
 import json
 
 import numpy as np
@@ -44,6 +45,9 @@ def test_train_artifact_contract(runner, trained_dir):
     assert manifest["command"] == "train"
     assert manifest["resolved"]["seed"] == 5
     assert manifest["dataset"]["name"] == "mixture-3x2"
+    written = datetime.datetime.strptime(manifest["written_at"], "%Y-%m-%dT%H:%M:%SZ")
+    now = datetime.datetime.now(datetime.timezone.utc).replace(tzinfo=None)
+    assert abs((now - written).total_seconds()) < 3600
 
 
 def test_train_steps_zero_equals_initialization(runner, tmp_path):
@@ -100,6 +104,16 @@ def test_train_determinism_and_rerun(runner, tmp_path):
     assert (tmp_path / "r1" / "g.ckpt").read_bytes() == (tmp_path / "r3" / "g.ckpt").read_bytes()
 
 
+@pytest.mark.parametrize("doc", [[1, 2], {"command": "train"},
+                                 {"command": "train", "resolved": "steps=3"}])
+def test_rerun_bad_manifest_is_data_error(runner, tmp_path, doc):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["rerun", str(path), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 3
+    assert result.stderr.startswith("data error: ")
+
+
 def test_resume_matches_straight_run(runner, tmp_path):
     base = ["train", "--variant", "cgan", "--dataset", "mixture-3x2",
             "--batch-size", "32", "--seed", "4"]
@@ -109,6 +123,24 @@ def test_resume_matches_straight_run(runner, tmp_path):
                            "--out", str(tmp_path / "resumed")])
     assert (tmp_path / "full" / "g.ckpt").read_bytes() \
         == (tmp_path / "resumed" / "g.ckpt").read_bytes()
+
+
+def test_resume_refuses_other_variant(runner, trained_dir, tmp_path):
+    result = runner.invoke(main, ["train", "--variant", "cgan", "--dataset", "mixture-3x2",
+                                  *TRAIN_FAST, "--resume", str(trained_dir),
+                                  "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert "'sbp'" in result.stderr and "'cgan'" in result.stderr
+    assert not (tmp_path / "o" / "d.ckpt").exists()
+
+
+def test_resume_refuses_fewer_steps_than_trained(runner, trained_dir, tmp_path):
+    result = runner.invoke(main, ["train", "--variant", "sbp", "--dataset", "mixture-3x2",
+                                  "--steps", "10", "--batch-size", "32", "--seed", "5",
+                                  "--resume", str(trained_dir), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert "20" in result.stderr
+    assert not (tmp_path / "o" / "g.ckpt").exists()
 
 
 def test_checkpoint_every_writes_intermediates(runner, tmp_path):

@@ -293,18 +293,6 @@ def test_digit_corpus_written_through_idx(tmp_path):
     assert sorted(np.unique(ds.label_indices())) == [0, 1, 2]
 
 
-def test_dataset_cache_round_trip(tmp_path):
-    from cganlab.data import load_dataset_cache, save_dataset
-    ds = synthetic_ds((5, 6, 7))
-    save_dataset(tmp_path / "cache.bin", ds)
-    back = load_dataset_cache(tmp_path / "cache.bin")
-    np.testing.assert_array_equal(back.images, ds.images)
-    np.testing.assert_array_equal(back.labels, ds.labels)
-    assert back.meta == ds.meta
-    with pytest.raises(ParseError):
-        load_dataset_cache(tmp_path / "missing.bin")
-
-
 def test_tiny_digits_preset_shape(digits_data):
     train_ds, valid_ds, test_ds = digits_data
     assert (train_ds.count, valid_ds.count, test_ds.count) == (1500, 300, 300)

@@ -140,14 +140,6 @@ def test_discriminator_gradients(variant, rng):
             lambda xx, cc: discriminator_forward(xx, cc, d).reshape((1,)).sum(), x, c)
 
 
-def test_sbp_hidden_pooling_variant(stream):
-    d = make_d(Variant.SBP, sbp_hidden=True)
-    assert d.weights[1].shape[0] == SPEC.hidden[0] * M
-    x = Tensor(stream.uniform(-1, 1, IMG))
-    out = discriminator_forward(x, Tensor(onehot(2)), d)
-    assert 0.0 < out.item() < 1.0
-
-
 def test_fcgan_hidden_widths_include_condition():
     d = make_d(Variant.FCGAN)
     assert d.weights[0].shape[0] == 3 * 3 * (1 + M)

@@ -240,6 +240,12 @@ def test_conditional_eval_global_sigma_mode(tiny_setup):
     rows = conditional_eval(g, valid_ds, test_ds, cfg, seed=4)
     sigmas = {r.sigma for r in rows}
     assert len(sigmas) == 1
+    # with one condition left to select on, pooling changes nothing
+    only0 = valid_ds.subset(np.nonzero(valid_ds.label_indices() == 0)[0])
+    pooled = conditional_eval(g, only0, test_ds, cfg, seed=4)
+    cfg.sigma_mode = "per_condition"
+    assert pooled == conditional_eval(g, only0, test_ds, cfg, seed=4)
+    assert pooled[0].mean_ll is not None and pooled[1].mean_ll is None
 
 
 def test_condition_map_changes_samples_not_rows(tiny_setup):
