@@ -14,19 +14,23 @@ content produces identical bytes. header["meta"] is free-form metadata;
 header["arrays"] is a list of {"name", "shape"} in sorted-name order.
 
 The same container carries model checkpoints (parameters plus Adam state)
-and sample dumps.
+and sample dumps. Readers validate the header schema, so a malformed or
+inconsistent file raises ParseError (a data error), never a KeyError or
+TypeError.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError
-from .models import ModelParams, NetworkSpec
-from .tensor import AdamState, Tensor
+from .models import HEADS, ModelParams, NetworkSpec, Variant, _layer_dims
+from .tensor import ACTIVATION_KINDS, AdamState, Tensor
 
 MAGIC = b"CGANLABC"
 VERSION = 1
@@ -70,20 +74,51 @@ def read_container(path):
         header = json.loads(raw[20:20 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ParseError(f"container header is not valid JSON: {e}", offset=20) from None
+    if not isinstance(header, dict):
+        raise ParseError("container header is not a JSON object", offset=20)
+    meta, entries = header.get("meta", {}), header.get("arrays", [])
+    if not isinstance(meta, dict):
+        raise ParseError("container header 'meta' is not an object", offset=20)
+    if not isinstance(entries, list):
+        raise ParseError("container header 'arrays' is not a list", offset=20)
     arrays = {}
     at = 20 + hlen
-    for entry in header.get("arrays", []):
-        shape = tuple(int(s) for s in entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    for entry in entries:
+        name, shape = _array_entry(entry, arrays)
+        count = math.prod(shape)
         nbytes = count * 8
         if at + nbytes > len(raw):
-            raise ParseError(f"array {entry['name']!r} overruns file", offset=at)
-        arrays[entry["name"]] = np.frombuffer(raw, dtype="<f8", count=count,
-                                              offset=at).reshape(shape).astype(np.float64)
+            raise ParseError(f"array {name!r} of shape {list(shape)} overruns file", offset=at)
+        flat = np.frombuffer(raw, dtype="<f8", count=count, offset=at)
+        try:
+            arrays[name] = flat.reshape(shape).astype(np.float64)
+        except ValueError as e:  # numpy's limits on rank and dimension size
+            raise ParseError(f"array {name!r} of shape {list(shape)}: {e}", offset=20) from None
         at += nbytes
     if at != len(raw):
         raise ParseError(f"{len(raw) - at} trailing bytes after declared arrays", offset=at)
-    return header.get("meta", {}), arrays
+    return meta, arrays
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_num(x) -> bool:
+    return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _array_entry(entry, seen) -> tuple:
+    """(name, shape) of one header["arrays"] entry; ParseError when malformed."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+        raise ParseError(f"array entry {entry!r} needs a string 'name'", offset=20)
+    name, shape = entry["name"], entry.get("shape")
+    if not isinstance(shape, list) or not all(_is_int(n) and n >= 0 for n in shape):
+        raise ParseError(f"array {name!r} needs a list of non-negative int dims, got {shape!r}",
+                         offset=20)
+    if name in seen:
+        raise ParseError(f"array {name!r} is declared twice", offset=20)
+    return name, tuple(shape)
 
 
 # ----------------------------------------------------------------------
@@ -110,25 +145,84 @@ def save_model(path, params: ModelParams, extra: dict | None = None):
 
 
 def load_model(path):
-    """Rebuild a ModelParams (with optimizer state) from a checkpoint."""
+    """Rebuild a ModelParams (with optimizer state) from a checkpoint.
+
+    The header must describe a network whose arrays are all present with the
+    layer shapes its spec implies; anything else raises ParseError.
+    """
     meta, arrays = read_container(path)
     if meta.get("kind") != "model":
         raise ParseError(f"container {path} holds {meta.get('kind')!r}, not a model")
-    spec = NetworkSpec.from_dict(meta["spec"])
-    hyper = meta["hyper"]
-    weights, biases = [], []
-    i = 0
-    while f"l{i}.w" in arrays:
-        weights.append(Tensor(arrays[f"l{i}.w"]))
-        biases.append(Tensor(arrays[f"l{i}.b"]))
-        i += 1
-    if not weights:
-        raise ParseError(f"model container {path} holds no layers")
-    params = ModelParams(weights, biases, spec, int(meta["in_dim"]), int(meta["out_dim"]),
-                         dict(meta["model"]))
+    spec, in_dim, out_dim, model, hyper, steps = _model_header(meta, path)
+    dims = _layer_dims(in_dim, out_dim, spec, model)
+    expected = {}
+    for i, (fan_in, fan_out) in enumerate(dims):
+        for name, shape in ((f"l{i}.w", (fan_in, fan_out)), (f"l{i}.b", (fan_out,))):
+            expected[name] = expected[f"adam.m:{name}"] = expected[f"adam.v:{name}"] = shape
+    if set(arrays) != set(expected):
+        raise ParseError(f"model container {path} arrays {sorted(arrays)} do not match "
+                         f"its spec, which needs {sorted(expected)}")
+    for name, shape in expected.items():
+        if arrays[name].shape != shape:
+            raise ParseError(f"model container {path}: array {name!r} has shape "
+                             f"{arrays[name].shape}, its spec needs {shape}")
+    weights = [Tensor(arrays[f"l{i}.w"]) for i in range(len(dims))]
+    biases = [Tensor(arrays[f"l{i}.b"]) for i in range(len(dims))]
+    params = ModelParams(weights, biases, spec, in_dim, out_dim, dict(model))
     for name, t in params.named().items():
-        st = AdamState(int(meta["adam_steps"].get(name, 0)),
+        st = AdamState(steps.get(name, 0),
                        arrays[f"adam.m:{name}"].copy(), arrays[f"adam.v:{name}"].copy(),
                        hyper["lr"], hyper["beta1"], hyper["beta2"], hyper["epsilon"])
         params.adam[name] = st
     return params, meta
+
+
+def _model_header(meta, path):
+    """The typed fields of a model header; ParseError names the first bad one."""
+    def need(ok, what):
+        if not ok:
+            raise ParseError(f"model container {path}: {what}")
+
+    sd = meta.get("spec")
+    need(isinstance(sd, dict), "'spec' must be an object")
+    hidden = sd.get("hidden")
+    need(isinstance(hidden, list) and hidden and all(_is_int(w) and w > 0 for w in hidden),
+         f"spec 'hidden' must be a non-empty list of positive ints, got {hidden!r}")
+    need(sd.get("activation") in ACTIVATION_KINDS,
+         f"spec 'activation' must be one of {ACTIVATION_KINDS}, got {sd.get('activation')!r}")
+    need(_is_num(sd.get("alpha")) and 0.0 < sd["alpha"] < 1.0,
+         f"spec 'alpha' must be a number in (0, 1), got {sd.get('alpha')!r}")
+    need(sd.get("head") in HEADS, f"spec 'head' must be one of {HEADS}, got {sd.get('head')!r}")
+    spec = NetworkSpec(list(hidden), sd["activation"], float(sd["alpha"]), sd["head"])
+    for key in ("in_dim", "out_dim"):
+        need(_is_int(meta.get(key)) and meta[key] > 0,
+             f"'{key}' must be a positive int, got {meta.get(key)!r}")
+    model = meta.get("model")
+    need(isinstance(model, dict), "'model' must be an object")
+    need(_is_int(model.get("hidden_extra", 0)) and model.get("hidden_extra", 0) >= 0,
+         f"model 'hidden_extra' must be a non-negative int, got {model.get('hidden_extra')!r}")
+    need(_is_int(model.get("cond_dim")) and model["cond_dim"] > 0,
+         f"model 'cond_dim' must be a positive int, got {model.get('cond_dim')!r}")
+    shape = model.get("image_shape")
+    need(isinstance(shape, list) and len(shape) == 3 and all(_is_int(n) and n > 0 for n in shape),
+         f"model 'image_shape' must be three positive ints, got {shape!r}")
+    role = model.get("role")
+    need(role in ("generator", "discriminator", "approximator"),
+         f"model 'role' {role!r} is not generator, discriminator or approximator")
+    if role == "generator":
+        need(_is_int(model.get("noise_dim")) and model["noise_dim"] > 0,
+             f"generator 'noise_dim' must be a positive int, got {model.get('noise_dim')!r}")
+    if role == "discriminator":
+        need(model.get("variant") in [v.value for v in Variant],
+             f"discriminator 'variant' {model.get('variant')!r} is unknown")
+    hyper = meta.get("hyper")
+    need(isinstance(hyper, dict)
+         and all(_is_num(hyper.get(k)) for k in ("lr", "beta1", "beta2", "epsilon")),
+         "'hyper' must hold finite numbers lr, beta1, beta2 and epsilon")
+    need(hyper["lr"] >= 0.0 and 0.0 <= hyper["beta1"] < 1.0 and 0.0 <= hyper["beta2"] < 1.0
+         and hyper["epsilon"] > 0.0,
+         f"'hyper' {hyper} needs lr >= 0, beta1 and beta2 in [0, 1) and epsilon > 0")
+    steps = meta.get("adam_steps", {})
+    need(isinstance(steps, dict) and all(_is_int(n) and n >= 0 for n in steps.values()),
+         "'adam_steps' must map names to non-negative ints")
+    return spec, meta["in_dim"], meta["out_dim"], model, hyper, steps

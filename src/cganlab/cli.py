@@ -32,7 +32,7 @@ from .models import NetworkSpec, Variant, classifier_accuracy, pretrain_approxim
 from .parzen import (ParzenConfig, conditional_eval, default_sigma_grid, format_table,
                      generate_samples, report_csv)
 from .rng import RngStream
-from .training import TrainConfig, train
+from .training import TrainConfig, TrainLog, train
 
 # ----------------------------------------------------------------------
 # datasets
@@ -310,17 +310,33 @@ def do_train(res: dict, out_dir: Path) -> dict:
                 f"dataset has {info['train'].cond_dim}")
     g = d = None
     start_step = 0
+    earlier = TrainLog()
     if res.get("resume"):
         rdir = Path(res["resume"])
         g, gmeta = load_model(rdir / "g.ckpt")
-        d, _ = load_model(rdir / "d.ckpt")
-        start_step = int(gmeta.get("train_step", 0))
+        d, dmeta = load_model(rdir / "d.ckpt")
+        if g.meta["role"] != "generator" or d.meta["role"] != "discriminator":
+            raise DataError(f"{rdir} must hold a generator g.ckpt and a discriminator d.ckpt")
+        start_step = gmeta.get("train_step", 0)
+        if not isinstance(start_step, int) or isinstance(start_step, bool) or start_step < 0:
+            raise DataError(f"{rdir / 'g.ckpt'} records train_step {start_step!r}, "
+                            f"not a non-negative int")
         if d.meta.get("variant") != variant.value:
             raise ConfigError(f"cannot resume {d.meta.get('variant')!r} run in {rdir} "
                               f"as variant {variant.value!r}")
         if cfg.total_steps < start_step:
             raise ConfigError(f"--steps {cfg.total_steps} is below the {start_step} steps "
                               f"already trained in {rdir}")
+        # the checkpoints fix these, so a different value would be a false label
+        for flag, asked, found in (
+                ("lr", cfg.lr, [gmeta["hyper"]["lr"], dmeta["hyper"]["lr"]]),
+                ("noise-dim", cfg.noise_dim, [g.meta["noise_dim"]]),
+                ("g-hidden", cfg.g_hidden, [g.spec.hidden]),
+                ("d-hidden", cfg.d_hidden, [d.spec.hidden])):
+            if any(f != asked for f in found):
+                raise ConfigError(f"--{flag} {asked} differs from {found[0]}, "
+                                  f"which the checkpoints in {rdir} were trained with")
+        earlier = TrainLog.read(rdir / "log.csv", start_step)
         _progress(f"resuming from {rdir} at step {start_step}")
     every = max(1, int(res["steps"]) // 20) if int(res["steps"]) else 1
 
@@ -339,6 +355,7 @@ def do_train(res: dict, out_dir: Path) -> dict:
     g, d, log_ = train(cfg, info["train"], q_params=q_params, g=g, d=d,
                        start_step=start_step, progress=progress,
                        checkpoint_cb=checkpoint_cb)
+    log_.rows[:0] = earlier.rows
     extra = _ckpt_extra(res, info, cfg.total_steps, variant)
     g_path, d_path, log_path = out_dir / "g.ckpt", out_dir / "d.ckpt", out_dir / "log.csv"
     save_model(g_path, g, extra=extra)

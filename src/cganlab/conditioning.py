@@ -56,7 +56,8 @@ def spatial_replicate_concat(x, c) -> Tensor:
 
     def back(g, xa=xb, ca=cb, dd=d):
         _accum(xa, g[..., :dd])
-        _accum(ca, g[..., dd:].sum(axis=(1, 2)))
+        if ca.wanted:
+            _accum(ca, g[..., dd:].sum(axis=(1, 2)))
 
     out = Tensor(out_data, (xb, cb), "replicate_concat", back)
     return out.reshape(out.shape[1:]) if single else out
@@ -79,8 +80,10 @@ def spatial_bilinear_pool(x, c) -> Tensor:
 
     def back(g, xa=xb, ca=cb, bb=b, hh=h, ww=w, dd=d, mm=m):
         g5 = g.reshape(bb, hh, ww, mm, dd)
-        _accum(xa, np.einsum("bhwmd,bm->bhwd", g5, ca.data))
-        _accum(ca, np.einsum("bhwmd,bhwd->bm", g5, xa.data))
+        if xa.wanted:
+            _accum(xa, np.einsum("bhwmd,bm->bhwd", g5, ca.data))
+        if ca.wanted:
+            _accum(ca, np.einsum("bhwmd,bhwd->bm", g5, xa.data))
 
     out = Tensor(out_data, (xb, cb), "bilinear_pool", back)
     return out.reshape(out.shape[1:]) if single else out

@@ -245,15 +245,6 @@ def load_cifar10_binary(paths) -> LabeledDataset:
     return LabeledDataset(scale_pixels(pixels), labels, meta)
 
 
-def cifar10_record_bytes(image_hwc_uint8: np.ndarray, label: int) -> bytes:
-    """Re-serialize one record; inverse of the loader's per-record parsing."""
-    img = np.asarray(image_hwc_uint8, dtype=np.uint8)
-    if img.shape != (32, 32, 3):
-        raise DataError(f"record image must be 32x32x3, got {img.shape}")
-    planar = img.transpose(2, 0, 1)
-    return bytes([int(label)]) + planar.tobytes()
-
-
 # ----------------------------------------------------------------------
 # splits
 

@@ -296,7 +296,7 @@ def pretrain_approximator(train, valid, spec: NetworkSpec, budget: int,
     for i, idx in epoch_batches(train.count, batch_size, stream, 0, int(budget)):
         logits = _dense_stack(_flatten_rows(Tensor(train.images[idx])), params)
         loss = softmax_cross_entropy(logits, train.labels[idx])
-        backward(loss)
+        backward(loss, wrt=params.named().values())
         _apply_grads(params)
         history["loss"].append(loss.item())
         if (i + 1) % eval_every == 0 or i + 1 == int(budget):

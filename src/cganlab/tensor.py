@@ -5,6 +5,19 @@ parent nodes that produced it, and a closure routing an incoming gradient to
 those parents. Graphs are rebuilt each training step; backward() is one
 reverse topological sweep with accumulation at fan-in nodes.
 
+backward(loss, wrt=params) prunes the sweep: only nodes on a path to one of
+the requested leaves are marked `wanted`, the closures skip operand gradients
+that no marked node needs (the input gradient of a first matmul, the
+condition gradient of a conditioning op), and every other node keeps
+grad None. Without `wrt` every ancestor of the loss is marked.
+
+Accumulation is first-write: a node's first incoming gradient is stored as
+is, even when it is a view of (or the same array as) another node's .grad,
+and later arrivals add out of place. No .grad array is ever mutated, so that
+aliasing is safe, and no zeros are allocated. The only difference from
+zeros-plus-sum is the sign of a zero gradient entry: no op divides by a
+gradient or tests its sign, and Adam maps -0.0 and 0.0 to the same update.
+
 All values are float64. Every op checks its output for NaN/Inf and raises
 instead of letting a non-finite value escape.
 """
@@ -38,13 +51,14 @@ def _as_f64(data):
 class Tensor:
     """Graph node: a float64 ndarray plus provenance and a gradient slot."""
 
-    __slots__ = ("data", "grad", "op", "parents", "_backward")
+    __slots__ = ("data", "grad", "wanted", "op", "parents", "_backward")
 
     def __init__(self, data, parents=(), op="leaf", backward=None):
         self.data = _as_f64(data)
         if not np.isfinite(self.data).all():
             raise ContractError(f"op '{op}' produced non-finite values")
         self.grad = None
+        self.wanted = True  # set by every backward() that reaches this node
         self.op = op
         self.parents = tuple(parents)
         self._backward = backward
@@ -152,9 +166,12 @@ class Tensor:
 
 
 def _accum(node: Tensor, g: np.ndarray):
+    if not node.wanted:
+        return
     if node.grad is None:
-        node.grad = np.zeros_like(node.data)
-    node.grad += g
+        node.grad = g
+    else:
+        node.grad = node.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -167,12 +184,28 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
-def _toposort(root: Tensor):
+def _toposort(root: Tensor, targets=None):
+    """Ancestors of root, parents first; clears each .grad and sets .wanted.
+
+    With targets (a set of node ids) a node is wanted when it is a target or
+    has a wanted parent; without, every node is wanted.
+    """
     order, seen = [], set()
     stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
+            node.grad = None
+            if targets is not None:
+                wanted = id(node) in targets
+                if not wanted:
+                    for p in node.parents:
+                        if p.wanted:
+                            wanted = True
+                            break
+                node.wanted = wanted
+            else:
+                node.wanted = True
             order.append(node)
             continue
         if id(node) in seen:
@@ -185,17 +218,21 @@ def _toposort(root: Tensor):
     return order
 
 
-def backward(loss: Tensor):
-    """Populate .grad with d(loss)/d(node) for every ancestor of `loss`.
+def backward(loss: Tensor, wrt=None):
+    """Populate .grad with d(loss)/d(node) for the ancestors of `loss`.
 
     Gradients from previous backward calls on the reachable subgraph are
-    discarded first; nodes reached through several paths accumulate.
+    discarded first; nodes reached through several paths accumulate. With
+    `wrt` (an iterable of leaf tensors) only the nodes on a path to one of
+    them receive a gradient; every other ancestor keeps grad None. The
+    gradients that are computed are the same bits as without `wrt`.
     """
     if loss.size != 1:
         raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")
-    order = _toposort(loss)
-    for node in order:
-        node.grad = None
+    targets = None if wrt is None else {id(t) for t in wrt}
+    order = _toposort(loss, targets)
+    if not loss.wanted:
+        return
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
@@ -215,8 +252,10 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
 
     def back(g, x=a, y=b):
-        _accum(x, g @ y.data.T)
-        _accum(y, x.data.T @ g)
+        if x.wanted:
+            _accum(x, g @ y.data.T)
+        if y.wanted:
+            _accum(y, x.data.T @ g)
 
     return Tensor(a.data @ b.data, (a, b), "matmul", back)
 
@@ -233,10 +272,12 @@ def activation(x, kind: str, alpha: float = 0.2) -> Tensor:
     elif kind == "leaky_relu":
         if not (0.0 < alpha < 1.0):
             raise ConfigError(f"leaky_relu alpha must be in (0,1), got {alpha}")
-        y = np.where(x.data > 0, x.data, alpha * x.data)
+        # max(x, alpha*x) is exactly x for x > 0 and alpha*x otherwise when
+        # 0 < alpha < 1, signed zeros included
+        y = np.maximum(x.data, alpha * x.data)
 
         def back(g, a=x, d=x.data, al=alpha):
-            _accum(a, g * np.where(d > 0, 1.0, al))
+            _accum(a, np.where(d > 0, g, al * g))
 
     elif kind == "sigmoid":
         d = x.data
@@ -350,6 +391,9 @@ def softmax_cross_entropy(logits, target) -> Tensor:
 # ----------------------------------------------------------------------
 # Adam
 
+# elements per Adam update block: a block's slices and temporaries fit in L2
+ADAM_BLOCK = 8192
+
 
 @dataclass
 class AdamState:
@@ -381,6 +425,15 @@ def adam_step(param, grad, state: AdamState):
 
     theta -= lr * m_hat / (sqrt(v_hat) + eps) with m_hat, v_hat the
     bias-corrected first and second moments.
+
+    A parameter larger than ADAM_BLOCK elements is updated in blocks of whole
+    leading-axis rows, with m and v written in place, so the temporaries stay
+    in cache instead of costing several full-size arrays. Every element gets
+    exactly the value of the whole-array expressions. A parameter that fits
+    in one block gains nothing from blocking and keeps the whole-array update
+    with fresh m and v arrays: updating those in place left a small-array
+    training step with no allocation that outlives it, and glibc then trimmed
+    and re-faulted the heap top every step.
     """
     data = param.data if isinstance(param, Tensor) else param
     grad = np.asarray(grad, dtype=np.float64)
@@ -389,11 +442,29 @@ def adam_step(param, grad, state: AdamState):
     if state.m.shape != data.shape:
         raise DimensionError(f"adam state shape {state.m.shape} != param shape {data.shape}")
     state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1 ** state.step)
-    v_hat = state.v / (1.0 - state.beta2 ** state.step)
-    data -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    if not np.isfinite(data).all():
-        raise ContractError("adam update produced non-finite parameters")
+    if data.size <= ADAM_BLOCK:
+        state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
+        state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
+        m_hat = state.m / (1.0 - state.beta1 ** state.step)
+        v_hat = state.v / (1.0 - state.beta2 ** state.step)
+        data -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        if not np.isfinite(data).all():
+            raise ContractError("adam update produced non-finite parameters")
+        return param, state
+    b1, b2 = state.beta1, state.beta2
+    c1 = 1.0 - b1 ** state.step
+    c2 = 1.0 - b2 ** state.step
+    n = data.shape[0]
+    rows = max(1, ADAM_BLOCK * n // data.size)
+    for r in range(0, n, rows):
+        s = slice(r, r + rows)
+        g, m, v, d = grad[s], state.m[s], state.v[s], data[s]
+        # m = beta1 * m + (1 - beta1) * g, and v likewise, in place
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        d -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+        if not np.isfinite(d).all():
+            raise ContractError("adam update produced non-finite parameters")
     return param, state

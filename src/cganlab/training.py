@@ -90,6 +90,31 @@ class TrainLog:
         with open(path, "w") as f:
             f.write(self.to_csv())
 
+    @classmethod
+    def read(cls, path, steps: int) -> "TrainLog":
+        """Rows 0..steps-1 of a log written by write(); DataError if it lacks them."""
+        try:
+            with open(path) as f:
+                lines = f.read().splitlines()
+        except OSError as e:
+            raise DataError(f"cannot read training log: {e}") from None
+        if not lines or lines[0] != cls.CSV_HEADER:
+            raise DataError(f"{path} does not start with the header {cls.CSV_HEADER!r}")
+        rows = []
+        for i, line in enumerate(lines[1:steps + 1]):
+            try:
+                step, dl, gl, rg, wall = line.split(",")
+                row = {"step": int(step), "d_loss": float(dl), "g_loss": float(gl),
+                       "r_g": float(rg) if rg else None, "wall_ms": float(wall)}
+            except ValueError:
+                raise DataError(f"{path}:{i + 2}: malformed log row {line!r}") from None
+            if row["step"] != i:
+                raise DataError(f"{path}:{i + 2}: expected step {i}, found {row['step']}")
+            rows.append(row)
+        if len(rows) != steps:
+            raise DataError(f"{path} holds {len(rows)} steps, expected {steps}")
+        return cls(rows)
+
     def column(self, key):
         return [r[key] for r in self.rows]
 
@@ -172,7 +197,7 @@ def train_step(x_real, c_real, g: ModelParams, d: ModelParams, q, cfg: TrainConf
             p_real = discriminator_forward(xr, cr, d)
             p_fake = discriminator_forward(x_fake, cf, d)
             loss_d = d_loss(p_real, p_fake)
-            backward(loss_d)
+            backward(loss_d, wrt=d.named().values())
             _apply_grads(d)
         s = stream.split("g")
         z = _sample_noise(s.split("z"), b, cfg.noise_dim)
@@ -187,7 +212,7 @@ def train_step(x_real, c_real, g: ModelParams, d: ModelParams, q, cfg: TrainConf
             reg = irgan_regularizer(q_out, cf, cfg.lam)
             total = loss_g + reg
             r_g = reg.item()
-        backward(total)
+        backward(total, wrt=g.named().values())
         _apply_grads(g)
     except ContractError as e:
         raise ContractError(f"training step {step_index}: {e}") from e

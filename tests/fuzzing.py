@@ -1,14 +1,21 @@
-"""Deterministic corpora of corrupted dataset files.
+"""Deterministic corpora of corrupted dataset files and checkpoint containers.
 
 Every generated case is invalid by construction; loaders must reject each
 one with a diagnostic rather than crash or silently succeed.
 """
 
+import copy
+import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
+from cganlab.checkpoint import MAGIC, VERSION, save_model
 from cganlab.data import CIFAR_RECORD_LEN, IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
+from cganlab.models import NetworkSpec, build_generator
+from cganlab.rng import RngStream
 
 
 def valid_idx_pair(n=5, rows=4, cols=4, seed=0):
@@ -84,6 +91,13 @@ def valid_cifar_file(records=3, seed=0):
     return bytes(out)
 
 
+def cifar10_record_bytes(image_hwc_uint8, label: int) -> bytes:
+    """One binary record, label byte then planar pixels; the loader's inverse."""
+    img = np.asarray(image_hwc_uint8, dtype=np.uint8)
+    assert img.shape == (32, 32, 3), img.shape
+    return bytes([int(label)]) + img.transpose(2, 0, 1).tobytes()
+
+
 def cifar_fuzz_cases(count=100, seed=4321):
     """Yield (name, file_bytes) pairs, each invalid."""
     rng = np.random.default_rng(seed)
@@ -107,3 +121,71 @@ def cifar_fuzz_cases(count=100, seed=4321):
         else:  # empty file
             cases.append(("empty", b""))
     return cases[:count]
+
+
+def container_bytes(header, payload=b""):
+    """A container with an arbitrary JSON header; the preamble is always valid."""
+    blob = json.dumps(header).encode("utf-8")
+    return MAGIC + struct.pack("<IQ", VERSION, len(blob)) + blob + payload
+
+
+def valid_model_container():
+    """(header, payload) of a small generator checkpoint written by save_model."""
+    g = build_generator((2, 2, 1), 3, 4, NetworkSpec([5]), RngStream(1, ("fuzz",)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.ckpt"
+        save_model(path, g, extra={"name": "gen", "train_step": 0})
+        raw = path.read_bytes()
+    hlen = struct.unpack_from("<Q", raw, 12)[0]
+    return json.loads(raw[20:20 + hlen]), raw[20 + hlen:]
+
+
+def container_fuzz_cases():
+    """Yield (name, layer, file_bytes) triples, each invalid.
+
+    Cases of layer "container" break the container schema, which
+    read_container must reject; cases of layer "model" are valid containers
+    whose model header load_model must reject.
+    """
+    def entries(*arrays):
+        return {"version": VERSION, "meta": {}, "arrays": list(arrays)}
+
+    def container(name, header, payload=b""):
+        cases.append((name, "container", container_bytes(header, payload)))
+
+    f8 = b"\x00" * 8
+    cases = []
+    container("header-is-list", [1, 2])
+    container("meta-not-object", {"version": VERSION, "meta": "x", "arrays": []})
+    container("arrays-not-list", {"version": VERSION, "meta": {}, "arrays": {"a": [2]}}, f8 * 2)
+    container("entry-not-object", entries(3))
+    container("entry-without-name", entries({"shape": [2]}), f8 * 2)
+    container("entry-int-name", entries({"name": 7, "shape": [2]}), f8 * 2)
+    container("string-shape", entries({"name": "a", "shape": "2"}), f8 * 2)
+    container("float-dim", entries({"name": "a", "shape": [2.0]}), f8 * 2)
+    container("negative-dim", entries({"name": "a", "shape": [-2]}))
+    container("huge-shape", entries({"name": "a", "shape": [2 ** 40, 2 ** 40]}), f8)
+    container("empty-with-huge-dims", entries({"name": "a", "shape": [0, 2 ** 62, 2 ** 62]}))
+    container("duplicate-name", entries({"name": "a", "shape": [1]}, {"name": "a", "shape": [1]}),
+              f8 * 2)
+    header, payload = valid_model_container()
+
+    def model(name, mutate):
+        h = copy.deepcopy(header)
+        mutate(h["meta"], h["arrays"])
+        cases.append((name, "model", container_bytes(h, payload)))
+
+    model("model-without-spec", lambda m, a: m.pop("spec"))
+    model("spec-hidden-string", lambda m, a: m["spec"].update(hidden="5"))
+    model("spec-unknown-activation", lambda m, a: m["spec"].update(activation="swish"))
+    model("in-dim-string", lambda m, a: m.update(in_dim="7"))
+    model("in-dim-disagrees-with-arrays", lambda m, a: m.update(in_dim=m["in_dim"] + 1))
+    model("model-not-object", lambda m, a: m.update(model=[1]))
+    model("model-without-cond-dim", lambda m, a: m["model"].pop("cond_dim"))
+    model("model-unknown-role", lambda m, a: m["model"].update(role="critic"))
+    model("generator-without-noise-dim", lambda m, a: m["model"].pop("noise_dim"))
+    model("hyper-without-lr", lambda m, a: m["hyper"].pop("lr"))
+    model("hyper-beta1-one", lambda m, a: m["hyper"].update(beta1=1.0))
+    model("adam-steps-list", lambda m, a: m.update(adam_steps=[1]))
+    model("missing-bias", lambda m, a: a[[e["name"] for e in a].index("l0.b")].update(name="l9.b"))
+    return cases

@@ -93,3 +93,24 @@ def test_load_model_rejects_non_model_container(tmp_path):
 def test_missing_container_file(tmp_path):
     with pytest.raises(ParseError):
         read_container(tmp_path / "ghost.bin")
+
+
+def test_malformed_headers_are_parse_errors(tmp_path):
+    from fuzzing import container_fuzz_cases, container_bytes, valid_model_container
+
+    header, payload = valid_model_container()
+    path = tmp_path / "ok.ckpt"
+    path.write_bytes(container_bytes(header, payload))
+    load_model(path)  # the unmutated corpus base loads
+    cases = container_fuzz_cases()
+    assert len({name for name, _, _ in cases}) == len(cases)
+    for name, layer, blob in cases:
+        path = tmp_path / f"{name}.ckpt"
+        path.write_bytes(blob)
+        if layer == "container":
+            with pytest.raises(ParseError):
+                read_container(path)
+        else:
+            read_container(path)
+            with pytest.raises(ParseError):
+                load_model(path)

@@ -124,6 +124,55 @@ def test_resume_matches_straight_run(runner, tmp_path):
     assert (tmp_path / "full" / "g.ckpt").read_bytes() \
         == (tmp_path / "resumed" / "g.ckpt").read_bytes()
 
+    def rows(run):  # log rows without the wall_ms column
+        lines = (tmp_path / run / "log.csv").read_text().splitlines()
+        return [line.rsplit(",", 1)[0] for line in lines]
+
+    assert len(rows("full")) == 13
+    assert rows("resumed") == rows("full")
+
+
+def test_resume_needs_the_earlier_log(runner, trained_dir, tmp_path):
+    half = tmp_path / "half"
+    half.mkdir()
+    for name in ("g.ckpt", "d.ckpt"):
+        (half / name).write_bytes((trained_dir / name).read_bytes())
+    lines = (trained_dir / "log.csv").read_text().splitlines()
+    args = ["train", "--variant", "sbp", "--dataset", "mixture-3x2", "--steps", "22",
+            "--batch-size", "32", "--seed", "5", "--resume", str(half)]
+    for log in (None, lines[:-1], lines[:5] + lines[6:]):
+        if log is not None:
+            (half / "log.csv").write_text("\n".join(log) + "\n")
+        result = runner.invoke(main, args + ["--out", str(tmp_path / "o")])
+        assert result.exit_code == 3, result.output
+        assert result.stderr.startswith("data error: ")
+        assert not (tmp_path / "o" / "g.ckpt").exists()
+
+
+def test_resume_bad_train_step_is_data_error(runner, trained_dir, tmp_path):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    for name in ("g.ckpt", "d.ckpt", "log.csv"):
+        (bad / name).write_bytes((trained_dir / name).read_bytes())
+    meta, arrays = read_container(bad / "g.ckpt")
+    meta["train_step"] = "20"
+    write_container(bad / "g.ckpt", meta, arrays)
+    result = runner.invoke(main, ["train", "--variant", "sbp", "--dataset", "mixture-3x2",
+                                  *TRAIN_FAST, "--resume", str(bad), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 3
+    assert "train_step" in result.stderr
+
+
+@pytest.mark.parametrize("flag,value", [("--lr", "0.1"), ("--noise-dim", "4"),
+                                        ("--g-hidden", "32,32"), ("--d-hidden", "64")])
+def test_resume_refuses_other_hyperparameters(runner, trained_dir, tmp_path, flag, value):
+    result = runner.invoke(main, ["train", "--variant", "sbp", "--dataset", "mixture-3x2",
+                                  *TRAIN_FAST, flag, value, "--resume", str(trained_dir),
+                                  "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"config error: {flag} ")
+    assert not (tmp_path / "o" / "g.ckpt").exists()
+
 
 def test_resume_refuses_other_variant(runner, trained_dir, tmp_path):
     result = runner.invoke(main, ["train", "--variant", "cgan", "--dataset", "mixture-3x2",
@@ -236,6 +285,16 @@ def test_eval_rejects_discriminator_checkpoint(runner, trained_dir, tmp_path):
     result = runner.invoke(main, ["eval", "--g-checkpoint", str(trained_dir / "d.ckpt"),
                                   "--dataset", "mixture-3x2", "--out", str(tmp_path / "o")])
     assert result.exit_code == 2
+
+
+def test_eval_malformed_checkpoint_is_data_error(runner, trained_dir, tmp_path):
+    meta, arrays = read_container(trained_dir / "g.ckpt")
+    del meta["spec"]
+    write_container(tmp_path / "g.ckpt", meta, arrays)
+    result = runner.invoke(main, ["eval", "--g-checkpoint", str(tmp_path / "g.ckpt"),
+                                  "--dataset", "mixture-3x2", "--out", str(tmp_path / "o")])
+    assert result.exit_code == 3
+    assert result.stderr.startswith("data error: ") and "'spec'" in result.stderr
 
 
 def test_eval_sigma_grid_flag(runner, trained_dir, tmp_path):

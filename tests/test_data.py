@@ -5,14 +5,15 @@ import pytest
 
 from cganlab.data import (CIFAR10_LABELS, CIFAR_RECORD_LEN, LabeledDataset,
                           MixtureComponent, MixtureSpec, MixtureOracle,
-                          adaptive_avg_pool, cifar10_record_bytes, load_cifar10_binary,
+                          adaptive_avg_pool, load_cifar10_binary,
                           load_idx, mixture_3x2_spec, parse_idx_image_header,
                           parse_idx_label_header, pixels_to_bytes, render_digit,
                           render_digits_idx, scale_pixels, split, synth_mixture,
                           tiny_digits3, write_idx_images, write_idx_labels)
 from cganlab.errors import DataError, ParseError
 from cganlab.rng import RngStream
-from fuzzing import cifar_fuzz_cases, idx_fuzz_cases, valid_cifar_file, valid_idx_pair
+from fuzzing import (cifar10_record_bytes, cifar_fuzz_cases, idx_fuzz_cases, valid_cifar_file,
+                     valid_idx_pair)
 
 
 # ----------------------------------------------------------------------

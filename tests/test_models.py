@@ -8,7 +8,7 @@ from cganlab.models import (NetworkSpec, Variant, approximator_forward,
                             classifier_accuracy, discriminator_forward,
                             generator_forward, pretrain_approximator)
 from cganlab.rng import RngStream
-from cganlab.tensor import Tensor
+from cganlab.tensor import Tensor, backward
 from conftest import assert_grads_match, projection
 
 IMG = (3, 3, 1)
@@ -138,6 +138,43 @@ def test_discriminator_gradients(variant, rng):
     else:
         assert_grads_match(
             lambda xx, cc: discriminator_forward(xx, cc, d).reshape((1,)).sum(), x, c)
+
+
+def _leaves(root):
+    out, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.parents)
+            if not node.parents:
+                out.append(node)
+    return out
+
+
+@pytest.mark.parametrize("variant", [v.value for v in Variant])
+def test_backward_wrt_params_matches_full_sweep(variant, rng):
+    from cganlab.training import d_loss, g_loss, irgan_regularizer
+
+    g, d = make_g(), make_d(variant)
+    q = build_approximator(IMG, M, NetworkSpec([5]), RngStream(0, ("q",)))
+    c = Tensor(np.stack([onehot(i % M) for i in range(5)]))
+    x_real = Tensor(rng.uniform(-1, 1, (5,) + IMG))
+    fake = generator_forward(Tensor(rng.uniform(-1, 1, (5, K))), c, g)
+    d_update = d_loss(discriminator_forward(x_real, c, d),
+                      discriminator_forward(fake.detach(), c, d))
+    g_update = g_loss(discriminator_forward(fake, c, d))
+    if variant == "irgan":
+        g_update = g_update + irgan_regularizer(approximator_forward(fake, q), c, 1.0)
+    for loss, params in ((d_update, d), (g_update, g)):
+        backward(loss)
+        full = {name: t.grad.copy() for name, t in params.named().items()}
+        backward(loss, wrt=params.named().values())
+        for name, t in params.named().items():
+            assert t.grad.tobytes() == full[name].tobytes(), name
+        requested = {id(t) for t in params.named().values()}
+        others = [leaf for leaf in _leaves(loss) if id(leaf) not in requested]
+        assert others and all(leaf.grad is None for leaf in others)
 
 
 def test_fcgan_hidden_widths_include_condition():

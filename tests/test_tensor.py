@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from cganlab.errors import ConfigError, ContractError, DimensionError
-from cganlab.tensor import (AdamState, Tensor, activation, adam_step, backward,
+from cganlab.tensor import (ADAM_BLOCK, AdamState, Tensor, activation, adam_step, backward,
                             concat_last, exp, log, matmul, softmax,
                             softmax_cross_entropy)
 from conftest import assert_grads_match, projection
@@ -198,6 +198,36 @@ def test_backward_resets_stale_gradients():
     np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
 
+def test_fan_in_through_add_reshape_and_concat(rng):
+    # integer weights keep every sum exact, so the expected gradients are exact
+    w1, w2, w3 = (rng.integers(-9, 10, shape).astype(np.float64)
+                  for shape in ((2, 3), (3, 2), (2, 5)))
+    x, y = Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=(2, 2)))
+    a = x + Tensor(np.ones((2, 3)))
+    r = x.reshape((3, 2))
+    cc = concat_last(x, y)
+    loss = (a * w1).sum() + (r * w2).sum() + (cc * w3).sum()
+    backward(loss)
+    # first-write leaves x.grad aliasing a.grad; later arrivals must not write through
+    np.testing.assert_array_equal(a.grad, w1)
+    np.testing.assert_array_equal(r.grad, w2)
+    np.testing.assert_array_equal(cc.grad, w3)
+    np.testing.assert_array_equal(x.grad, w1 + w2.reshape(2, 3) + w3[:, :3])
+    np.testing.assert_array_equal(y.grad, w3[:, 3:])
+
+
+def test_backward_wrt_prunes_unrequested_leaves(rng):
+    a, b, c = (Tensor(rng.normal(size=(3, 3))) for _ in range(3))
+    loss = (matmul(matmul(a, b), c) * Tensor(rng.normal(size=(3, 3)))).sum()
+    backward(loss)
+    full = b.grad.copy()
+    backward(loss, wrt=[b])
+    assert b.grad.tobytes() == full.tobytes()
+    assert a.grad is None and c.grad is None
+    backward(Tensor(2.0) * a.sum(), wrt=[b])  # no path to b
+    assert a.grad is None
+
+
 def test_reductions_and_reshape_gradients(rng):
     x = rng.normal(size=(4, 5))
     w = rng.normal(size=(2, 10))
@@ -270,3 +300,52 @@ def test_adam_hyper_validation():
         AdamState.fresh((1,), beta1=1.0)
     with pytest.raises(ConfigError):
         AdamState.fresh((1,), epsilon=0.0)
+
+
+def reference_adam(data, grad, m, v, step, st):
+    """The whole-array update adam_step must reproduce bit for bit."""
+    m = st.beta1 * m + (1.0 - st.beta1) * grad
+    v = st.beta2 * v + (1.0 - st.beta2) * grad * grad
+    m_hat = m / (1.0 - st.beta1 ** step)
+    v_hat = v / (1.0 - st.beta2 ** step)
+    return data - st.lr * m_hat / (np.sqrt(v_hat) + st.epsilon), m, v
+
+
+@pytest.mark.parametrize("shape", [(2 * ADAM_BLOCK + 5,), (3000, 7), (900, 5, 4), (5, 64), ()])
+def test_adam_blocks_match_whole_array_formula(shape, rng):
+    p = Tensor(rng.normal(size=shape))
+    st = AdamState.fresh(shape, lr=0.01, beta1=0.8, beta2=0.99)
+    m_array, v_array = st.m, st.v
+    for step in range(1, 4):
+        grad = rng.normal(size=shape)
+        want, want_m, want_v = reference_adam(p.data.copy(), grad, st.m.copy(), st.v.copy(),
+                                              step, st)
+        adam_step(p, grad, st)
+        assert p.data.tobytes() == want.tobytes()
+        assert st.m.tobytes() == want_m.tobytes() and st.v.tobytes() == want_v.tobytes()
+    if p.size > ADAM_BLOCK:  # several blocks: updated in place
+        assert st.m is m_array and st.v is v_array
+    assert st.step == 3
+
+
+def test_adam_on_checkpoint_loaded_model_matches_formula(tmp_path, rng):
+    from cganlab.checkpoint import load_model, save_model
+    from cganlab.models import NetworkSpec, build_generator
+    from cganlab.rng import RngStream
+
+    # l0.w is 7 x 1200, more than one block; l1.w is 1200 x 4
+    g = build_generator((2, 2, 1), 3, 4, NetworkSpec([1200]), RngStream(2, ("g",)))
+    for name, t in g.named().items():
+        adam_step(t, rng.normal(size=t.shape), g.adam[name])
+    save_model(tmp_path / "g.ckpt", g)
+    loaded, _ = load_model(tmp_path / "g.ckpt")
+    assert loaded.weights[0].size > ADAM_BLOCK
+    for name, t in loaded.named().items():
+        st = loaded.adam[name]
+        grad = rng.normal(size=t.shape)
+        want, want_m, want_v = reference_adam(t.data.copy(), grad, st.m.copy(), st.v.copy(),
+                                              2, st)
+        adam_step(t, grad, st)
+        assert st.step == 2
+        assert t.data.tobytes() == want.tobytes()
+        assert st.m.tobytes() == want_m.tobytes() and st.v.tobytes() == want_v.tobytes()
