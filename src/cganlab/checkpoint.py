@@ -21,8 +21,10 @@ TypeError.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from numbers import Real
 from pathlib import Path
 
@@ -36,8 +38,27 @@ MAGIC = b"CGANLABC"
 VERSION = 1
 
 
+@contextlib.contextmanager
+def atomic_write(path):
+    """Open `path` for binary writing so that it appears whole or not at all.
+
+    The bytes go to a temporary file in the same directory, which replaces
+    `path` only when the block exits normally. If the block raises, the
+    temporary file is removed and an earlier `path` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_container(path, meta: dict, arrays: dict):
-    """Write named float64 arrays with a JSON header. Deterministic bytes."""
+    """Write named float64 arrays with a JSON header. Deterministic bytes, atomic."""
     names = sorted(arrays)
     header = {
         "version": VERSION,
@@ -45,13 +66,13 @@ def write_container(path, meta: dict, arrays: dict):
         "arrays": [{"name": n, "shape": list(np.asarray(arrays[n]).shape)} for n in names],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(MAGIC)
         f.write(np.uint32(VERSION).astype("<u4").tobytes())
         f.write(np.uint64(len(blob)).astype("<u8").tobytes())
         f.write(blob)
         for n in names:
-            f.write(np.ascontiguousarray(arrays[n], dtype="<f8").tobytes())
+            f.write(np.ascontiguousarray(arrays[n], dtype="<f8").data)
 
 
 def read_container(path):
@@ -59,19 +80,28 @@ def read_container(path):
     p = Path(path)
     if not p.is_file():
         raise ParseError(f"container file not found: {p}")
-    raw = p.read_bytes()
-    if len(raw) < 20:
-        raise ParseError(f"container needs a 20-byte preamble, file has {len(raw)}", offset=0)
-    if raw[:8] != MAGIC:
-        raise ParseError(f"bad container magic {raw[:8]!r}, expected {MAGIC!r}", offset=0)
-    version = int(np.frombuffer(raw, dtype="<u4", count=1, offset=8)[0])
-    if version != VERSION:
-        raise ParseError(f"unsupported container version {version}", offset=8)
-    hlen = int(np.frombuffer(raw, dtype="<u8", count=1, offset=12)[0])
-    if 20 + hlen > len(raw):
-        raise ParseError(f"header length {hlen} overruns file of {len(raw)} bytes", offset=12)
+    with open(p, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        raw = f.read(20)
+        if size < 20:
+            raise ParseError(f"container needs a 20-byte preamble, file has {size}", offset=0)
+        if raw[:8] != MAGIC:
+            raise ParseError(f"bad container magic {raw[:8]!r}, expected {MAGIC!r}", offset=0)
+        version = int(np.frombuffer(raw, dtype="<u4", count=1, offset=8)[0])
+        if version != VERSION:
+            raise ParseError(f"unsupported container version {version}", offset=8)
+        hlen = int(np.frombuffer(raw, dtype="<u8", count=1, offset=12)[0])
+        if 20 + hlen > size:
+            raise ParseError(f"header length {hlen} overruns file of {size} bytes", offset=12)
+        blob = f.read(hlen)
+        # the arrays are views of one float64 buffer read in place, so
+        # loading copies no array
+        payload = np.empty((size - 20 - hlen) // 8, dtype="<f8")
+        if f.readinto(payload.view(np.uint8)) != payload.nbytes:
+            raise ParseError(f"container {p} changed size while being read", offset=20 + hlen)
+    payload = payload.astype(np.float64, copy=False)
     try:
-        header = json.loads(raw[20:20 + hlen].decode("utf-8"))
+        header = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ParseError(f"container header is not valid JSON: {e}", offset=20) from None
     if not isinstance(header, dict):
@@ -87,16 +117,16 @@ def read_container(path):
         name, shape = _array_entry(entry, arrays)
         count = math.prod(shape)
         nbytes = count * 8
-        if at + nbytes > len(raw):
+        if at + nbytes > size:
             raise ParseError(f"array {name!r} of shape {list(shape)} overruns file", offset=at)
-        flat = np.frombuffer(raw, dtype="<f8", count=count, offset=at)
+        first = (at - 20 - hlen) // 8
         try:
-            arrays[name] = flat.reshape(shape).astype(np.float64)
+            arrays[name] = payload[first:first + count].reshape(shape)
         except ValueError as e:  # numpy's limits on rank and dimension size
             raise ParseError(f"array {name!r} of shape {list(shape)}: {e}", offset=20) from None
         at += nbytes
-    if at != len(raw):
-        raise ParseError(f"{len(raw) - at} trailing bytes after declared arrays", offset=at)
+    if at != size:
+        raise ParseError(f"{size - at} trailing bytes after declared arrays", offset=at)
     return meta, arrays
 
 
@@ -127,7 +157,7 @@ def _array_entry(entry, seen) -> tuple:
 
 def save_model(path, params: ModelParams, extra: dict | None = None):
     """Checkpoint one network: parameters, Adam state, and rebuild metadata."""
-    arrays = params.snapshot()
+    arrays = params.named_arrays()
     some = next(iter(params.adam.values()))
     meta = {
         "kind": "model",
@@ -171,7 +201,7 @@ def load_model(path):
     params = ModelParams(weights, biases, spec, in_dim, out_dim, dict(model))
     for name, t in params.named().items():
         st = AdamState(steps.get(name, 0),
-                       arrays[f"adam.m:{name}"].copy(), arrays[f"adam.v:{name}"].copy(),
+                       arrays[f"adam.m:{name}"], arrays[f"adam.v:{name}"],
                        hyper["lr"], hyper["beta1"], hyper["beta2"], hyper["epsilon"])
         params.adam[name] = st
     return params, meta

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import data as datamod
 from . import __version__
-from .checkpoint import load_model, save_model, write_container
+from .checkpoint import atomic_write, load_model, save_model, write_container
 from .errors import CganlabError, ConfigError, DataError
 from .models import NetworkSpec, Variant, classifier_accuracy, pretrain_approximator
 from .parzen import (ParzenConfig, conditional_eval, default_sigma_grid, format_table,
@@ -69,8 +69,12 @@ BASE_DEFAULTS = {
 }
 
 
-def load_dataset(name, data_dir=None):
-    """Resolve a dataset name to splits plus display metadata."""
+def load_dataset(name, data_dir=None, checksum=None):
+    """Resolve a dataset name to splits plus display metadata.
+
+    A non-empty checksum (the one a manifest recorded) must match the loaded
+    dataset's, else DataError.
+    """
     if name not in DATA_SEEDS:
         raise ConfigError(f"unknown dataset {name!r}; expected one of {DATASET_NAMES}")
     seed = DATA_SEEDS[name]
@@ -106,9 +110,12 @@ def load_dataset(name, data_dir=None):
         full = datamod.load_cifar10_binary(paths)
         train_ds, valid_ds, test_ds = datamod.split(full, (0.8, 0.1, 0.1), seed)
         label_names = list(datamod.CIFAR10_LABELS)
+    found = train_ds.meta.get("checksum", "")
+    if checksum and checksum != found:
+        raise DataError(f"dataset {name!r} has checksum {found!r}, "
+                        f"but the manifest recorded {checksum!r}")
     return {"name": name, "train": train_ds, "valid": valid_ds, "test": test_ds,
-            "oracle": oracle, "label_names": label_names,
-            "checksum": train_ds.meta.get("checksum", "")}
+            "oracle": oracle, "label_names": label_names, "checksum": found}
 
 
 # ----------------------------------------------------------------------
@@ -186,8 +193,10 @@ def write_manifest(out_dir: Path, command: str, resolved: dict, dataset_info,
         "wall_ms": round(wall_ms, 3),
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with atomic_write(path) as f:
+        f.write(text.encode())
     return path
 
 
@@ -261,9 +270,9 @@ def write_image_grid(path, images: np.ndarray):
 # command implementations (shared with `rerun`)
 
 
-def do_pretrain_q(res: dict, out_dir: Path) -> dict:
+def do_pretrain_q(res: dict, out_dir: Path, checksum=None) -> dict:
     t0 = time.perf_counter()
-    info = load_dataset(res["dataset"], res.get("data_dir"))
+    info = load_dataset(res["dataset"], res.get("data_dir"), checksum)
     spec = NetworkSpec(parse_widths(res["q_hidden"]), head="softmax")
     stream = RngStream(int(res["seed"]), ("pretrain-q",))
     params, history = pretrain_approximator(
@@ -284,10 +293,10 @@ def do_pretrain_q(res: dict, out_dir: Path) -> dict:
     return summary
 
 
-def do_train(res: dict, out_dir: Path) -> dict:
+def do_train(res: dict, out_dir: Path, checksum=None) -> dict:
     t0 = time.perf_counter()
     variant = Variant(res["variant"])
-    info = load_dataset(res["dataset"], res.get("data_dir"))
+    info = load_dataset(res["dataset"], res.get("data_dir"), checksum)
     lam = res.get("lam")
     if lam is None:
         lam = float(res.get("irgan_lam", 1.0)) if variant is Variant.IRGAN else 0.0
@@ -376,9 +385,9 @@ def _ckpt_extra(res, info, step, variant):
             "seed": int(res["seed"])}
 
 
-def do_eval(res: dict, out_dir: Path) -> dict:
+def do_eval(res: dict, out_dir: Path, checksum=None) -> dict:
     t0 = time.perf_counter()
-    info = load_dataset(res["dataset"], res.get("data_dir"))
+    info = load_dataset(res["dataset"], res.get("data_dir"), checksum)
     cfg = ParzenConfig(sigma_grid=parse_sigma_grid(res.get("sigma_grid")),
                        samples_per_condition=int(res["samples_per_condition"]),
                        sigma_mode=res["sigma_mode"])
@@ -584,7 +593,10 @@ def cmd_sample(g_checkpoint, condition, count, seed, out):
 @click.option("--out", required=True, type=click.Path())
 @friendly_errors
 def cmd_rerun(manifest, out):
-    """Repeat a recorded run from its manifest into a new output directory."""
+    """Repeat a recorded run from its manifest into a new output directory.
+
+    The dataset must still have the checksum the manifest recorded.
+    """
     p = Path(manifest)
     if not p.is_file():
         raise DataError(f"manifest not found: {p}")
@@ -599,6 +611,9 @@ def cmd_rerun(manifest, out):
             "sample": do_sample}.get(command)
     if impl is None:
         raise ConfigError(f"manifest records unknown command {command!r}")
+    dataset = doc.get("dataset")
+    if isinstance(dataset, dict) and dataset.get("checksum") and impl is not do_sample:
+        impl = functools.partial(impl, checksum=dataset["checksum"])
     summary = impl(doc["resolved"], _out_dir(out))
     _emit(summary)
 

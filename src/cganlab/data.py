@@ -470,18 +470,26 @@ def _glyph_points(label: int):
     raise DataError(f"no glyph for label {label}")
 
 
-_GRID_Y, _GRID_X = np.mgrid[0:28, 0:28]
+_PIXELS = np.arange(28).reshape(-1, 1)
 
 
-def render_digit(label: int, stream: RngStream) -> np.ndarray:
-    """One noisy 28x28 uint8 glyph: stroke, box blur, additive noise."""
-    pts = np.asarray(_glyph_points(label)) + stream.uniform(-2.0, 2.0, 2)
+def render_digit(label: int, stream: RngStream, outline=None) -> np.ndarray:
+    """One noisy 28x28 uint8 glyph: stroke, box blur, additive noise.
+
+    outline is the label's stroke as an array of (y, x) points; callers that
+    render many digits of one label pass it to compute it only once.
+    """
+    if outline is None:
+        outline = np.asarray(_glyph_points(label))
+    pts = outline + stream.uniform(-2.0, 2.0, 2)
     r = stream.uniform(1.0, 1.7)
     val = stream.uniform(175.0, 255.0)
-    d2 = ((_GRID_Y.reshape(-1, 1) - pts[:, 0]) ** 2
-          + (_GRID_X.reshape(-1, 1) - pts[:, 1]) ** 2).min(axis=1)
-    canvas = np.where(d2 <= r * r, val, 0.0).reshape(28, 28)
-    padded = np.pad(canvas, 1)
+    # squared distance from pixel (y, x) to every stroke point, row and
+    # column terms computed once per row and per column
+    dy2, dx2 = (_PIXELS - pts[:, 0]) ** 2, (_PIXELS - pts[:, 1]) ** 2
+    d2 = (dy2[:, None, :] + dx2[None, :, :]).min(axis=2)
+    padded = np.zeros((30, 30))
+    padded[1:29, 1:29] = np.where(d2 <= r * r, val, 0.0)
     blurred = sum(padded[i:i + 28, j:j + 28] for i in range(3) for j in range(3)) / 9.0
     noisy = blurred + stream.uniform(0.0, 25.0, (28, 28))
     return np.clip(noisy, 0, 255).astype(np.uint8)
@@ -495,8 +503,9 @@ def render_digits_idx(out_dir, count_per_label=700, labels=(0, 1, 2), seed=7):
     images, labs = [], []
     for lab in labels:
         s = stream.split(f"label-{lab}")
+        outline = np.asarray(_glyph_points(lab))
         for i in range(count_per_label):
-            images.append(render_digit(lab, s.split(f"i-{i}")))
+            images.append(render_digit(lab, s.split(f"i-{i}"), outline))
             labs.append(lab)
     order = stream.split("interleave").permutation(len(labs))
     images = np.stack(images)[order]

@@ -106,13 +106,17 @@ class ModelParams:
     def param_count(self) -> int:
         return sum(t.size for t in self.named().values())
 
+    def named_arrays(self) -> dict:
+        """Parameter and optimizer arrays keyed by name: the live arrays, not copies."""
+        arrays = {name: t.data for name, t in self.named().items()}
+        for name, st in self.adam.items():
+            arrays[f"adam.m:{name}"] = st.m
+            arrays[f"adam.v:{name}"] = st.v
+        return arrays
+
     def snapshot(self) -> dict:
         """Deep copy of parameter and optimizer arrays, keyed by name."""
-        arrays = {name: t.data.copy() for name, t in self.named().items()}
-        for name, st in self.adam.items():
-            arrays[f"adam.m:{name}"] = st.m.copy()
-            arrays[f"adam.v:{name}"] = st.v.copy()
-        return arrays
+        return {name: a.copy() for name, a in self.named_arrays().items()}
 
     def restore(self, arrays: dict):
         for name, t in self.named().items():

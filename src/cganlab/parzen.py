@@ -8,7 +8,9 @@ of a query point q against samples s_1..s_N in D dimensions is
 evaluated entirely in the log domain with max subtraction, so any finite
 input is safe. Each query's squared distances are sorted once, before any
 bandwidth is applied, which fixes the reduction order and makes the result
-exactly invariant to permutations of the sample set.
+exactly invariant to permutations of the sample set. Distances are formed in
+cache-sized blocks, so memory is bounded by the distance matrix itself, never
+by a (queries, samples, dimension) difference tensor.
 
 The evaluation protocol mirrors the usual conditional setup: per condition,
 fit the window to generator samples, pick sigma on validation data by grid
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionError
+from .errors import ConfigError, ContractError, DataError, DimensionError
 from .models import generator_forward
 from .rng import RngStream
 from .tensor import Tensor
@@ -65,11 +67,33 @@ class ParzenRow:
     note: str = ""
 
 
+# Bytes of one (queries, samples, dim) difference block in _sq_dists. Small
+# enough to stay in cache; 256 KiB measured fastest at 784 dimensions.
+DIST_BLOCK = 256 * 1024
+
+
 def _sq_dists(queries: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """Squared distances [t, n], each row sorted descending: the canonical reduction order."""
-    diff = queries[:, None, :] - samples[None, :, :]
-    d2 = np.einsum("tnd,tnd->tn", diff, diff)
-    return np.sort(d2, axis=1)[:, ::-1].copy()
+    """Squared distances [t, n], each row sorted descending: the canonical reduction order.
+
+    Differences are formed in query x sample blocks of at most DIST_BLOCK
+    bytes (one pair when a single difference row is larger), so memory beyond
+    the [t, n] result stays bounded whatever the dimension. Every entry is
+    reduced over the dimension by the same einsum as one whole-tensor call,
+    and the tests check that the block size never changes a bit.
+    """
+    t, dim = queries.shape
+    n = samples.shape[0]
+    row = 8 * max(dim, 1)
+    ns = max(1, min(n, DIST_BLOCK // row))
+    nq = max(1, min(t, DIST_BLOCK // (row * ns)))
+    d2 = np.empty((t, n))
+    for a in range(0, t, nq):
+        q = queries[a:a + nq, None, :]
+        for b in range(0, n, ns):
+            diff = q - samples[None, b:b + ns, :]
+            np.einsum("tnd,tnd->tn", diff, diff, out=d2[a:a + nq, b:b + ns])
+    d2.sort(axis=1)
+    return d2[:, ::-1].copy()
 
 
 def _ll_from_d2(d2: np.ndarray, sigma: float, n: int, dim: int) -> np.ndarray:
@@ -99,20 +123,27 @@ def parzen_log_likelihood(samples, queries, sigma: float, chunk: int = 256) -> n
     return out
 
 
-def _sweep(blocks, grid) -> tuple:
-    """Grid sigma maximizing the mean LL over all queries of `blocks`.
+def _grid_lls(queries, samples, grid) -> list:
+    """Per-query LL of `queries` at every grid sigma; distances computed once."""
+    d2 = _sq_dists(queries, samples)
+    n, dim = samples.shape
+    return [_ll_from_d2(d2, float(sigma), n, dim) for sigma in grid]
 
-    blocks is a list of (d2, n, dim), one per sample set; distances are
-    sigma-independent, so each is computed once for the whole grid. Ties go
-    to the smaller sigma. Returns (sigma, mean LL).
+
+def _sweep(lls) -> tuple:
+    """Index of the grid sigma whose LL vector in `lls` has the highest mean.
+
+    lls[i] holds the LLs of every query at grid[i]. Ties go to the smaller
+    sigma. Returns (index, mean LL).
     """
-    best_sigma, best_ll = None, -np.inf
-    for sigma in grid:
-        lls = np.concatenate([_ll_from_d2(d2, float(sigma), n, dim) for d2, n, dim in blocks])
-        mean_ll = float(lls.mean())
+    best_at, best_ll = None, -np.inf
+    for at, ll in enumerate(lls):
+        mean_ll = float(ll.mean())
         if mean_ll > best_ll:
-            best_sigma, best_ll = float(sigma), mean_ll
-    return best_sigma, best_ll
+            best_at, best_ll = at, mean_ll
+    if best_at is None:
+        raise ContractError("no sigma on the grid gives a finite mean log-likelihood")
+    return best_at, best_ll
 
 
 def select_sigma(samples, validation_queries, grid) -> tuple:
@@ -124,7 +155,8 @@ def select_sigma(samples, validation_queries, grid) -> tuple:
     if validation_queries.shape[0] < 1:
         raise DataError("validation set is empty")
     samples = np.asarray(samples, dtype=np.float64)
-    return _sweep([(_sq_dists(validation_queries, samples), *samples.shape)], grid)
+    at, best_ll = _sweep(_grid_lls(validation_queries, samples, grid))
+    return float(grid[at]), best_ll
 
 
 def generate_samples(g_params, condition: int, count: int, stream: RngStream) -> np.ndarray:
@@ -147,6 +179,11 @@ def conditional_eval(g_params, valid, test, cfg: ParzenConfig, seed,
     condition_map optionally remaps the condition fed to the generator
     (used by shuffled-condition controls); evaluation data is always the
     true condition's split.
+
+    Conditions are evaluated one at a time: each one's samples are dropped
+    before the next is generated. Global sigma mode keeps, per condition,
+    only the validation and test LLs at every grid sigma, and pools them
+    in condition order once all are done.
     """
     cfg.validate()
     m = g_params.meta["cond_dim"]
@@ -156,46 +193,49 @@ def conditional_eval(g_params, valid, test, cfg: ParzenConfig, seed,
     valid_labels = valid.label_indices()
     test_labels = test.label_indices()
     grid = np.asarray(cfg.sigma_grid, dtype=np.float64)
+    n_samples = int(cfg.samples_per_condition)
 
-    per_cond = []
+    rows = {}
+    pooled = {}  # condition -> (validation LLs, test LLs) per grid sigma
     for cond in range(m):
         vq = valid.images[valid_labels == cond].reshape(-1, int(np.prod(valid.image_shape)))
         tq = test.images[test_labels == cond].reshape(-1, int(np.prod(test.image_shape)))
         if vq.shape[0] == 0 or tq.shape[0] == 0:
             missing = "validation" if vq.shape[0] == 0 else "test"
-            per_cond.append((cond, None, None, ParzenRow(
-                cond, None, None, None, tq.shape[0], 0,
-                note=f"condition {cond} missing from {missing} split")))
+            rows[cond] = ParzenRow(cond, None, None, None, tq.shape[0], 0,
+                                   note=f"condition {cond} missing from {missing} split")
             continue
         gen_cond = condition_map[cond] if condition_map is not None else cond
-        samples = generate_samples(g_params, gen_cond, cfg.samples_per_condition,
-                                   root.split(f"cond-{cond}"))
-        per_cond.append((cond, samples, (vq, tq), None))
-
-    global_sigma = None
-    if cfg.sigma_mode == "global":
-        pooled = [(_sq_dists(data[0], samples), *samples.shape)
-                  for _, samples, data, row in per_cond if row is None]
-        if not pooled:
-            raise DataError("no evaluable conditions for global sigma selection")
-        global_sigma, _ = _sweep(pooled, grid)
-
-    rows = []
-    for cond, samples, data, row in per_cond:
-        if row is not None:
-            rows.append(row)
-            continue
-        vq, tq = data
+        samples = generate_samples(g_params, gen_cond, n_samples, root.split(f"cond-{cond}"))
         if cfg.sigma_mode == "global":
-            sigma = global_sigma
+            pooled[cond] = (_grid_lls(vq, samples, grid), _grid_lls(tq, samples, grid))
         else:
             sigma, _ = select_sigma(samples, vq, grid)
-        lls = parzen_log_likelihood(samples, tq, sigma)
-        mean_ll = float(lls.mean())
-        stderr = float(lls.std(ddof=1) / math.sqrt(lls.shape[0])) if lls.shape[0] > 1 else 0.0
-        rows.append(ParzenRow(cond, sigma, mean_ll, stderr, int(tq.shape[0]),
-                              int(cfg.samples_per_condition)))
-    return rows
+            rows[cond] = _scored_row(cond, sigma, parzen_log_likelihood(samples, tq, sigma),
+                                     grid, n_samples)
+        del samples  # so the next condition's generator pass does not overlap it
+
+    if cfg.sigma_mode == "global":
+        if not pooled:
+            raise DataError("no evaluable conditions for global sigma selection")
+        at, _ = _sweep([np.concatenate([val[i] for val, _ in pooled.values()])
+                        for i in range(grid.size)])
+        for cond, (_, test_lls) in pooled.items():
+            rows[cond] = _scored_row(cond, float(grid[at]), test_lls[at], grid, n_samples)
+    return [rows[cond] for cond in range(m)]
+
+
+def _scored_row(cond, sigma, lls, grid, n_samples) -> ParzenRow:
+    """Report row from the test LLs; the note flags a sigma on the grid's edge."""
+    mean_ll = float(lls.mean())
+    stderr = float(lls.std(ddof=1) / math.sqrt(lls.shape[0])) if lls.shape[0] > 1 else 0.0
+    lo, hi = float(grid[0]), float(grid[-1])
+    note = ""
+    if sigma in (lo, hi):
+        note = (f"condition {cond}: sigma {sigma!r} is the "
+                f"{'smallest' if sigma == lo else 'largest'} on the grid [{lo!r}, {hi!r}]; "
+                f"the best bandwidth may lie outside it")
+    return ParzenRow(cond, sigma, mean_ll, stderr, int(lls.shape[0]), n_samples, note)
 
 
 # ----------------------------------------------------------------------

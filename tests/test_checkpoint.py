@@ -20,6 +20,8 @@ def test_container_round_trip(tmp_path):
     for name in arrays:
         np.testing.assert_array_equal(arrays2[name], arrays[name])
         assert arrays2[name].shape == arrays[name].shape
+        # Adam updates loaded moments in place, and BLAS wants aligned data
+        assert arrays2[name].flags.writeable and arrays2[name].flags.aligned
 
 
 def test_container_bytes_deterministic(tmp_path):
@@ -27,6 +29,17 @@ def test_container_bytes_deterministic(tmp_path):
     write_container(tmp_path / "a.bin", {"k": 1}, arrays)
     write_container(tmp_path / "b.bin", {"k": 1}, arrays)
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
+def test_failed_write_leaves_the_earlier_file(tmp_path):
+    path = tmp_path / "box.bin"
+    write_container(path, {"k": 1}, {"w": np.arange(3.0)})
+    before = path.read_bytes()
+    # "a" is written, then "z" cannot be converted to float64
+    with pytest.raises(ValueError):
+        write_container(path, {"k": 2}, {"a": np.zeros(4096), "z": np.array(["nan?"])})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["box.bin"]
 
 
 def test_container_rejects_bad_magic(tmp_path):

@@ -114,6 +114,29 @@ def test_rerun_bad_manifest_is_data_error(runner, tmp_path, doc):
     assert result.stderr.startswith("data error: ")
 
 
+def test_rerun_checks_the_dataset_checksum(runner, trained_dir, tmp_path):
+    doc = json.loads((trained_dir / "manifest.json").read_text())
+    assert len(doc["dataset"]["checksum"]) == 64
+    doc["dataset"]["checksum"] = "0" * 64
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["rerun", str(path), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 3
+    assert result.stderr.startswith("data error: ") and "0" * 64 in result.stderr
+    assert not (tmp_path / "o" / "g.ckpt").exists()
+
+
+def test_failed_manifest_write_leaves_the_earlier_one(trained_dir, tmp_path):
+    from cganlab.cli import write_manifest
+    info = {"name": "mixture-3x2", "checksum": "c"}
+    write_manifest(tmp_path, "train", {"seed": 1}, info, {}, 1.0)
+    before = (tmp_path / "manifest.json").read_bytes()
+    with pytest.raises(TypeError):
+        write_manifest(tmp_path, "train", {"seed": object()}, info, {}, 1.0)
+    assert (tmp_path / "manifest.json").read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
 def test_resume_matches_straight_run(runner, tmp_path):
     base = ["train", "--variant", "cgan", "--dataset", "mixture-3x2",
             "--batch-size", "32", "--seed", "4"]
@@ -305,6 +328,21 @@ def test_eval_sigma_grid_flag(runner, trained_dir, tmp_path):
     report = (tmp_path / "o" / "report.csv").read_text().strip().splitlines()
     for line in report[1:]:
         assert float(line.split(",")[1]) in (0.05, 0.1, 0.2)
+
+
+def test_eval_warns_when_sigma_is_on_the_grid_edge(runner, trained_dir, tmp_path):
+    out = tmp_path / "o"
+    result = runner.invoke(main, ["eval", "--g-checkpoint", str(trained_dir / "g.ckpt"),
+                                  "--dataset", "mixture-3x2", "--seed", "1",
+                                  "--sigma-grid", "1e-6,1e-5", "--samples-per-condition", "60",
+                                  "--out", str(out)])
+    assert result.exit_code == 0
+    warnings = [ln for ln in result.stderr.splitlines() if ln.startswith("warning: ")]
+    assert len(warnings) == 3 and all("largest on the grid" in w for w in warnings)
+    assert len(result.stdout.strip().splitlines()) == 1
+    report = (out / "report.csv").read_text().splitlines()
+    assert report[0] == "condition,sigma,mean_ll,stderr,n_test,n_samples"
+    assert all(line.split(",")[1] == "1e-05" for line in report[1:])
 
 
 # ----------------------------------------------------------------------

@@ -287,6 +287,26 @@ def test_render_digit_deterministic():
     assert a.max() > 100  # glyph is actually drawn
 
 
+def test_render_digit_matches_whole_grid_formula():
+    """Row and column distance terms give the bytes of the direct 784 x P form."""
+    from cganlab.data import _glyph_points
+    for label in (0, 1, 2):
+        outline = np.asarray(_glyph_points(label))
+        for seed in range(4):
+            got = render_digit(label, RngStream(seed, ("d",)), outline)
+            assert np.array_equal(got, render_digit(label, RngStream(seed, ("d",))))
+            s = RngStream(seed, ("d",))
+            pts = outline + s.uniform(-2.0, 2.0, 2)
+            r, val = s.uniform(1.0, 1.7), s.uniform(175.0, 255.0)
+            gy, gx = np.mgrid[0:28, 0:28]
+            d2 = ((gy.reshape(-1, 1) - pts[:, 0]) ** 2
+                  + (gx.reshape(-1, 1) - pts[:, 1]) ** 2).min(axis=1)
+            canvas = np.pad(np.where(d2 <= r * r, val, 0.0).reshape(28, 28), 1)
+            blurred = sum(canvas[i:i + 28, j:j + 28] for i in range(3) for j in range(3)) / 9.0
+            want = np.clip(blurred + s.uniform(0.0, 25.0, (28, 28)), 0, 255).astype(np.uint8)
+            assert np.array_equal(got, want), (label, seed)
+
+
 def test_digit_corpus_written_through_idx(tmp_path):
     img_path, lab_path = render_digits_idx(tmp_path, count_per_label=5, seed=1)
     ds = load_idx(img_path, lab_path)

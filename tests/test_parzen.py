@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cganlab import parzen
 from cganlab.data import mixture_3x2_spec, synth_mixture, split
-from cganlab.errors import DataError, DimensionError
+from cganlab.errors import ContractError, DataError, DimensionError
 from cganlab.models import NetworkSpec, build_generator
 from cganlab.parzen import (ParzenConfig, conditional_eval, default_sigma_grid,
                             format_table, generate_samples, parzen_log_likelihood,
@@ -109,6 +111,40 @@ def test_chunking_does_not_change_results(rng):
     assert np.array_equal(a, b)
 
 
+def whole_tensor_sq_dists(queries, samples):
+    """The reference distances: one (t, n, d) difference tensor, sorted descending."""
+    diff = queries[:, None, :] - samples[None, :, :]
+    d2 = np.einsum("tnd,tnd->tn", diff, diff)
+    return np.sort(d2, axis=1)[:, ::-1]
+
+
+@pytest.mark.parametrize("dim", [2, 64, 784])
+def test_distance_blocks_never_change_a_bit(rng, monkeypatch, dim):
+    queries = rng.normal(size=(9, dim))
+    samples = rng.normal(size=(130, dim)) * 3.0
+    want = whole_tensor_sq_dists(queries, samples)
+    # one difference row per block, then one block larger than the whole tensor
+    for budget in (8 * dim, 2 * queries.size * samples.size * 8):
+        monkeypatch.setattr(parzen, "DIST_BLOCK", budget)
+        assert np.array_equal(parzen._sq_dists(queries, samples), want), budget
+        assert np.array_equal(parzen._sq_dists(queries, samples[::-1]), want), budget
+
+
+def test_select_sigma_memory_is_bounded(rng):
+    """30 x 2000 x 784 (the mnist-eval shape): the difference tensor alone
+    would be 376 MB; the blocked kernel needs the [t, n] distances plus a
+    block."""
+    samples = rng.uniform(-1.0, 1.0, size=(2000, 784))
+    queries = rng.uniform(-1.0, 1.0, size=(30, 784))
+    tracemalloc.start()
+    try:
+        select_sigma(samples, queries, default_sigma_grid())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2 ** 16), sigma=st.floats(0.05, 3.0))
 def test_permutation_property(seed, sigma):
@@ -173,6 +209,8 @@ def test_selection_input_contracts():
         select_sigma(np.zeros((2, 1)), np.zeros((1, 1)), [])
     with pytest.raises(DataError):
         select_sigma(np.zeros((2, 1)), np.zeros((0, 1)), [0.5])
+    with pytest.raises(ContractError):  # no finite LL anywhere, e.g. NaN samples
+        select_sigma(np.full((2, 1), np.nan), np.zeros((1, 1)), [0.5, 1.0])
 
 
 # ----------------------------------------------------------------------
@@ -246,6 +284,51 @@ def test_conditional_eval_global_sigma_mode(tiny_setup):
     cfg.sigma_mode = "per_condition"
     assert pooled == conditional_eval(g, only0, test_ds, cfg, seed=4)
     assert pooled[0].mean_ll is not None and pooled[1].mean_ll is None
+
+
+@pytest.mark.parametrize("mode", ["per_condition", "global"])
+def test_sigma_on_grid_edge_is_noted(tiny_setup, mode):
+    _, valid_ds, test_ds, g = tiny_setup
+    # every bandwidth far too small, so the best is the largest; then far too large
+    for grid, end in ((np.geomspace(1e-6, 1e-5, 3), "largest"),
+                      (np.geomspace(1e3, 1e4, 3), "smallest")):
+        cfg = ParzenConfig(sigma_grid=grid, samples_per_condition=30, sigma_mode=mode)
+        rows = conditional_eval(g, valid_ds, test_ds, cfg, seed=4)
+        for r in rows:
+            assert r.sigma == (grid[-1] if end == "largest" else grid[0])
+            assert f"condition {r.condition}: sigma" in r.note and end in r.note
+
+
+def test_interior_sigma_has_no_note(rng):
+    samples = rng.normal(size=(500, 1))
+    valid = rng.normal(size=(400, 1))
+    grid = np.geomspace(0.02, 3.0, 24)
+    sigma, _ = select_sigma(samples, valid, grid)
+    row = parzen._scored_row(0, sigma, parzen_log_likelihood(samples, valid, sigma), grid, 500)
+    assert row.note == "" and row.n_test == 400
+
+
+def test_global_mode_matches_pooled_selection(tiny_setup):
+    """Global mode pools per-condition LLs; selecting on the pooled sample
+    sets directly must pick the same sigma and score the same rows."""
+    _, valid_ds, test_ds, g = tiny_setup
+    cfg = ParzenConfig(samples_per_condition=30, sigma_mode="global")
+    rows = conditional_eval(g, valid_ds, test_ds, cfg, seed=4)
+    root = RngStream(4, ("parzen-eval",))
+    vl, tl = valid_ds.label_indices(), test_ds.label_indices()
+    grid = cfg.sigma_grid
+    samples = [generate_samples(g, c, 30, root.split(f"cond-{c}")) for c in range(3)]
+    pooled = []
+    for sigma in grid:
+        lls = [parzen_log_likelihood(samples[c], valid_ds.images[vl == c].reshape(-1, 2), sigma)
+               for c in range(3)]
+        pooled.append(float(np.concatenate(lls).mean()))
+    want = float(grid[int(np.argmax(pooled))])
+    for r in rows:
+        assert r.sigma == want
+        tq = test_ds.images[tl == r.condition].reshape(-1, 2)
+        lls = parzen_log_likelihood(samples[r.condition], tq, want)
+        assert r.mean_ll == float(lls.mean())
 
 
 def test_condition_map_changes_samples_not_rows(tiny_setup):
