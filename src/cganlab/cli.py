@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import sys
 import tempfile
 import time
@@ -180,11 +181,47 @@ def resolve(defaults: dict, config_file, flags: dict) -> dict:
     return res
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def build_info() -> dict:
+    """The build a run used: Python, numpy, BLAS and the BLAS thread variables.
+
+    Checkpoint bytes are reproducible only on the same build.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        name, version = blas.get("name") or "unknown", blas.get("version") or "unknown"
+    except (TypeError, KeyError, AttributeError):  # a numpy that does not report it
+        name = version = "unknown"
+    info = {"python": ".".join(map(str, sys.version_info[:3])), "numpy": np.__version__,
+            "blas": str(name), "blas_version": str(version)}
+    info.update({var: os.environ.get(var) for var in BLAS_THREAD_VARS})
+    return info
+
+
+def build_differences(doc: dict) -> list:
+    """One line per field where a manifest's tool version or build is not this one's."""
+    lines = []
+    if doc.get("tool_version") != __version__:
+        lines.append(f"the manifest was written by cganlab {doc.get('tool_version')}, "
+                     f"this is {__version__}")
+    recorded = doc.get("build")
+    if not isinstance(recorded, dict):
+        return lines + ["the manifest records no build"]
+    for key, value in build_info().items():
+        if recorded.get(key) != value:
+            lines.append(f"the manifest records {key} {recorded.get(key)!r}, "
+                         f"this build has {value!r}")
+    return lines
+
+
 def write_manifest(out_dir: Path, command: str, resolved: dict, dataset_info,
                    artifacts: dict, wall_ms: float):
     manifest = {
         "tool": "cganlab",
         "tool_version": __version__,
+        "build": build_info(),
         "command": command,
         "resolved": {k: v for k, v in sorted(resolved.items())},
         "dataset": {"name": dataset_info["name"], "checksum": dataset_info["checksum"]}
@@ -595,7 +632,8 @@ def cmd_sample(g_checkpoint, condition, count, seed, out):
 def cmd_rerun(manifest, out):
     """Repeat a recorded run from its manifest into a new output directory.
 
-    The dataset must still have the checksum the manifest recorded.
+    The dataset must still have the checksum the manifest recorded. A tool
+    version or build that differs from the recorded one is a warning.
     """
     p = Path(manifest)
     if not p.is_file():
@@ -611,6 +649,8 @@ def cmd_rerun(manifest, out):
             "sample": do_sample}.get(command)
     if impl is None:
         raise ConfigError(f"manifest records unknown command {command!r}")
+    for line in build_differences(doc):
+        _progress(f"warning: {line}; the results may differ in their bits")
     dataset = doc.get("dataset")
     if isinstance(dataset, dict) and dataset.get("checksum") and impl is not do_sample:
         impl = functools.partial(impl, checksum=dataset["checksum"])

@@ -1,10 +1,11 @@
 """Dense networks: generator G(z, c), four discriminator variants, and the
 condition approximator Q(c|x).
 
-Everything is fully connected; images are flattened right after the
-condition-injection op. The generator is identical across variants (the
-condition is concatenated to the noise vector once, at the input); only the
-discriminators differ:
+Everything is fully connected. Images are flattened at the input, except in
+the conditioned discriminators, whose condition-injection op returns the
+first layer's product directly. The generator is identical across variants
+(the condition is concatenated to the noise vector once, at the input); only
+the discriminators differ:
 
 * cgan  - condition appended at the input image via replicate-concat.
 * fcgan - condition appended at the input and at every hidden activation
@@ -145,11 +146,16 @@ def _apply_grads(params: ModelParams):
             t.grad = None
 
 
-def _dense_stack(x: Tensor, params: ModelParams, append=None) -> Tensor:
-    """Run the hidden stack; `append(h)` is applied to every hidden activation."""
+def _dense_stack(x: Tensor, params: ModelParams, append=None, projected=False) -> Tensor:
+    """Run the hidden stack; `append(h)` is applied to every hidden activation.
+
+    With projected, x is already the first layer's product with its weight.
+    """
     h = x
     for i in range(len(params.weights) - 1):
-        h = matmul(h, params.weights[i]) + params.biases[i]
+        if i > 0 or not projected:
+            h = matmul(h, params.weights[i])
+        h = h + params.biases[i]
         h = activation(h, params.spec.activation, params.spec.alpha)
         if append is not None:
             h = append(h)
@@ -237,21 +243,22 @@ def discriminator_forward(x, c, params: ModelParams) -> Tensor:
     append = None
     if variant is Variant.IRGAN:
         h0 = _flatten_rows(xb)
+        if h0.shape[1] != params.in_dim:
+            raise DimensionError(
+                f"discriminator(irgan) expects input width {params.in_dim}, got {h0.shape[1]}")
+        logits = _dense_stack(h0, params)
     else:
         cb, _ = _ensure_batched(c, 1)
         if cb.shape[1] != m:
             raise DimensionError(f"condition width {cb.shape[1]} != expected {m}")
-        if variant is Variant.SBP:
-            h0 = _flatten_rows(spatial_bilinear_pool(xb, cb))
-        else:
-            h0 = _flatten_rows(spatial_replicate_concat(xb, cb))
+        # the first layer's product comes from the conditioning op itself,
+        # which need not build the conditioned input
+        op = spatial_bilinear_pool if variant is Variant.SBP else spatial_replicate_concat
+        h0 = op(xb, cb, weight=params.weights[0])
         if variant is Variant.FCGAN:
             def append(hid):
                 return vector_concat(hid, cb)
-    if h0.shape[1] != params.in_dim:
-        raise DimensionError(
-            f"discriminator({variant.value}) expects input width {params.in_dim}, got {h0.shape[1]}")
-    logits = _dense_stack(h0, params, append)
+        logits = _dense_stack(h0, params, append, projected=True)
     prob = activation(logits, "sigmoid").reshape((xb.shape[0],))
     return prob.reshape(()) if single else prob
 

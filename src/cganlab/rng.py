@@ -15,31 +15,40 @@ import numpy as np
 
 
 class RngStream:
-    """A PCG64 generator keyed by (seed, label path)."""
+    """A PCG64 generator keyed by (seed, label path).
+
+    The generator is built on the first draw: a stream that is only split
+    never pays for one.
+    """
 
     def __init__(self, seed: int, _path=()):
         self.seed = int(seed)
         self.path = tuple(str(p) for p in _path)
-        token = f"{self.seed}|" + "/".join(self.path)
-        digest = hashlib.sha256(token.encode("utf-8")).digest()
-        key = int.from_bytes(digest[:16], "little")
-        self._gen = np.random.Generator(np.random.PCG64(key))
+        self._gen = None
 
     def split(self, label) -> "RngStream":
         """Child stream; does not consume randomness from this one."""
         return RngStream(self.seed, self.path + (str(label),))
 
+    def _generator(self) -> np.random.Generator:
+        if self._gen is None:
+            token = f"{self.seed}|" + "/".join(self.path)
+            digest = hashlib.sha256(token.encode("utf-8")).digest()
+            key = int.from_bytes(digest[:16], "little")
+            self._gen = np.random.Generator(np.random.PCG64(key))
+        return self._gen
+
     def uniform(self, low=0.0, high=1.0, size=None):
-        return self._gen.uniform(low, high, size)
+        return self._generator().uniform(low, high, size)
 
     def normal(self, loc=0.0, scale=1.0, size=None):
-        return self._gen.normal(loc, scale, size)
+        return self._generator().normal(loc, scale, size)
 
     def permutation(self, n):
-        return self._gen.permutation(n)
+        return self._generator().permutation(n)
 
     def choice(self, n, size=None, p=None):
-        return self._gen.choice(n, size=size, p=p)
+        return self._generator().choice(n, size=size, p=p)
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, path={'/'.join(self.path) or '<root>'})"

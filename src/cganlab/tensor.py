@@ -273,11 +273,14 @@ def activation(x, kind: str, alpha: float = 0.2) -> Tensor:
         if not (0.0 < alpha < 1.0):
             raise ConfigError(f"leaky_relu alpha must be in (0,1), got {alpha}")
         # max(x, alpha*x) is exactly x for x > 0 and alpha*x otherwise when
-        # 0 < alpha < 1, signed zeros included
-        y = np.maximum(x.data, alpha * x.data)
+        # 0 < alpha < 1, signed zeros included; g*1.0 is exactly g. Each
+        # direction writes its result into its one full-size temporary.
+        y = alpha * x.data
+        np.maximum(x.data, y, out=y)
 
         def back(g, a=x, d=x.data, al=alpha):
-            _accum(a, np.where(d > 0, g, al * g))
+            slope = np.where(d > 0, 1.0, al)
+            _accum(a, np.multiply(g, slope, out=slope))
 
     elif kind == "sigmoid":
         d = x.data
@@ -338,6 +341,20 @@ def concat_last(a, b) -> Tensor:
         _accum(y, g[..., s:])
 
     return Tensor(np.concatenate([a.data, b.data], axis=-1), (a, b), "concat", back)
+
+
+def rows(x, start: int, stop: int) -> Tensor:
+    """Rows start..stop-1 of x: a view forward, scattered into zeros backward."""
+    x = Tensor._coerce(x)
+    if x.ndim == 0 or not 0 <= start <= stop <= x.shape[0]:
+        raise DimensionError(f"rows {start}:{stop} out of range for shape {x.shape}")
+
+    def back(g, a=x):
+        full = np.zeros(a.shape)
+        full[start:stop] = g
+        _accum(a, full)
+
+    return Tensor(x.data[start:stop], (x,), "rows", back)
 
 
 def softmax(logits) -> Tensor:

@@ -26,7 +26,7 @@ from .models import (ModelParams, NetworkSpec, Variant, _apply_grads, approximat
                      build_discriminator, build_generator, discriminator_forward,
                      generator_forward)
 from .rng import RngStream
-from .tensor import LOG_FLOOR, Tensor, backward, is_one_hot, log
+from .tensor import LOG_FLOOR, Tensor, backward, is_one_hot, log, rows
 
 GENERATOR_LOSS_MODES = ("non_saturating", "minimax")
 
@@ -187,16 +187,16 @@ def train_step(x_real, c_real, g: ModelParams, d: ModelParams, q, cfg: TrainConf
     t0 = time.perf_counter()
     b = x_real.shape[0]
     try:
-        xr = Tensor(x_real)
-        cr = Tensor(c_real)
         for j in range(cfg.d_steps_per_g_step):
             s = stream.split(f"d-{j}")
             z = _sample_noise(s.split("z"), b, cfg.noise_dim)
             cf = _sample_conditions(s.split("c"), b, label_probs)
-            x_fake = generator_forward(z, cf, g).detach()
-            p_real = discriminator_forward(xr, cr, d)
-            p_fake = discriminator_forward(x_fake, cf, d)
-            loss_d = d_loss(p_real, p_fake)
+            x_fake = generator_forward(z, cf, g).data  # G's graph is not kept
+            # one D call on the stacked real and fake batch: one graph, and
+            # each D weight gradient arrives once instead of as two summands
+            p = discriminator_forward(np.concatenate([x_real, x_fake]),
+                                      np.concatenate([c_real, cf.data]), d)
+            loss_d = d_loss(rows(p, 0, b), rows(p, b, 2 * b))
             backward(loss_d, wrt=d.named().values())
             _apply_grads(d)
         s = stream.split("g")

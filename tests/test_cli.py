@@ -126,6 +126,49 @@ def test_rerun_checks_the_dataset_checksum(runner, trained_dir, tmp_path):
     assert not (tmp_path / "o" / "g.ckpt").exists()
 
 
+def test_manifest_records_the_build(trained_dir):
+    import sys
+
+    from cganlab import __version__
+    from cganlab.cli import BLAS_THREAD_VARS, build_info
+
+    manifest = json.loads((trained_dir / "manifest.json").read_text())
+    assert manifest["tool_version"] == __version__
+    build = manifest["build"]
+    assert set(build) == {"python", "numpy", "blas", "blas_version", *BLAS_THREAD_VARS}
+    assert build == build_info()
+    assert build["python"] == "%d.%d.%d" % sys.version_info[:3]
+    assert build["numpy"] == np.__version__
+    assert isinstance(build["blas"], str) and isinstance(build["blas_version"], str)
+
+
+def test_rerun_warns_once_per_differing_build_field(runner, trained_dir, tmp_path):
+    doc = json.loads((trained_dir / "manifest.json").read_text())
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    same = runner.invoke(main, ["rerun", str(path), "--out", str(tmp_path / "same")])
+    assert same.exit_code == 0 and "warning:" not in same.stderr
+
+    doc["tool_version"] = "0.0.1"
+    doc["build"]["numpy"] = "0.0.0"
+    doc["build"]["OPENBLAS_NUM_THREADS"] = "99"
+    path.write_text(json.dumps(doc))
+    other = runner.invoke(main, ["rerun", str(path), "--out", str(tmp_path / "other")])
+    assert other.exit_code == 0
+    warnings = [ln for ln in other.stderr.splitlines() if ln.startswith("warning: ")]
+    assert len(warnings) == 3
+    assert "0.0.1" in warnings[0] and "numpy" in warnings[1] and "'99'" in warnings[2]
+    assert other.stdout.replace("/other", "/same") == same.stdout
+    assert (tmp_path / "other" / "g.ckpt").read_bytes() == (trained_dir / "g.ckpt").read_bytes()
+
+    del doc["build"]
+    path.write_text(json.dumps(doc))
+    old = runner.invoke(main, ["rerun", str(path), "--out", str(tmp_path / "old")])
+    assert old.exit_code == 0
+    assert [ln for ln in old.stderr.splitlines() if ln.startswith("warning: ")][1:] == [
+        "warning: the manifest records no build; the results may differ in their bits"]
+
+
 def test_failed_manifest_write_leaves_the_earlier_one(trained_dir, tmp_path):
     from cganlab.cli import write_manifest
     info = {"name": "mixture-3x2", "checksum": "c"}

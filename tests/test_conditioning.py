@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cganlab import conditioning
 from cganlab.conditioning import (spatial_bilinear_pool, spatial_replicate_concat,
                                   vector_concat)
 from cganlab.errors import DimensionError
-from cganlab.tensor import Tensor, backward
+from cganlab.tensor import Tensor, backward, matmul
 from conftest import assert_grads_match, projection
 
 
@@ -190,3 +191,95 @@ def test_rank_mismatch_rejected():
         spatial_replicate_concat(Tensor(np.zeros((1, 2, 2, 2))), Tensor(np.zeros(3)))
     with pytest.raises(DimensionError):
         spatial_replicate_concat(Tensor(np.zeros((2, 2, 2, 2))), Tensor(np.zeros((3, 2))))
+
+
+# ----------------------------------------------------------------------
+# the first-layer product from the factored algebra (weight=)
+
+FACTORED_OPS = {"replicate_concat": (spatial_replicate_concat, lambda d, m: d + m),
+                "bilinear_pool": (spatial_bilinear_pool, lambda d, m: d * m)}
+FACTORED_SHAPES = [(28, 28, 1, 10), (4, 4, 3, 5), (1, 1, 2, 3), (3, 2, 2, 4)]
+
+
+def _conditions(rng, b, m, dense):
+    """Dense normal rows, or one-hot rows that never pick the last condition."""
+    if dense:
+        return rng.normal(size=(b, m))
+    return np.eye(m)[np.arange(b) % (m - 1)]
+
+
+def _rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.fixture(params=["loop", "default"])
+def pool_build_max(request, monkeypatch):
+    """With "loop", sbp takes its per-condition loop at every size; "default" builds small inputs."""
+    if request.param == "loop":
+        monkeypatch.setattr(conditioning, "POOL_BUILD_MAX", 0)
+    return conditioning.POOL_BUILD_MAX
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["one_hot", "dense"])
+@pytest.mark.parametrize("shape", FACTORED_SHAPES, ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("name", sorted(FACTORED_OPS))
+def test_factored_product_matches_reference(name, shape, dense, pool_build_max, rng):
+    op, channels = FACTORED_OPS[name]
+    h, w, d, m = shape
+    b, k = 6, 5
+    x = rng.normal(size=(b, h, w, d))
+    c = _conditions(rng, b, m, dense)
+    weight = rng.normal(size=(h * w * channels(d, m), k))
+    proj = rng.normal(size=(b, k))
+    got = [Tensor(a) for a in (x, c, weight)]
+    out = op(got[0], got[1], weight=got[2])
+    backward((out * proj).sum())
+    want = [Tensor(a) for a in (x, c, weight)]
+    ref = matmul(op(want[0], want[1]).reshape((b, -1)), want[2])
+    backward((ref * proj).sum())
+    assert out.shape == (b, k)
+    assert _rel_err(out.data, ref.data) < 1e-12
+    for g_, w_ in zip(got, want):
+        assert _rel_err(g_.grad, w_.grad) < 1e-12
+
+
+def test_pooled_input_is_built_only_when_small(rng):
+    small = spatial_bilinear_pool(Tensor(rng.normal(size=(256, 1, 1, 2))),
+                                  Tensor(np.eye(3)[np.arange(256) % 3]),
+                                  weight=Tensor(rng.normal(size=(6, 4))))
+    large = spatial_bilinear_pool(Tensor(rng.normal(size=(128, 28, 28, 1))),
+                                  Tensor(np.eye(10)[np.arange(128) % 10]),
+                                  weight=Tensor(rng.normal(size=(7840, 4))))
+    assert small.op == "matmul" and large.op == "bilinear_pool"
+
+
+@pytest.mark.parametrize("name", sorted(FACTORED_OPS))
+def test_factored_product_weight_gradient_only(name, pool_build_max, rng):
+    op, channels = FACTORED_OPS[name]
+    x = Tensor(rng.normal(size=(4, 3, 2, 2)))
+    c = Tensor(_conditions(rng, 4, 4, dense=False))
+    weight = Tensor(rng.normal(size=(3 * 2 * channels(2, 4), 3)))
+    backward(op(x, c, weight=weight).sum(), wrt=[weight])
+    assert x.grad is None and c.grad is None
+    assert weight.grad is not None and weight.grad.shape == weight.shape
+
+
+@pytest.mark.parametrize("name", sorted(FACTORED_OPS))
+def test_factored_product_single_sample(name, rng):
+    op, channels = FACTORED_OPS[name]
+    x, c = rng.normal(size=(2, 2, 3)), rng.normal(size=2)
+    weight = rng.normal(size=(2 * 2 * channels(3, 2), 4))
+    out = op(Tensor(x), Tensor(c), weight=Tensor(weight))
+    ref = op(Tensor(x), Tensor(c)).data.reshape(-1) @ weight
+    assert out.shape == (4,)
+    np.testing.assert_allclose(out.data, ref, rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(FACTORED_OPS))
+def test_factored_product_rejects_misfit_weight(name):
+    op, channels = FACTORED_OPS[name]
+    x, c = Tensor(np.zeros((2, 2, 2, 1))), Tensor(np.eye(3)[:2])
+    with pytest.raises(DimensionError):
+        op(x, c, weight=Tensor(np.zeros((2 * 2 * channels(1, 3) + 1, 4))))
+    with pytest.raises(DimensionError):
+        op(x, c, weight=Tensor(np.zeros(2 * 2 * channels(1, 3))))

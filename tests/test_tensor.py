@@ -4,7 +4,7 @@ import pytest
 
 from cganlab.errors import ConfigError, ContractError, DimensionError
 from cganlab.tensor import (ADAM_BLOCK, AdamState, Tensor, activation, adam_step, backward,
-                            concat_last, exp, log, matmul, softmax,
+                            concat_last, exp, log, matmul, rows, softmax,
                             softmax_cross_entropy)
 from conftest import assert_grads_match, projection
 
@@ -240,6 +240,28 @@ def test_concat_last_gradients(rng):
     a, b = rng.normal(size=(3, 2)), rng.normal(size=(3, 4))
     w = rng.normal(size=(3, 6))
     assert_grads_match(lambda x, y: projection(w)(concat_last(x, y)), a, b)
+
+
+def test_rows_gradients(rng):
+    x = rng.normal(size=(5, 3))
+    w = rng.normal(size=(2, 3))
+    assert_grads_match(lambda a: projection(w)(rows(a, 1, 3)), x)
+
+
+def test_rows_forward_is_a_view_and_slices_fan_in(rng):
+    x = Tensor(rng.normal(size=(4, 2)))
+    top, bottom = rows(x, 0, 2), rows(x, 2, 4)
+    assert np.shares_memory(top.data, x.data) and np.shares_memory(bottom.data, x.data)
+    np.testing.assert_array_equal(bottom.data, x.data[2:])
+    backward(top.sum() * 2.0 + bottom.sum() * 3.0)
+    np.testing.assert_array_equal(x.grad, [[2.0, 2.0], [2.0, 2.0], [3.0, 3.0], [3.0, 3.0]])
+
+
+def test_rows_range_checked():
+    with pytest.raises(DimensionError):
+        rows(Tensor(np.zeros((3, 2))), 2, 4)
+    with pytest.raises(DimensionError):
+        rows(Tensor(np.zeros((3, 2))), 2, 1)
 
 
 def test_log_and_exp_gradients(rng):

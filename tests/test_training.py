@@ -4,12 +4,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from cganlab.data import mixture_3x2_spec, synth_mixture
+from cganlab import training
+from cganlab.data import LabeledDataset, mixture_3x2_spec, synth_mixture
 from cganlab.errors import ConfigError, ContractError, DataError
-from cganlab.models import NetworkSpec, pretrain_approximator
+from cganlab.models import (NetworkSpec, build_approximator, discriminator_forward,
+                            generator_forward, pretrain_approximator)
 from cganlab.rng import RngStream
 from cganlab.tensor import Tensor, backward
-from cganlab.training import (TrainConfig, d_loss, g_loss,
+from cganlab.training import (TrainConfig, build_models, d_loss, g_loss,
                               irgan_regularizer, train)
 from conftest import numeric_grad
 
@@ -189,6 +191,48 @@ def test_resume_reproduces_uninterrupted_run(tiny_mixture):
         assert np.array_equal(t.data, full_g.named()[name].data)
     for name, t in res_d.named().items():
         assert np.array_equal(t.data, full_d.named()[name].data)
+
+
+def tiny_images():
+    """3x3x1 images with four conditions, so the first layer sees a pixel grid."""
+    rng = np.random.default_rng(8)
+    return LabeledDataset(rng.uniform(-1, 1, (40, 3, 3, 1)), np.eye(4)[np.arange(40) % 4])
+
+
+@pytest.mark.parametrize("variant", ["cgan", "fcgan", "sbp", "irgan"])
+@pytest.mark.parametrize("images", [False, True], ids=["mixture", "images"])
+def test_stacked_d_update_matches_two_calls(variant, images, tiny_mixture, monkeypatch):
+    ds = tiny_images() if images else tiny_mixture
+    cfg = small_cfg(variant, lam=1.0 if variant == "irgan" else 0.0)
+    q = build_approximator(ds.image_shape, ds.cond_dim, NetworkSpec([4]), RngStream(1, ("q",)))
+    g, d = build_models(cfg, ds.image_shape, ds.cond_dim, RngStream(3, ("init",)))
+    _, d_ref = build_models(cfg, ds.image_shape, ds.cond_dim, RngStream(3, ("init",)))
+    x_real, c_real = ds.images[:32], ds.labels[:32]
+    label_probs = ds.label_counts() / ds.count
+    stream = RngStream(4, ("step",))
+
+    # the D update as two D calls, one on real and one on fake data
+    s = stream.split("d-0")
+    z = training._sample_noise(s.split("z"), 32, cfg.noise_dim)
+    cf = training._sample_conditions(s.split("c"), 32, label_probs)
+    x_fake = generator_forward(z, cf, g).detach()
+    loss = d_loss(discriminator_forward(Tensor(x_real), Tensor(c_real), d_ref),
+                  discriminator_forward(x_fake, cf, d_ref))
+    backward(loss, wrt=d_ref.named().values())
+
+    updates = []
+    apply = training._apply_grads
+
+    def record(params):
+        updates.append({name: t.grad for name, t in params.named().items()})
+        apply(params)
+
+    monkeypatch.setattr(training, "_apply_grads", record)
+    rec = training.train_step(x_real, c_real, g, d, q, cfg, label_probs, stream, 0)
+    assert abs(rec["d_loss"] - loss.item()) <= 1e-12 * abs(loss.item())
+    for name, t in d_ref.named().items():
+        got = updates[0][name]
+        assert np.max(np.abs(got - t.grad)) <= 1e-12 * np.max(np.abs(t.grad)), name
 
 
 def test_irgan_requires_q_and_leaves_it_frozen(tiny_mixture, tiny_q):
