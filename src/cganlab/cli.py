@@ -330,20 +330,45 @@ def do_pretrain_q(res: dict, out_dir: Path, checksum=None) -> dict:
     return summary
 
 
-def do_train(res: dict, out_dir: Path, checksum=None) -> dict:
-    t0 = time.perf_counter()
+def _train_config(res: dict) -> TrainConfig:
+    """The TrainConfig a resolved train configuration describes."""
     variant = Variant(res["variant"])
-    info = load_dataset(res["dataset"], res.get("data_dir"), checksum)
     lam = res.get("lam")
     if lam is None:
         lam = float(res.get("irgan_lam", 1.0)) if variant is Variant.IRGAN else 0.0
-    cfg = TrainConfig(
+    return TrainConfig(
         variant=variant, total_steps=int(res["steps"]), batch_size=int(res["batch_size"]),
         d_steps_per_g_step=int(res["d_steps"]), lam=float(lam), lr=float(res["lr"]),
         seed=int(res["seed"]), generator_loss_mode=res["loss_mode"],
         noise_dim=int(res["noise_dim"]), g_hidden=parse_widths(res["g_hidden"]),
         d_hidden=parse_widths(res["d_hidden"]),
         checkpoint_every=int(res["checkpoint_every"]))
+
+
+def _recorded_train_config(rdir: Path) -> TrainConfig:
+    """The TrainConfig that rdir/manifest.json records; DataError if it records none."""
+    path = rdir / "manifest.json"
+    try:
+        doc = json.loads(path.read_text())
+        return _train_config(doc["resolved"])
+    except OSError as e:
+        raise DataError(f"cannot read the manifest of the run to resume: {e}") from None
+    except (ValueError, KeyError, TypeError, ConfigError) as e:
+        raise DataError(f"{path} does not record a train configuration: {e!r}") from None
+
+
+def _refuse_changed(settings, source: str):
+    """ConfigError for the first (flag, asked, found) whose asked value differs."""
+    for flag, asked, found in settings:
+        if asked != found:
+            raise ConfigError(f"--{flag} {asked} differs from {found}, which {source}")
+
+
+def do_train(res: dict, out_dir: Path, checksum=None) -> dict:
+    t0 = time.perf_counter()
+    cfg = _train_config(res)
+    variant = cfg.variant
+    info = load_dataset(res["dataset"], res.get("data_dir"), checksum)
     cfg.validate()
     q_params = None
     if variant is Variant.IRGAN:
@@ -373,16 +398,21 @@ def do_train(res: dict, out_dir: Path, checksum=None) -> dict:
         if cfg.total_steps < start_step:
             raise ConfigError(f"--steps {cfg.total_steps} is below the {start_step} steps "
                               f"already trained in {rdir}")
-        # the checkpoints fix these, so a different value would be a false label
-        for flag, asked, found in (
-                ("lr", cfg.lr, [gmeta["hyper"]["lr"], dmeta["hyper"]["lr"]]),
-                ("noise-dim", cfg.noise_dim, [g.meta["noise_dim"]]),
-                ("g-hidden", cfg.g_hidden, [g.spec.hidden]),
-                ("d-hidden", cfg.d_hidden, [d.spec.hidden])):
-            if any(f != asked for f in found):
-                raise ConfigError(f"--{flag} {asked} differs from {found[0]}, "
-                                  f"which the checkpoints in {rdir} were trained with")
+        # the earlier run fixes these, so a different value would be a false label
+        _refuse_changed((("lr", cfg.lr, gmeta["hyper"]["lr"]),
+                         ("lr", cfg.lr, dmeta["hyper"]["lr"]),
+                         ("noise-dim", cfg.noise_dim, g.meta["noise_dim"]),
+                         ("g-hidden", cfg.g_hidden, g.spec.hidden),
+                         ("d-hidden", cfg.d_hidden, d.spec.hidden)),
+                        f"the checkpoints in {rdir} were trained with")
         earlier = TrainLog.read(rdir / "log.csv", start_step)
+        was = _recorded_train_config(rdir)
+        _refuse_changed((("seed", cfg.seed, gmeta.get("seed")),
+                         ("batch-size", cfg.batch_size, was.batch_size),
+                         ("d-steps", cfg.d_steps_per_g_step, was.d_steps_per_g_step),
+                         ("loss-mode", cfg.generator_loss_mode, was.generator_loss_mode),
+                         ("lambda", cfg.lam, was.lam)),
+                        f"the run in {rdir} was trained with")
         _progress(f"resuming from {rdir} at step {start_step}")
     every = max(1, int(res["steps"]) // 20) if int(res["steps"]) else 1
 
@@ -515,6 +545,16 @@ def main():
     """Train, evaluate and sample label-conditioned GANs."""
 
 
+def _resolve_flags(config_file, flags: dict, *command_keys) -> dict:
+    """A command's flags over its config file over its dataset's defaults.
+
+    command_keys are the command's config keys beyond the shared ones.
+    """
+    defaults = {**BASE_DEFAULTS, **TRAIN_DEFAULTS[flags["dataset"]],
+                **dict.fromkeys(command_keys)}
+    return resolve(defaults, config_file, flags)
+
+
 def _dataset_options(fn):
     fn = click.option("--dataset", type=click.Choice(DATASET_NAMES), required=True)(fn)
     fn = click.option("--data-dir", type=click.Path(), default=None,
@@ -532,16 +572,9 @@ def _dataset_options(fn):
 @click.option("--config", "config_file", type=click.Path(), default=None)
 @click.option("--out", required=True, type=click.Path())
 @friendly_errors
-def cmd_pretrain_q(dataset, data_dir, q_steps, seed, batch_size, lr, q_hidden,
-                   config_file, out):
+def cmd_pretrain_q(config_file, out, **flags):
     """Pretrain the condition approximator Q(c|x) and freeze it."""
-    defaults = dict(BASE_DEFAULTS)
-    defaults.update(TRAIN_DEFAULTS[dataset])
-    res = resolve(defaults, config_file,
-                  {"dataset": dataset, "data_dir": data_dir, "q_steps": q_steps,
-                   "seed": seed, "batch_size": batch_size, "lr": lr, "q_hidden": q_hidden})
-    summary = do_pretrain_q(res, _out_dir(out))
-    _emit(summary)
+    _emit(do_pretrain_q(_resolve_flags(config_file, flags), _out_dir(out)))
 
 
 @main.command("train")
@@ -565,21 +598,10 @@ def cmd_pretrain_q(dataset, data_dir, q_steps, seed, batch_size, lr, q_hidden,
 @click.option("--config", "config_file", type=click.Path(), default=None)
 @click.option("--out", required=True, type=click.Path())
 @friendly_errors
-def cmd_train(variant, dataset, data_dir, steps, seed, batch_size, lr, lam,
-              q_checkpoint, noise_dim, g_hidden, d_hidden, d_steps, loss_mode,
-              checkpoint_every, resume, config_file, out):
+def cmd_train(config_file, out, **flags):
     """Train one conditioned-GAN variant."""
-    defaults = dict(BASE_DEFAULTS)
-    defaults.update(TRAIN_DEFAULTS[dataset])
-    defaults.update({"variant": variant, "q_checkpoint": None, "resume": None})
-    res = resolve(defaults, config_file, {
-        "variant": variant, "dataset": dataset, "data_dir": data_dir, "steps": steps,
-        "seed": seed, "batch_size": batch_size, "lr": lr, "lam": lam,
-        "q_checkpoint": q_checkpoint, "noise_dim": noise_dim, "g_hidden": g_hidden,
-        "d_hidden": d_hidden, "d_steps": d_steps, "loss_mode": loss_mode,
-        "checkpoint_every": checkpoint_every, "resume": resume})
-    summary = do_train(res, _out_dir(out))
-    _emit(summary)
+    res = _resolve_flags(config_file, flags, "variant", "q_checkpoint", "resume")
+    _emit(do_train(res, _out_dir(out)))
 
 
 @main.command("eval")
@@ -595,19 +617,11 @@ def cmd_train(variant, dataset, data_dir, steps, seed, batch_size, lr, lam,
 @click.option("--config", "config_file", type=click.Path(), default=None)
 @click.option("--out", required=True, type=click.Path())
 @friendly_errors
-def cmd_eval(g_checkpoint, dataset, data_dir, seed, sigma_grid, samples_per_condition,
-             sigma_mode, condition_shift, config_file, out):
+def cmd_eval(config_file, out, **flags):
     """Parzen-window evaluation of generator checkpoints, per condition."""
-    defaults = dict(BASE_DEFAULTS)
-    defaults.update(TRAIN_DEFAULTS[dataset])
-    defaults.update({"sigma_grid": None, "g_checkpoint": None})
-    res = resolve(defaults, config_file, {
-        "dataset": dataset, "data_dir": data_dir, "seed": seed,
-        "g_checkpoint": list(g_checkpoint), "sigma_grid": sigma_grid,
-        "samples_per_condition": samples_per_condition, "sigma_mode": sigma_mode,
-        "condition_shift": condition_shift})
-    summary = do_eval(res, _out_dir(out))
-    _emit(summary)
+    flags["g_checkpoint"] = list(flags["g_checkpoint"])
+    res = _resolve_flags(config_file, flags, "sigma_grid", "g_checkpoint")
+    _emit(do_eval(res, _out_dir(out)))
 
 
 @main.command("sample")
@@ -617,12 +631,9 @@ def cmd_eval(g_checkpoint, dataset, data_dir, seed, sigma_grid, samples_per_cond
 @click.option("--seed", type=int, default=0)
 @click.option("--out", required=True, type=click.Path())
 @friendly_errors
-def cmd_sample(g_checkpoint, condition, count, seed, out):
+def cmd_sample(out, **flags):
     """Generate samples for one condition; writes a container plus an image grid."""
-    res = {"g_checkpoint": g_checkpoint, "condition": condition, "count": count,
-           "seed": seed}
-    summary = do_sample(res, _out_dir(out))
-    _emit(summary)
+    _emit(do_sample(flags, _out_dir(out)))
 
 
 @main.command("rerun")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DataError, ParseError
 from .rng import RngStream
-from .tensor import is_one_hot
+from .tensor import is_one_hot, one_hot
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -184,8 +184,7 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     bad = np.nonzero(label_bytes > 9)[0]
     if bad.size:
         raise ParseError(f"label value {label_bytes[bad[0]]} outside 0..9", offset=8 + int(bad[0]))
-    labels = np.zeros((count, 10))
-    labels[np.arange(count), label_bytes] = 1.0
+    labels = one_hot(label_bytes, 10)
     meta = {"name": Path(images_path).name, "scale": PIXEL_SCALE,
             "checksum": sha256_file(images_path), "label_checksum": sha256_file(labels_path)}
     return LabeledDataset(scale_pixels(pixels), labels, meta)
@@ -237,9 +236,7 @@ def load_cifar10_binary(paths) -> LabeledDataset:
         all_labels.append(label_bytes)
         checksums.append(sha256_file(path))
     pixels = np.concatenate(all_images)
-    label_bytes = np.concatenate(all_labels)
-    labels = np.zeros((pixels.shape[0], 10))
-    labels[np.arange(pixels.shape[0]), label_bytes] = 1.0
+    labels = one_hot(np.concatenate(all_labels), 10)
     meta = {"name": Path(paths[0]).name, "scale": PIXEL_SCALE, "checksum": ",".join(checksums),
             "label_names": list(CIFAR10_LABELS)}
     return LabeledDataset(scale_pixels(pixels), labels, meta)
@@ -384,9 +381,7 @@ def synth_mixture(spec: MixtureSpec, count_per_condition: int, seed) -> tuple:
     for cond in range(spec.cond_count):
         pts = oracle.sample(cond, count_per_condition, stream.split(f"cond-{cond}"))
         xs.append(pts)
-        onehot = np.zeros((count_per_condition, spec.cond_count))
-        onehot[:, cond] = 1.0
-        ys.append(onehot)
+        ys.append(one_hot(np.full(count_per_condition, cond), spec.cond_count))
     images = np.concatenate(xs).reshape(-1, 1, 1, spec.dim)
     labels = np.concatenate(ys)
     meta = {"name": "synthetic-mixture", "scale": PIXEL_SCALE,
@@ -435,9 +430,9 @@ def mixture_3x2_spec() -> MixtureSpec:
     return MixtureSpec(conds, dim=2)
 
 
-def mixture_3x2(seed=2024, count_per_condition=2000):
-    """Bundled mixture preset: (train, valid, test, oracle)."""
-    ds, oracle = synth_mixture(mixture_3x2_spec(), count_per_condition, seed)
+def mixture_3x2(seed=2024):
+    """Bundled mixture preset, 2000 points per condition: (train, valid, test, oracle)."""
+    ds, oracle = synth_mixture(mixture_3x2_spec(), 2000, seed)
     train, valid, test = split(ds, (0.7, 0.15, 0.15), seed)
     return train, valid, test, oracle
 
@@ -495,13 +490,13 @@ def render_digit(label: int, stream: RngStream, outline=None) -> np.ndarray:
     return np.clip(noisy, 0, 255).astype(np.uint8)
 
 
-def render_digits_idx(out_dir, count_per_label=700, labels=(0, 1, 2), seed=7):
-    """Write a rendered glyph corpus as an IDX image/label file pair."""
+def render_digits_idx(out_dir, count_per_label=700, seed=7):
+    """Write a rendered corpus of the glyphs 0, 1 and 2 as an IDX image/label file pair."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stream = RngStream(seed, ("digits",))
     images, labs = [], []
-    for lab in labels:
+    for lab in (0, 1, 2):
         s = stream.split(f"label-{lab}")
         outline = np.asarray(_glyph_points(lab))
         for i in range(count_per_label):

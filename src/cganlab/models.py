@@ -59,10 +59,6 @@ class NetworkSpec:
         return {"hidden": [int(w) for w in self.hidden], "activation": self.activation,
                 "alpha": self.alpha, "head": self.head}
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(list(d["hidden"]), d["activation"], float(d["alpha"]), d["head"])
-
 
 @dataclass
 class ModelParams:
@@ -284,14 +280,17 @@ def classifier_accuracy(params: ModelParams, images: np.ndarray, labels: np.ndar
     return float(np.mean(probs.data.argmax(axis=1) == labels.argmax(axis=1)))
 
 
+# pretraining measures Q's validation accuracy every this many steps
+Q_EVAL_EVERY = 100
+
+
 def pretrain_approximator(train, valid, spec: NetworkSpec, budget: int,
-                          stream: RngStream, batch_size=64, hyper=None,
-                          eval_every=100):
+                          stream: RngStream, batch_size=64, hyper=None):
     """Train Q by cross-entropy and keep the best-validation snapshot.
 
     Returns (params, history) where history records per-step losses and the
-    periodic validation accuracies. A budget of 0 returns the untouched
-    initial parameters.
+    validation accuracies every Q_EVAL_EVERY steps and at the end. A budget
+    of 0 returns the untouched initial parameters.
     """
     if train.count == 0 or valid.count == 0:
         raise DataError("pretraining needs non-empty train and validation sets")
@@ -310,7 +309,7 @@ def pretrain_approximator(train, valid, spec: NetworkSpec, budget: int,
         backward(loss, wrt=params.named().values())
         _apply_grads(params)
         history["loss"].append(loss.item())
-        if (i + 1) % eval_every == 0 or i + 1 == int(budget):
+        if (i + 1) % Q_EVAL_EVERY == 0 or i + 1 == int(budget):
             acc = classifier_accuracy(params, valid.images, valid.labels)
             history["val_acc"].append((i + 1, acc))
             if acc > best_acc:

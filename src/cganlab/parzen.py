@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, DataError, DimensionError
 from .models import generator_forward
 from .rng import RngStream
-from .tensor import Tensor
+from .tensor import Tensor, one_hot
 
 
 def default_sigma_grid(n=20, lo=0.01, hi=1.0) -> np.ndarray:
@@ -103,8 +103,13 @@ def _ll_from_d2(d2: np.ndarray, sigma: float, n: int, dim: int) -> np.ndarray:
     return body - math.log(n) - 0.5 * dim * math.log(2.0 * math.pi * sigma * sigma)
 
 
-def parzen_log_likelihood(samples, queries, sigma: float, chunk: int = 256) -> np.ndarray:
-    """Per-query log-likelihood under the sample-centered Gaussian window."""
+def parzen_log_likelihood(samples, queries, sigma: float) -> np.ndarray:
+    """Per-query log-likelihood under the sample-centered Gaussian window.
+
+    All queries' distances are formed at once. The CLI's splits never give a
+    condition more test than validation rows, so the [t, n] matrix is no
+    larger than the one select_sigma builds.
+    """
     samples = np.asarray(samples, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
     if samples.ndim != 2 or queries.ndim != 2:
@@ -116,11 +121,7 @@ def parzen_log_likelihood(samples, queries, sigma: float, chunk: int = 256) -> n
     if not sigma > 0:
         raise DataError(f"sigma must be positive, got {sigma}")
     n, dim = samples.shape
-    out = np.empty(queries.shape[0])
-    for at in range(0, queries.shape[0], chunk):
-        q = queries[at:at + chunk]
-        out[at:at + q.shape[0]] = _ll_from_d2(_sq_dists(q, samples), sigma, n, dim)
-    return out
+    return _ll_from_d2(_sq_dists(queries, samples), sigma, n, dim)
 
 
 def _grid_lls(queries, samples, grid) -> list:
@@ -166,9 +167,7 @@ def generate_samples(g_params, condition: int, count: int, stream: RngStream) ->
     if not 0 <= condition < m:
         raise ConfigError(f"condition index {condition} out of range 0..{m - 1}")
     z = Tensor(stream.uniform(-1.0, 1.0, (count, k)))
-    onehot = np.zeros((count, m))
-    onehot[:, condition] = 1.0
-    imgs = generator_forward(z, Tensor(onehot), g_params)
+    imgs = generator_forward(z, Tensor(one_hot(np.full(count, condition), m)), g_params)
     return imgs.data.reshape(count, -1)
 
 

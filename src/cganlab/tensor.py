@@ -302,25 +302,14 @@ def activation(x, kind: str, alpha: float = 0.2) -> Tensor:
     return Tensor(y, (x,), kind, back)
 
 
-def exp(x) -> Tensor:
+def log(x) -> Tensor:
+    """Natural log with the argument clamped at LOG_FLOOR from below."""
     x = Tensor._coerce(x)
-    with np.errstate(over="ignore"):  # overflow becomes a ContractError below
-        y = np.exp(x.data)
-
-    def back(g, a=x, e=y):
-        _accum(a, g * e)
-
-    return Tensor(y, (x,), "exp", back)
-
-
-def log(x, floor: float = LOG_FLOOR) -> Tensor:
-    """Natural log with the argument clamped at `floor` from below."""
-    x = Tensor._coerce(x)
-    clamped = np.maximum(x.data, floor)
+    clamped = np.maximum(x.data, LOG_FLOOR)
     y = np.log(clamped)
 
-    def back(g, a=x, c=clamped, d=x.data, f=floor):
-        _accum(a, g * (d > f) / c)
+    def back(g, a=x, c=clamped, d=x.data):
+        _accum(a, g * (d > LOG_FLOOR) / c)
 
     return Tensor(y, (x,), "log", back)
 
@@ -374,6 +363,13 @@ def softmax(logits) -> Tensor:
 def is_one_hot(t: np.ndarray) -> bool:
     """True when every row of the 2-D array t is 0.0 everywhere except one 1.0."""
     return bool(np.all((t == 0.0) | (t == 1.0)) and np.all(t.sum(axis=1) == 1.0))
+
+
+def one_hot(indices, m: int) -> np.ndarray:
+    """[len(indices), m] float64 rows, 1.0 at each row's index and 0.0 elsewhere."""
+    out = np.zeros((len(indices), m))
+    out[np.arange(len(indices)), indices] = 1.0
+    return out
 
 
 def softmax_cross_entropy(logits, target) -> Tensor:

@@ -26,7 +26,7 @@ from .models import (ModelParams, NetworkSpec, Variant, _apply_grads, approximat
                      build_discriminator, build_generator, discriminator_forward,
                      generator_forward)
 from .rng import RngStream
-from .tensor import LOG_FLOOR, Tensor, backward, is_one_hot, log, rows
+from .tensor import Tensor, backward, is_one_hot, log, one_hot, rows
 
 GENERATOR_LOSS_MODES = ("non_saturating", "minimax")
 
@@ -39,16 +39,11 @@ class TrainConfig:
     d_steps_per_g_step: int = 1
     lam: float = 0.0  # weight of the information term; > 0 iff variant is irgan
     lr: float = 2e-4
-    beta1: float = 0.5
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 0
     generator_loss_mode: str = "non_saturating"
     noise_dim: int = 64
     g_hidden: list = field(default_factory=lambda: [128, 128])
     d_hidden: list = field(default_factory=lambda: [128, 128])
-    activation: str = "leaky_relu"
-    alpha: float = 0.2
     checkpoint_every: int = 0
 
     def __post_init__(self):
@@ -67,9 +62,6 @@ class TrainConfig:
             raise ConfigError(f"lambda is only meaningful for irgan, got {self.lam} "
                               f"with variant {self.variant.value}")
 
-    def hyper(self):
-        return {"lr": self.lr, "beta1": self.beta1, "beta2": self.beta2,
-                "epsilon": self.epsilon}
 
 @dataclass
 class TrainLog:
@@ -134,7 +126,7 @@ def d_loss(d_real, d_fake) -> Tensor:
     d_real, d_fake = Tensor._coerce(d_real), Tensor._coerce(d_fake)
     _check_probs(d_real, "d_real")
     _check_probs(d_fake, "d_fake")
-    return -(log(d_real, LOG_FLOOR).mean()) - log(1.0 - d_fake, LOG_FLOOR).mean()
+    return -(log(d_real).mean()) - log(1.0 - d_fake).mean()
 
 
 def g_loss(d_fake, mode: str = "non_saturating") -> Tensor:
@@ -142,9 +134,9 @@ def g_loss(d_fake, mode: str = "non_saturating") -> Tensor:
     d_fake = Tensor._coerce(d_fake)
     _check_probs(d_fake, "d_fake")
     if mode == "minimax":
-        return log(1.0 - d_fake, LOG_FLOOR).mean()
+        return log(1.0 - d_fake).mean()
     if mode == "non_saturating":
-        return -(log(d_fake, LOG_FLOOR).mean())
+        return -(log(d_fake).mean())
     raise ConfigError(f"unknown generator loss mode {mode!r}")
 
 
@@ -162,7 +154,7 @@ def irgan_regularizer(q_out, c, lam: float) -> Tensor:
     if lam < 0:
         raise ConfigError(f"lambda must be non-negative, got {lam}")
     picked = (q_out * c_arr).sum(axis=1)
-    return float(lam) * -(log(picked, LOG_FLOOR).mean())
+    return float(lam) * -(log(picked).mean())
 
 
 # ----------------------------------------------------------------------
@@ -175,10 +167,7 @@ def _sample_noise(stream, count, dim):
 
 def _sample_conditions(stream, count, label_probs):
     m = label_probs.shape[0]
-    picks = stream.choice(m, size=count, p=label_probs)
-    onehot = np.zeros((count, m))
-    onehot[np.arange(count), picks] = 1.0
-    return Tensor(onehot)
+    return Tensor(one_hot(stream.choice(m, size=count, p=label_probs), m))
 
 
 def train_step(x_real, c_real, g: ModelParams, d: ModelParams, q, cfg: TrainConfig,
@@ -225,13 +214,16 @@ def train_step(x_real, c_real, g: ModelParams, d: ModelParams, q, cfg: TrainConf
 
 
 def build_models(cfg: TrainConfig, image_shape, cond_dim, root: RngStream):
-    """Fresh G and D for a dataset; G's architecture ignores the variant."""
-    g_spec = NetworkSpec(list(cfg.g_hidden), cfg.activation, cfg.alpha, "linear")
-    d_spec = NetworkSpec(list(cfg.d_hidden), cfg.activation, cfg.alpha, "sigmoid_scalar")
-    g = build_generator(image_shape, cond_dim, cfg.noise_dim, g_spec,
-                        root.split("init-g"), cfg.hyper())
-    d = build_discriminator(image_shape, cond_dim, d_spec, cfg.variant,
-                            root.split("init-d"), cfg.hyper())
+    """Fresh G and D for a dataset; G's architecture ignores the variant.
+
+    Both take NetworkSpec's hidden activation and AdamState.fresh's betas and
+    epsilon; only the learning rate comes from cfg.
+    """
+    hyper = {"lr": cfg.lr}
+    g = build_generator(image_shape, cond_dim, cfg.noise_dim, NetworkSpec(list(cfg.g_hidden)),
+                        root.split("init-g"), hyper)
+    d = build_discriminator(image_shape, cond_dim, NetworkSpec(list(cfg.d_hidden)), cfg.variant,
+                            root.split("init-d"), hyper)
     return g, d
 
 

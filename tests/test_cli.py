@@ -230,7 +230,9 @@ def test_resume_bad_train_step_is_data_error(runner, trained_dir, tmp_path):
 
 
 @pytest.mark.parametrize("flag,value", [("--lr", "0.1"), ("--noise-dim", "4"),
-                                        ("--g-hidden", "32,32"), ("--d-hidden", "64")])
+                                        ("--g-hidden", "32,32"), ("--d-hidden", "64"),
+                                        ("--seed", "6"), ("--batch-size", "16"),
+                                        ("--d-steps", "2"), ("--loss-mode", "minimax")])
 def test_resume_refuses_other_hyperparameters(runner, trained_dir, tmp_path, flag, value):
     result = runner.invoke(main, ["train", "--variant", "sbp", "--dataset", "mixture-3x2",
                                   *TRAIN_FAST, flag, value, "--resume", str(trained_dir),
@@ -238,6 +240,54 @@ def test_resume_refuses_other_hyperparameters(runner, trained_dir, tmp_path, fla
     assert result.exit_code == 2
     assert result.stderr.startswith(f"config error: {flag} ")
     assert not (tmp_path / "o" / "g.ckpt").exists()
+
+
+def test_resume_needs_the_earlier_manifest(runner, trained_dir, tmp_path):
+    half = tmp_path / "half"
+    half.mkdir()
+    for name in ("g.ckpt", "d.ckpt", "log.csv"):
+        (half / name).write_bytes((trained_dir / name).read_bytes())
+    args = ["train", "--variant", "sbp", "--dataset", "mixture-3x2", *TRAIN_FAST,
+            "--resume", str(half), "--out", str(tmp_path / "o")]
+    for manifest in (None, "not json", "[]", '{"resolved": {"seed": 5}}'):
+        if manifest is not None:
+            (half / "manifest.json").write_text(manifest)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3, result.output
+        assert result.stderr.startswith("data error: ")
+        assert "manifest" in result.stderr
+        assert not (tmp_path / "o" / "g.ckpt").exists()
+
+
+def test_resume_refuses_other_lambda(runner, tmp_path):
+    run_ok(runner, ["pretrain-q", "--dataset", "mixture-3x2", "--steps", "0",
+                    "--out", str(tmp_path / "q")])
+    base = ["train", "--variant", "irgan", "--dataset", "mixture-3x2", "--batch-size", "32",
+            "--q-checkpoint", str(tmp_path / "q" / "q.ckpt")]
+    run_ok(runner, base + ["--steps", "2", "--out", str(tmp_path / "half")])
+    resume = base + ["--steps", "4", "--resume", str(tmp_path / "half")]
+    result = runner.invoke(main, resume + ["--lambda", "3.0", "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("config error: --lambda 3.0 differs from 2.0")
+    assert not (tmp_path / "o" / "g.ckpt").exists()
+    # the preset's lambda given explicitly is the same setting
+    run_ok(runner, resume + ["--lambda", "2.0", "--out", str(tmp_path / "o")])
+
+
+def test_d_steps_resume_matches_straight_run(runner, tmp_path):
+    base = ["train", "--variant", "fcgan", "--dataset", "mixture-3x2",
+            "--batch-size", "32", "--seed", "3", "--d-steps", "2"]
+    run_ok(runner, base + ["--steps", "8", "--out", str(tmp_path / "full")])
+    run_ok(runner, base + ["--steps", "4", "--out", str(tmp_path / "half")])
+    run_ok(runner, base + ["--steps", "8", "--resume", str(tmp_path / "half"),
+                           "--out", str(tmp_path / "resumed")])
+    g_meta, _ = read_container(tmp_path / "full" / "g.ckpt")
+    d_meta, _ = read_container(tmp_path / "full" / "d.ckpt")
+    assert set(g_meta["adam_steps"].values()) == {8}
+    assert set(d_meta["adam_steps"].values()) == {16}
+    for name in ("g.ckpt", "d.ckpt"):
+        assert (tmp_path / "full" / name).read_bytes() \
+            == (tmp_path / "resumed" / name).read_bytes(), name
 
 
 def test_resume_refuses_other_variant(runner, trained_dir, tmp_path):

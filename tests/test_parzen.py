@@ -103,14 +103,6 @@ def test_density_normalizes_in_one_dimension(rng):
     assert abs(integral - 1.0) < 1e-3
 
 
-def test_chunking_does_not_change_results(rng):
-    samples = rng.normal(size=(30, 3))
-    queries = rng.normal(size=(17, 3))
-    a = parzen_log_likelihood(samples, queries, 0.5, chunk=4)
-    b = parzen_log_likelihood(samples, queries, 0.5, chunk=1000)
-    assert np.array_equal(a, b)
-
-
 def whole_tensor_sq_dists(queries, samples):
     """The reference distances: one (t, n, d) difference tensor, sorted descending."""
     diff = queries[:, None, :] - samples[None, :, :]
@@ -123,8 +115,9 @@ def test_distance_blocks_never_change_a_bit(rng, monkeypatch, dim):
     queries = rng.normal(size=(9, dim))
     samples = rng.normal(size=(130, dim)) * 3.0
     want = whole_tensor_sq_dists(queries, samples)
-    # one difference row per block, then one block larger than the whole tensor
-    for budget in (8 * dim, 2 * queries.size * samples.size * 8):
+    # one difference row per block, blocks of four queries by every sample,
+    # then one block larger than the whole tensor
+    for budget in (8 * dim, 4 * samples.size * 8, 2 * queries.size * samples.size * 8):
         monkeypatch.setattr(parzen, "DIST_BLOCK", budget)
         assert np.array_equal(parzen._sq_dists(queries, samples), want), budget
         assert np.array_equal(parzen._sq_dists(queries, samples[::-1]), want), budget

@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 
 from cganlab.errors import ConfigError, ContractError, DimensionError
-from cganlab.tensor import (ADAM_BLOCK, AdamState, Tensor, activation, adam_step, backward,
-                            concat_last, exp, log, matmul, rows, softmax,
-                            softmax_cross_entropy)
+from cganlab.tensor import (ADAM_BLOCK, LOG_FLOOR, AdamState, Tensor, activation, adam_step,
+                            backward, concat_last, is_one_hot, log, matmul, one_hot, rows,
+                            softmax, softmax_cross_entropy)
 from conftest import assert_grads_match, projection
 
 mpmath.mp.dps = 50
@@ -109,6 +109,15 @@ def test_cross_entropy_uniform_logits():
 def test_cross_entropy_saturated_logits_stable():
     loss = softmax_cross_entropy(Tensor([[1000.0, 0.0, 0.0]]), np.array([[1.0, 0.0, 0.0]]))
     assert 0.0 <= loss.item() < 1e-12
+
+
+def test_one_hot_rows():
+    t = one_hot(np.array([2, 0, 2, 1], dtype=np.uint8), 3)
+    assert t.dtype == np.float64
+    assert np.array_equal(t, np.eye(3)[[2, 0, 2, 1]])
+    assert is_one_hot(t)
+    assert not is_one_hot(t * 0.5)
+    assert one_hot(np.full(2, 1), 4).tolist() == [[0.0, 1.0, 0.0, 0.0]] * 2
 
 
 def test_cross_entropy_non_one_hot_rejected():
@@ -264,16 +273,21 @@ def test_rows_range_checked():
         rows(Tensor(np.zeros((3, 2))), 2, 1)
 
 
-def test_log_and_exp_gradients(rng):
+def test_log_gradients(rng):
     x = rng.uniform(0.5, 2.0, size=(3, 3))
     w = rng.normal(size=(3, 3))
     assert_grads_match(lambda t: projection(w)(log(t)), x)
-    assert_grads_match(lambda t: projection(w)(exp(t)), x)
+    # below LOG_FLOOR the value is clamped and the gradient is zero
+    x = Tensor([0.0, LOG_FLOOR / 2, 1.0])
+    y = log(x)
+    assert y.data.tolist() == [np.log(LOG_FLOOR), np.log(LOG_FLOOR), 0.0]
+    backward(y.sum())
+    assert x.grad.tolist() == [0.0, 0.0, 1.0]
 
 
 def test_non_finite_result_raises():
-    with pytest.raises(ContractError):
-        exp(Tensor([1000.0]))
+    with pytest.raises(ContractError), np.errstate(over="ignore"):
+        Tensor([1e308]) * 10.0
     with pytest.raises(ContractError):
         Tensor([np.nan])
 
