@@ -7,7 +7,7 @@ term from a frozen pretrained classifier), plus a Gaussian Parzen-window
 evaluator and binary dataset loaders.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"
 
 from .errors import (CganlabError, ConfigError, ContractError, DataError,
                      DimensionError, ParseError)

@@ -298,7 +298,7 @@ def write_image_grid(path, images: np.ndarray):
             r, c = divmod(i, cols)
             grid[r * h:(r + 1) * h, c * flatw:(c + 1) * flatw] = tiles[i]
         header = f"P5\n{grid.shape[1]} {grid.shape[0]}\n255\n".encode()
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(header)
         f.write(grid.tobytes())
 
@@ -323,7 +323,8 @@ def do_pretrain_q(res: dict, out_dir: Path, checksum=None) -> dict:
     summary = {"command": "pretrain-q", "checkpoint": str(ckpt),
                "val_accuracy": history["best_val_acc"], "test_accuracy": test_acc,
                "steps": int(res["q_steps"])}
-    (out_dir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    with atomic_write(out_dir / "summary.json") as f:
+        f.write((json.dumps(summary, sort_keys=True, indent=2) + "\n").encode())
     write_manifest(out_dir, "pretrain-q", res, info,
                    {"checkpoint": ckpt, "summary": out_dir / "summary.json"},
                    (time.perf_counter() - t0) * 1e3)
@@ -489,15 +490,18 @@ def do_eval(res: dict, out_dir: Path, checksum=None) -> dict:
     artifacts = {}
     if len(model_rows) == 1:
         only = next(iter(model_rows.values()))
-        (out_dir / "report.csv").write_text(report_csv(only))
+        with atomic_write(out_dir / "report.csv") as f:
+            f.write(report_csv(only).encode())
         artifacts["report"] = out_dir / "report.csv"
     else:
         for name, rows in model_rows.items():
             p = out_dir / f"report_{name}.csv"
-            p.write_text(report_csv(rows))
+            with atomic_write(p) as f:
+                f.write(report_csv(rows).encode())
             artifacts[f"report_{name}"] = p
     table = format_table(model_rows, info["label_names"])
-    (out_dir / "table.txt").write_text(table)
+    with atomic_write(out_dir / "table.txt") as f:
+        f.write(table.encode())
     artifacts["table"] = out_dir / "table.txt"
     write_manifest(out_dir, "eval", res, info, artifacts, (time.perf_counter() - t0) * 1e3)
     _progress(table.rstrip("\n"))

@@ -26,7 +26,7 @@ from .conditioning import spatial_bilinear_pool, spatial_replicate_concat, vecto
 from .data import epoch_batches
 from .errors import ConfigError, DataError, DimensionError
 from .rng import RngStream
-from .tensor import (AdamState, Tensor, activation, adam_step, backward, matmul,
+from .tensor import (AdamState, Tensor, activation, adam_step, backward, matmul, no_grad,
                      softmax, softmax_cross_entropy)
 
 
@@ -276,7 +276,8 @@ def approximator_forward(x, params: ModelParams) -> Tensor:
 
 def classifier_accuracy(params: ModelParams, images: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of rows where argmax Q(x) matches the one-hot label."""
-    probs = approximator_forward(Tensor(images), params)
+    with no_grad():
+        probs = approximator_forward(Tensor(images), params)
     return float(np.mean(probs.data.argmax(axis=1) == labels.argmax(axis=1)))
 
 

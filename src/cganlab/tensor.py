@@ -18,12 +18,18 @@ aliasing is safe, and no zeros are allocated. The only difference from
 zeros-plus-sum is the sign of a zero gradient entry: no op divides by a
 gradient or tests its sign, and Adam maps -0.0 and 0.0 to the same update.
 
+Inside `with no_grad():` nodes record no parents and no closure, so each
+intermediate array is freed as soon as nothing else holds it. The forward
+arithmetic is unchanged, so the values are the same bits as with a graph.
+
 All values are float64. Every op checks its output for NaN/Inf and raises
 instead of letting a non-finite value escape.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +45,20 @@ _SIG_LO = np.nextafter(0.0, 1.0)
 _SIG_HI = np.nextafter(1.0, 0.0)
 
 ACTIVATION_KINDS = ("relu", "leaky_relu", "sigmoid", "tanh")
+
+# False inside no_grad(); a context variable, so one thread's inference
+# never strips the graph another thread is building.
+_recording = contextvars.ContextVar("cganlab_recording", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph in this block: new nodes keep their value and nothing else."""
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
 
 
 def _as_f64(data):
@@ -60,8 +80,12 @@ class Tensor:
         self.grad = None
         self.wanted = True  # set by every backward() that reaches this node
         self.op = op
-        self.parents = tuple(parents)
-        self._backward = backward
+        if _recording.get():
+            self.parents = tuple(parents)
+            self._backward = backward
+        else:
+            self.parents = ()
+            self._backward = None
 
     # ------------------------------------------------------------------
     @property

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .data import epoch_batches
 from .errors import ConfigError, ContractError, DataError
 from .models import (ModelParams, NetworkSpec, Variant, _apply_grads, approximator_forward,
@@ -79,8 +80,8 @@ class TrainLog:
         return "\n".join(lines) + "\n"
 
     def write(self, path):
-        with open(path, "w") as f:
-            f.write(self.to_csv())
+        with atomic_write(path) as f:
+            f.write(self.to_csv().encode())
 
     @classmethod
     def read(cls, path, steps: int) -> "TrainLog":

@@ -1,4 +1,6 @@
 import datetime
+import errno
+import io
 import json
 
 import numpy as np
@@ -178,6 +180,37 @@ def test_failed_manifest_write_leaves_the_earlier_one(trained_dir, tmp_path):
         write_manifest(tmp_path, "train", {"seed": object()}, info, {}, 1.0)
     assert (tmp_path / "manifest.json").read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
+class FullDisk(io.FileIO):
+    """A file that takes 16 bytes of a write and then reports a full disk."""
+
+    def write(self, data):
+        super().write(bytes(data)[:16])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_log_and_report_writes_leave_the_earlier_files(runner, trained_dir, tmp_path,
+                                                               monkeypatch):
+    from cganlab import checkpoint
+    from cganlab.training import TrainLog
+    log_path = tmp_path / "log.csv"
+    log = TrainLog.read(trained_dir / "log.csv", 20)
+    TrainLog(log.rows[:10]).write(log_path)
+    ev = tmp_path / "eval"
+    args = ["eval", "--g-checkpoint", str(trained_dir / "g.ckpt"), "--dataset", "mixture-3x2",
+            "--samples-per-condition", "40", "--out", str(ev)]
+    run_ok(runner, args + ["--seed", "1"])
+    before = {p: p.read_bytes() for p in (log_path, ev / "report.csv", ev / "table.txt")}
+    # atomic_write opens its temporary file through the module's `open`
+    monkeypatch.setattr(checkpoint, "open", FullDisk, raising=False)
+    with pytest.raises(OSError):
+        log.write(log_path)
+    result = runner.invoke(main, args + ["--seed", "2"])
+    assert result.exit_code != 0
+    assert {p: p.read_bytes() for p in before} == before
+    assert sorted(p.name for p in ev.iterdir()) == ["manifest.json", "report.csv", "table.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["eval", "log.csv"]
 
 
 def test_resume_matches_straight_run(runner, tmp_path):

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from cganlab import parzen
 from cganlab.data import mixture_3x2_spec, synth_mixture, split
 from cganlab.errors import ContractError, DataError, DimensionError
-from cganlab.models import NetworkSpec, build_generator
+from cganlab.models import NetworkSpec, build_generator, generator_forward
 from cganlab.parzen import (ParzenConfig, conditional_eval, default_sigma_grid,
                             format_table, generate_samples, parzen_log_likelihood,
                             report_csv, select_sigma)
 from cganlab.rng import RngStream
+from cganlab.tensor import Tensor, one_hot
 
 mpmath.mp.dps = 50
 
@@ -110,23 +111,75 @@ def whole_tensor_sq_dists(queries, samples):
     return np.sort(d2, axis=1)[:, ::-1]
 
 
+def assert_near_reference(got, queries, samples):
+    """Entry-wise |got - reference| <= 1e-13 (|q|^2 + |s|^2 + 1), with the row's
+    largest |s|^2, since sorting moves each distance away from its sample."""
+    bound = 1e-13 * ((queries ** 2).sum(axis=1)[:, None] + (samples ** 2).sum(axis=1).max() + 1.0)
+    err = np.abs(got - whole_tensor_sq_dists(queries, samples))
+    assert (err <= bound).all(), float((err / bound).max())
+
+
+# one sample row per block; blocks of 16 rows with a partial last block; one
+# block of every sample; more than the whole difference tensor; and the
+# module's own budget, which at 784 dimensions splits 400 samples into blocks
+# of 167, 167 and 66 rows, where GEMM rounding depends on a row's block
+def dist_budgets(queries, samples):
+    dim = samples.shape[1]
+    return (8 * dim, 16 * 8 * dim, 4 * samples.size * 8, 2 * queries.size * samples.size * 8,
+            parzen.DIST_BLOCK)
+
+
 @pytest.mark.parametrize("dim", [2, 64, 784])
-def test_distance_blocks_never_change_a_bit(rng, monkeypatch, dim):
+def test_gemm_distances_match_einsum_and_ignore_sample_order(rng, monkeypatch, dim):
     queries = rng.normal(size=(9, dim))
-    samples = rng.normal(size=(130, dim)) * 3.0
-    want = whole_tensor_sq_dists(queries, samples)
-    # one difference row per block, blocks of four queries by every sample,
-    # then one block larger than the whole tensor
-    for budget in (8 * dim, 4 * samples.size * 8, 2 * queries.size * samples.size * 8):
+    samples = rng.normal(size=(400, dim)) * 3.0
+    samples[::45] = queries  # distance 0 up to rounding, which the clamp keeps >= 0
+    for budget in dist_budgets(queries, samples):
         monkeypatch.setattr(parzen, "DIST_BLOCK", budget)
-        assert np.array_equal(parzen._sq_dists(queries, samples), want), budget
-        assert np.array_equal(parzen._sq_dists(queries, samples[::-1]), want), budget
+        got = parzen._sq_dists(queries, samples)
+        assert (got >= 0.0).all()
+        assert_near_reference(got, queries, samples)
+        assert np.array_equal(parzen._sq_dists(queries, samples[::-1]), got), budget
+        assert np.array_equal(parzen._sq_dists(queries, samples[rng.permutation(400)]), got), budget
+
+
+@pytest.mark.parametrize("dim", [2, 64, 784])
+def test_tied_norms_ignore_sample_order(rng, monkeypatch, dim):
+    """Sign-flipped copies of a row, and their column-reversed copies, tie on
+    the norm, so the canonical order rests on the rows' contents."""
+    queries = rng.normal(size=(7, dim))
+    base = rng.normal(size=(4, dim))
+    signs = rng.choice([-1.0, 1.0], size=(100, dim))
+    samples = (base[:, None, :] * signs[None]).reshape(-1, dim)
+    samples[1::2] = samples[1::2, ::-1]
+    norms = np.einsum("nd,nd->n", samples, samples)
+    assert np.unique(norms).size <= 8
+    for budget in dist_budgets(queries, samples):
+        monkeypatch.setattr(parzen, "DIST_BLOCK", budget)
+        got = parzen._sq_dists(queries, samples)
+        assert_near_reference(got, queries, samples)
+        for _ in range(2):
+            shuffled = samples[rng.permutation(samples.shape[0])]
+            assert np.array_equal(parzen._sq_dists(queries, shuffled), got), budget
+
+
+def test_array_layout_never_changes_a_bit(rng):
+    queries = rng.normal(size=(6, 64))
+    samples = rng.normal(size=(90, 64))
+    want = parzen._sq_dists(queries, samples)
+    assert np.array_equal(parzen._sq_dists(np.asfortranarray(queries),
+                                           np.asfortranarray(samples)), want)
+    wide_q = np.zeros((12, 128))
+    wide_q[::2, ::2] = queries
+    wide_s = np.zeros((180, 128))
+    wide_s[::2, ::2] = samples
+    assert np.array_equal(parzen._sq_dists(wide_q[::2, ::2], wide_s[::2, ::2]), want)
 
 
 def test_select_sigma_memory_is_bounded(rng):
     """30 x 2000 x 784 (the mnist-eval shape): the difference tensor alone
-    would be 376 MB; the blocked kernel needs the [t, n] distances plus a
-    block."""
+    would be 376 MB; the kernel needs the [t, n] distances plus one block of
+    gathered samples."""
     samples = rng.uniform(-1.0, 1.0, size=(2000, 784))
     queries = rng.uniform(-1.0, 1.0, size=(30, 784))
     tracemalloc.start()
@@ -217,6 +270,27 @@ def tiny_setup():
     g = build_generator(train_ds.image_shape, train_ds.cond_dim, 4,
                         NetworkSpec([8]), RngStream(3, ("g",)))
     return train_ds, valid_ds, test_ds, g
+
+
+def test_generate_samples_match_a_graph_building_forward():
+    g = build_generator((28, 28, 1), 10, 16, NetworkSpec([64, 64]), RngStream(5, ("g",)))
+    got = generate_samples(g, 3, 500, RngStream(9, ("s",)))
+    z = Tensor(RngStream(9, ("s",)).uniform(-1.0, 1.0, (500, 16)))
+    want = generator_forward(z, Tensor(one_hot(np.full(500, 3), 10)), g)
+    assert want.parents and np.array_equal(got, want.data.reshape(500, -1))
+
+
+def test_generate_samples_memory_is_bounded():
+    """Without a graph, each layer's activations are freed once the next
+    layer has used them."""
+    g = build_generator((28, 28, 1), 10, 64, NetworkSpec([512, 512]), RngStream(5, ("g",)))
+    tracemalloc.start()
+    try:
+        out = generate_samples(g, 0, 2000, RngStream(9, ("s",)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * out.nbytes, (peak, out.nbytes)
 
 
 def test_conditional_eval_row_contract(tiny_setup):

@@ -4,8 +4,8 @@ import pytest
 
 from cganlab.errors import ConfigError, ContractError, DimensionError
 from cganlab.tensor import (ADAM_BLOCK, LOG_FLOOR, AdamState, Tensor, activation, adam_step,
-                            backward, concat_last, is_one_hot, log, matmul, one_hot, rows,
-                            softmax, softmax_cross_entropy)
+                            backward, concat_last, is_one_hot, log, matmul, no_grad, one_hot,
+                            rows, softmax, softmax_cross_entropy)
 from conftest import assert_grads_match, projection
 
 mpmath.mp.dps = 50
@@ -290,6 +290,29 @@ def test_non_finite_result_raises():
         Tensor([1e308]) * 10.0
     with pytest.raises(ContractError):
         Tensor([np.nan])
+    with no_grad(), pytest.raises(ContractError), np.errstate(over="ignore"):
+        Tensor([1e308]) * 10.0
+
+
+def test_no_grad_records_no_graph_and_keeps_the_values():
+    x, w = Tensor([[1.0, -2.0]]), Tensor([[0.5], [0.25]])
+    want = activation(x @ w, "leaky_relu")
+    with no_grad():
+        got = activation(x @ w, "leaky_relu")
+    assert got.parents == () and got._backward is None
+    assert np.array_equal(got.data, want.data) and want.parents
+
+
+def test_no_grad_is_restored_after_nesting_and_errors():
+    x = Tensor([1.0, 2.0])
+    with no_grad():
+        with no_grad():
+            assert (x * 2.0).parents == ()
+        assert (x * 2.0).parents == ()
+    assert (x * 2.0).parents
+    with pytest.raises(ValueError), no_grad():
+        raise ValueError("inside")
+    assert (x * 2.0).parents
 
 
 # ----------------------------------------------------------------------
