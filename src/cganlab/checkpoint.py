@@ -17,6 +17,10 @@ The same container carries model checkpoints (parameters plus Adam state)
 and sample dumps. Readers validate the header schema, so a malformed or
 inconsistent file raises ParseError (a data error), never a KeyError or
 TypeError.
+
+A model header's role fields and hidden widths fix the network's layout
+(models.layer_dims, as for the builders); its spec, in_dim, out_dim,
+model.hidden_extra and array shapes must state that layout exactly.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .models import HEADS, ModelParams, NetworkSpec, Variant, _layer_dims
-from .tensor import ACTIVATION_KINDS, AdamState, Tensor
+from .models import ROLE_HEADS, ModelParams, NetworkSpec, Variant, layer_dims
+from .tensor import AdamState, Tensor
 
 MAGIC = b"CGANLABC"
 VERSION = 1
@@ -177,14 +181,23 @@ def save_model(path, params: ModelParams, extra: dict | None = None):
 def load_model(path):
     """Rebuild a ModelParams (with optimizer state) from a checkpoint.
 
-    The header must describe a network whose arrays are all present with the
-    layer shapes its spec implies; anything else raises ParseError.
+    Every header field and array shape that follows from the layout must
+    match it; anything else raises ParseError.
     """
     meta, arrays = read_container(path)
     if meta.get("kind") != "model":
         raise ParseError(f"container {path} holds {meta.get('kind')!r}, not a model")
-    spec, in_dim, out_dim, model, hyper, steps = _model_header(meta, path)
-    dims = _layer_dims(in_dim, out_dim, spec, model)
+    hidden, model, hyper, steps = _model_header(meta, path)
+    dims = layer_dims(model, hidden)
+    spec = NetworkSpec(hidden, ROLE_HEADS[model["role"]])
+    derived = {"spec": spec.to_dict(), "in_dim": dims[0][0], "out_dim": dims[-1][1],
+               "hidden_extra": dims[-1][0] - hidden[-1]}
+    stated = dict(meta, hidden_extra=model.get("hidden_extra", 0))
+    for key, value in derived.items():
+        # compared as JSON, so 11.0 or true do not pass for 11 or 1
+        if json.dumps(stated.get(key), sort_keys=True) != json.dumps(value, sort_keys=True):
+            raise ParseError(f"model container {path}: {key!r} is {stated.get(key)!r}, but the "
+                             f"{model['role']} its model fields describe has {value!r}")
     expected = {}
     for i, (fan_in, fan_out) in enumerate(dims):
         for name, shape in ((f"l{i}.w", (fan_in, fan_out)), (f"l{i}.b", (fan_out,))):
@@ -198,7 +211,7 @@ def load_model(path):
                              f"{arrays[name].shape}, its spec needs {shape}")
     weights = [Tensor(arrays[f"l{i}.w"]) for i in range(len(dims))]
     biases = [Tensor(arrays[f"l{i}.b"]) for i in range(len(dims))]
-    params = ModelParams(weights, biases, spec, in_dim, out_dim, dict(model))
+    params = ModelParams(weights, biases, spec, dict(model))
     for name, t in params.named().items():
         st = AdamState(steps.get(name, 0),
                        arrays[f"adam.m:{name}"], arrays[f"adam.v:{name}"],
@@ -218,26 +231,15 @@ def _model_header(meta, path):
     hidden = sd.get("hidden")
     need(isinstance(hidden, list) and hidden and all(_is_int(w) and w > 0 for w in hidden),
          f"spec 'hidden' must be a non-empty list of positive ints, got {hidden!r}")
-    need(sd.get("activation") in ACTIVATION_KINDS,
-         f"spec 'activation' must be one of {ACTIVATION_KINDS}, got {sd.get('activation')!r}")
-    need(_is_num(sd.get("alpha")) and 0.0 < sd["alpha"] < 1.0,
-         f"spec 'alpha' must be a number in (0, 1), got {sd.get('alpha')!r}")
-    need(sd.get("head") in HEADS, f"spec 'head' must be one of {HEADS}, got {sd.get('head')!r}")
-    spec = NetworkSpec(list(hidden), sd["activation"], float(sd["alpha"]), sd["head"])
-    for key in ("in_dim", "out_dim"):
-        need(_is_int(meta.get(key)) and meta[key] > 0,
-             f"'{key}' must be a positive int, got {meta.get(key)!r}")
     model = meta.get("model")
     need(isinstance(model, dict), "'model' must be an object")
-    need(_is_int(model.get("hidden_extra", 0)) and model.get("hidden_extra", 0) >= 0,
-         f"model 'hidden_extra' must be a non-negative int, got {model.get('hidden_extra')!r}")
     need(_is_int(model.get("cond_dim")) and model["cond_dim"] > 0,
          f"model 'cond_dim' must be a positive int, got {model.get('cond_dim')!r}")
     shape = model.get("image_shape")
     need(isinstance(shape, list) and len(shape) == 3 and all(_is_int(n) and n > 0 for n in shape),
          f"model 'image_shape' must be three positive ints, got {shape!r}")
     role = model.get("role")
-    need(role in ("generator", "discriminator", "approximator"),
+    need(role in ROLE_HEADS,
          f"model 'role' {role!r} is not generator, discriminator or approximator")
     if role == "generator":
         need(_is_int(model.get("noise_dim")) and model["noise_dim"] > 0,
@@ -255,4 +257,4 @@ def _model_header(meta, path):
     steps = meta.get("adam_steps", {})
     need(isinstance(steps, dict) and all(_is_int(n) and n >= 0 for n in steps.values()),
          "'adam_steps' must map names to non-negative ints")
-    return spec, meta["in_dim"], meta["out_dim"], model, hyper, steps
+    return list(hidden), model, hyper, steps

@@ -69,6 +69,21 @@ BASE_DEFAULTS = {
     "checkpoint_every": 0, "sigma_mode": "per_condition", "condition_shift": 0,
 }
 
+# the settings each command reads besides the shared and per-dataset ones;
+# sample reads only its own
+COMMAND_KEYS = {"pretrain-q": (), "train": ("variant", "q_checkpoint", "resume"),
+                "eval": ("sigma_grid", "g_checkpoint"),
+                "sample": ("g_checkpoint", "condition", "count", "seed")}
+
+# the type of each setting that is not kept as given (a string, list or None)
+SETTING_TYPES = {
+    **dict.fromkeys(("seed", "steps", "batch_size", "d_steps", "checkpoint_every",
+                     "condition_shift", "noise_dim", "q_steps", "samples_per_condition",
+                     "condition", "count"), int),
+    **dict.fromkeys(("lr", "lam", "irgan_lam"), float),
+    "variant": Variant,
+}
+
 
 def load_dataset(name, data_dir=None, checksum=None):
     """Resolve a dataset name to splits plus display metadata.
@@ -167,7 +182,7 @@ def load_config_file(path) -> dict:
 
 
 def resolve(defaults: dict, config_file, flags: dict) -> dict:
-    """defaults < config file < explicit flags."""
+    """defaults < config file < explicit flags, each setting converted to its type once."""
     res = dict(defaults)
     if config_file:
         file_values = load_config_file(config_file)
@@ -178,7 +193,48 @@ def resolve(defaults: dict, config_file, flags: dict) -> dict:
     for key, value in flags.items():
         if value is not None:
             res[key] = value
-    return res
+    return typed_settings(res, (), ConfigError, f"config file {config_file}")
+
+
+def typed_settings(values: dict, keys, error, source: str) -> dict:
+    """values with every setting of SETTING_TYPES converted to its type.
+
+    `error` names the first of `keys` that values lacks, or the first value
+    that does not convert; `source` says where the values came from.
+    """
+    missing = [key for key in keys if key not in values]
+    if missing:
+        raise error(f"{source} has no setting {missing[0]!r}")
+    out = dict(values)
+    for key, kind in SETTING_TYPES.items():
+        if out.get(key) is not None:
+            try:
+                out[key] = kind(out[key])
+            except (TypeError, ValueError):
+                raise error(f"{source}: setting {key!r} = {out[key]!r} is not a valid "
+                            f"{kind.__name__}") from None
+    return out
+
+
+def command_defaults(command: str, dataset: str) -> dict:
+    """The settings `command` reads on `dataset`, with their defaults (None: no default)."""
+    return {**BASE_DEFAULTS, **TRAIN_DEFAULTS[dataset], **dict.fromkeys(COMMAND_KEYS[command])}
+
+
+def manifest_settings(doc: dict, source) -> dict:
+    """The typed settings a manifest records for its command; DataError names a bad one."""
+    resolved = doc.get("resolved")
+    if not isinstance(resolved, dict):
+        raise DataError(f"manifest {source} has no 'resolved' object")
+    command = doc.get("command")
+    if command == "sample":
+        keys = COMMAND_KEYS[command]
+    elif resolved.get("dataset") in TRAIN_DEFAULTS:
+        keys = ("dataset", *command_defaults(command, resolved["dataset"]))
+    else:
+        raise DataError(f"manifest {source} records dataset {resolved.get('dataset')!r}; "
+                        f"expected one of {DATASET_NAMES}")
+    return typed_settings(resolved, keys, DataError, f"manifest {source}")
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -311,18 +367,17 @@ def do_pretrain_q(res: dict, out_dir: Path, checksum=None) -> dict:
     t0 = time.perf_counter()
     info = load_dataset(res["dataset"], res.get("data_dir"), checksum)
     spec = NetworkSpec(parse_widths(res["q_hidden"]), head="softmax")
-    stream = RngStream(int(res["seed"]), ("pretrain-q",))
+    stream = RngStream(res["seed"], ("pretrain-q",))
     params, history = pretrain_approximator(
-        info["train"], info["valid"], spec, int(res["q_steps"]), stream,
-        batch_size=int(res["batch_size"]),
-        hyper={"lr": float(res["lr"]), "beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8})
+        info["train"], info["valid"], spec, res["q_steps"], stream,
+        batch_size=res["batch_size"], hyper={"lr": res["lr"], "beta1": 0.9})
     test_acc = classifier_accuracy(params, info["test"].images, info["test"].labels)
     ckpt = out_dir / "q.ckpt"
     save_model(ckpt, params, extra={"name": f"q-{res['dataset']}",
-                                    "dataset": info["name"], "seed": int(res["seed"])})
+                                    "dataset": info["name"], "seed": res["seed"]})
     summary = {"command": "pretrain-q", "checkpoint": str(ckpt),
                "val_accuracy": history["best_val_acc"], "test_accuracy": test_acc,
-               "steps": int(res["q_steps"])}
+               "steps": res["q_steps"]}
     with atomic_write(out_dir / "summary.json") as f:
         f.write((json.dumps(summary, sort_keys=True, indent=2) + "\n").encode())
     write_manifest(out_dir, "pretrain-q", res, info,
@@ -333,29 +388,58 @@ def do_pretrain_q(res: dict, out_dir: Path, checksum=None) -> dict:
 
 def _train_config(res: dict) -> TrainConfig:
     """The TrainConfig a resolved train configuration describes."""
-    variant = Variant(res["variant"])
+    variant = res["variant"]
     lam = res.get("lam")
     if lam is None:
-        lam = float(res.get("irgan_lam", 1.0)) if variant is Variant.IRGAN else 0.0
+        lam = res.get("irgan_lam", 1.0) if variant is Variant.IRGAN else 0.0
     return TrainConfig(
-        variant=variant, total_steps=int(res["steps"]), batch_size=int(res["batch_size"]),
-        d_steps_per_g_step=int(res["d_steps"]), lam=float(lam), lr=float(res["lr"]),
-        seed=int(res["seed"]), generator_loss_mode=res["loss_mode"],
-        noise_dim=int(res["noise_dim"]), g_hidden=parse_widths(res["g_hidden"]),
-        d_hidden=parse_widths(res["d_hidden"]),
-        checkpoint_every=int(res["checkpoint_every"]))
+        variant=variant, total_steps=res["steps"], batch_size=res["batch_size"],
+        d_steps_per_g_step=res["d_steps"], lam=lam, lr=res["lr"],
+        seed=res["seed"], generator_loss_mode=res["loss_mode"],
+        noise_dim=res["noise_dim"], g_hidden=parse_widths(res["g_hidden"]),
+        d_hidden=parse_widths(res["d_hidden"]), checkpoint_every=res["checkpoint_every"])
 
 
-def _recorded_train_config(rdir: Path) -> TrainConfig:
-    """The TrainConfig that rdir/manifest.json records; DataError if it records none."""
+def _recorded_run(rdir: Path) -> tuple:
+    """The TrainConfig and the dataset that rdir/manifest.json records; DataError if it does not."""
     path = rdir / "manifest.json"
     try:
         doc = json.loads(path.read_text())
-        return _train_config(doc["resolved"])
     except OSError as e:
         raise DataError(f"cannot read the manifest of the run to resume: {e}") from None
-    except (ValueError, KeyError, TypeError, ConfigError) as e:
-        raise DataError(f"{path} does not record a train configuration: {e!r}") from None
+    except ValueError as e:
+        raise DataError(f"{path} is not valid JSON: {e}") from None
+    if not isinstance(doc, dict) or doc.get("command") != "train":
+        raise DataError(f"{path} does not record a train run")
+    res = manifest_settings(doc, path)
+    dataset = doc.get("dataset")
+    if not (isinstance(dataset, dict) and isinstance(dataset.get("name"), str)
+            and isinstance(dataset.get("checksum"), str)):
+        raise DataError(f"{path} records no dataset name and checksum")
+    try:
+        return _train_config(res), dataset
+    except ConfigError as e:
+        raise DataError(f"{path} does not record a train configuration: {e}") from None
+
+
+def load_fitting_model(path, role: str, info=None) -> tuple:
+    """load_model of a checkpoint that a flag names as a `role` for the dataset `info`.
+
+    ConfigError when it holds another role, or (with info) a network for
+    another image shape or condition width than the dataset's.
+    """
+    params, meta = load_model(path)
+    found = params.meta["role"]
+    if found != role:
+        raise ConfigError(f"{path} is a checkpoint of role {found}, not {role}")
+    if info is not None:
+        want = (info["train"].image_shape, info["train"].cond_dim)
+        have = (tuple(params.meta["image_shape"]), params.meta["cond_dim"])
+        if have != want:
+            raise ConfigError(f"{path} holds a network for images of shape {have[0]} with "
+                              f"{have[1]} conditions; dataset {info['name']} has {want[0]} "
+                              f"with {want[1]}")
+    return params, meta
 
 
 def _refuse_changed(settings, source: str):
@@ -369,17 +453,7 @@ def do_train(res: dict, out_dir: Path, checksum=None) -> dict:
     t0 = time.perf_counter()
     cfg = _train_config(res)
     variant = cfg.variant
-    info = load_dataset(res["dataset"], res.get("data_dir"), checksum)
     cfg.validate()
-    q_params = None
-    if variant is Variant.IRGAN:
-        if not res.get("q_checkpoint"):
-            raise ConfigError("--q-checkpoint is required for the irgan variant")
-        q_params, _ = load_model(res["q_checkpoint"])
-        if q_params.meta.get("cond_dim") != info["train"].cond_dim:
-            raise ConfigError(
-                f"approximator expects {q_params.meta.get('cond_dim')} conditions, "
-                f"dataset has {info['train'].cond_dim}")
     g = d = None
     start_step = 0
     earlier = TrainLog()
@@ -407,18 +481,30 @@ def do_train(res: dict, out_dir: Path, checksum=None) -> dict:
                          ("d-hidden", cfg.d_hidden, d.spec.hidden)),
                         f"the checkpoints in {rdir} were trained with")
         earlier = TrainLog.read(rdir / "log.csv", start_step)
-        was = _recorded_train_config(rdir)
-        _refuse_changed((("seed", cfg.seed, gmeta.get("seed")),
+        was, dataset = _recorded_run(rdir)
+        _refuse_changed((("dataset", res["dataset"], dataset["name"]),
+                         ("seed", cfg.seed, gmeta.get("seed")),
                          ("batch-size", cfg.batch_size, was.batch_size),
                          ("d-steps", cfg.d_steps_per_g_step, was.d_steps_per_g_step),
                          ("loss-mode", cfg.generator_loss_mode, was.generator_loss_mode),
                          ("lambda", cfg.lam, was.lam)),
                         f"the run in {rdir} was trained with")
-        _progress(f"resuming from {rdir} at step {start_step}")
-    every = max(1, int(res["steps"]) // 20) if int(res["steps"]) else 1
+        if checksum and checksum != dataset["checksum"]:
+            raise DataError(f"the manifest records dataset checksum {checksum!r}, but the run "
+                            f"in {rdir} was trained on {dataset['checksum']!r}")
+        checksum = dataset["checksum"]
+    info = load_dataset(res["dataset"], res.get("data_dir"), checksum)
+    q_params = None
+    if variant is Variant.IRGAN:
+        if not res.get("q_checkpoint"):
+            raise ConfigError("--q-checkpoint is required for the irgan variant")
+        q_params, _ = load_fitting_model(res["q_checkpoint"], "approximator", info)
+    if res.get("resume"):
+        _progress(f"resuming from {res['resume']} at step {start_step}")
+    every = max(1, cfg.total_steps // 20) if cfg.total_steps else 1
 
     def progress(rec):
-        if rec["step"] % every == 0 or rec["step"] + 1 == int(res["steps"]):
+        if rec["step"] % every == 0 or rec["step"] + 1 == cfg.total_steps:
             extra = "" if rec["r_g"] is None else f" r_g={rec['r_g']:.4f}"
             _progress(f"step {rec['step'] + 1}/{res['steps']} "
                       f"d_loss={rec['d_loss']:.4f} g_loss={rec['g_loss']:.4f}{extra}")
@@ -450,39 +536,30 @@ def do_train(res: dict, out_dir: Path, checksum=None) -> dict:
 
 def _ckpt_extra(res, info, step, variant):
     return {"name": variant.value, "dataset": info["name"], "train_step": int(step),
-            "seed": int(res["seed"])}
+            "seed": res["seed"]}
 
 
 def do_eval(res: dict, out_dir: Path, checksum=None) -> dict:
     t0 = time.perf_counter()
     info = load_dataset(res["dataset"], res.get("data_dir"), checksum)
     cfg = ParzenConfig(sigma_grid=parse_sigma_grid(res.get("sigma_grid")),
-                       samples_per_condition=int(res["samples_per_condition"]),
+                       samples_per_condition=res["samples_per_condition"],
                        sigma_mode=res["sigma_mode"])
     cfg.validate()
-    shift = int(res.get("condition_shift") or 0)
+    shift = res["condition_shift"]
     paths = res["g_checkpoint"]
     if isinstance(paths, str):
         paths = [paths]
     model_rows = {}
     for path in paths:
-        params, meta = load_model(path)
-        if params.meta.get("role") != "generator":
-            raise ConfigError(f"{path} is a {params.meta.get('role')} checkpoint, not a generator")
+        params, meta = load_fitting_model(path, "generator", info)
         m = params.meta["cond_dim"]
-        if m != info["test"].cond_dim:
-            raise ConfigError(f"checkpoint {path} expects {m} conditions, "
-                              f"dataset has {info['test'].cond_dim}")
-        if tuple(params.meta["image_shape"]) != info["test"].image_shape:
-            raise ConfigError(
-                f"checkpoint {path} produces images of shape {tuple(params.meta['image_shape'])}, "
-                f"dataset has {info['test'].image_shape}")
         cmap = {c: (c + shift) % m for c in range(m)} if shift else None
         name = meta.get("name") or Path(path).stem
         while name in model_rows:
             name += "+"
         rows = conditional_eval(params, info["valid"], info["test"], cfg,
-                                int(res["seed"]), condition_map=cmap)
+                                res["seed"], condition_map=cmap)
         model_rows[name] = rows
         for r in rows:
             if r.note:
@@ -514,22 +591,20 @@ def do_eval(res: dict, out_dir: Path, checksum=None) -> dict:
 
 def do_sample(res: dict, out_dir: Path) -> dict:
     t0 = time.perf_counter()
-    params, meta = load_model(res["g_checkpoint"])
-    if params.meta.get("role") != "generator":
-        raise ConfigError(f"{res['g_checkpoint']} is not a generator checkpoint")
-    condition, count = int(res["condition"]), int(res["count"])
+    params, meta = load_fitting_model(res["g_checkpoint"], "generator")
+    condition, count = res["condition"], res["count"]
     m = params.meta["cond_dim"]
     if not 0 <= condition < m:
         raise ConfigError(f"condition index {condition} out of range 0..{m - 1}")
     if count < 1:
         raise ConfigError(f"count must be positive, got {count}")
-    stream = RngStream(int(res["seed"]), ("sample",))
+    stream = RngStream(res["seed"], ("sample",))
     flat = generate_samples(params, condition, count, stream)
     h, w, d = params.meta["image_shape"]
     images = flat.reshape(count, h, w, d)
     container = out_dir / "samples.bin"
     write_container(container, {"kind": "samples", "condition": condition,
-                                "count": count, "seed": int(res["seed"]),
+                                "count": count, "seed": res["seed"],
                                 "image_shape": [h, w, d]}, {"samples": images})
     grid = out_dir / ("grid.ppm" if d == 3 else "grid.pgm")
     write_image_grid(grid, images)
@@ -549,14 +624,9 @@ def main():
     """Train, evaluate and sample label-conditioned GANs."""
 
 
-def _resolve_flags(config_file, flags: dict, *command_keys) -> dict:
-    """A command's flags over its config file over its dataset's defaults.
-
-    command_keys are the command's config keys beyond the shared ones.
-    """
-    defaults = {**BASE_DEFAULTS, **TRAIN_DEFAULTS[flags["dataset"]],
-                **dict.fromkeys(command_keys)}
-    return resolve(defaults, config_file, flags)
+def _resolve_flags(command, config_file, flags: dict) -> dict:
+    """A command's flags over its config file over its dataset's defaults."""
+    return resolve(command_defaults(command, flags["dataset"]), config_file, flags)
 
 
 def _dataset_options(fn):
@@ -578,7 +648,7 @@ def _dataset_options(fn):
 @friendly_errors
 def cmd_pretrain_q(config_file, out, **flags):
     """Pretrain the condition approximator Q(c|x) and freeze it."""
-    _emit(do_pretrain_q(_resolve_flags(config_file, flags), _out_dir(out)))
+    _emit(do_pretrain_q(_resolve_flags("pretrain-q", config_file, flags), _out_dir(out)))
 
 
 @main.command("train")
@@ -604,7 +674,7 @@ def cmd_pretrain_q(config_file, out, **flags):
 @friendly_errors
 def cmd_train(config_file, out, **flags):
     """Train one conditioned-GAN variant."""
-    res = _resolve_flags(config_file, flags, "variant", "q_checkpoint", "resume")
+    res = _resolve_flags("train", config_file, flags)
     _emit(do_train(res, _out_dir(out)))
 
 
@@ -624,7 +694,7 @@ def cmd_train(config_file, out, **flags):
 def cmd_eval(config_file, out, **flags):
     """Parzen-window evaluation of generator checkpoints, per condition."""
     flags["g_checkpoint"] = list(flags["g_checkpoint"])
-    res = _resolve_flags(config_file, flags, "sigma_grid", "g_checkpoint")
+    res = _resolve_flags("eval", config_file, flags)
     _emit(do_eval(res, _out_dir(out)))
 
 
@@ -657,19 +727,20 @@ def cmd_rerun(manifest, out):
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as e:
         raise DataError(f"manifest is not valid JSON: {e}") from None
-    if not isinstance(doc, dict) or not isinstance(doc.get("resolved"), dict):
-        raise DataError(f"manifest {p} is not an object with a 'resolved' object")
+    if not isinstance(doc, dict):
+        raise DataError(f"manifest {p} is not a JSON object")
     command = doc.get("command")
     impl = {"pretrain-q": do_pretrain_q, "train": do_train, "eval": do_eval,
             "sample": do_sample}.get(command)
     if impl is None:
         raise ConfigError(f"manifest records unknown command {command!r}")
+    res = manifest_settings(doc, p)
     for line in build_differences(doc):
         _progress(f"warning: {line}; the results may differ in their bits")
     dataset = doc.get("dataset")
     if isinstance(dataset, dict) and dataset.get("checksum") and impl is not do_sample:
         impl = functools.partial(impl, checksum=dataset["checksum"])
-    summary = impl(doc["resolved"], _out_dir(out))
+    summary = impl(res, _out_dir(out))
     _emit(summary)
 
 

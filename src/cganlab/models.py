@@ -26,8 +26,8 @@ from .conditioning import spatial_bilinear_pool, spatial_replicate_concat, vecto
 from .data import epoch_batches
 from .errors import ConfigError, DataError, DimensionError
 from .rng import RngStream
-from .tensor import (AdamState, Tensor, activation, adam_step, backward, matmul, no_grad,
-                     softmax, softmax_cross_entropy)
+from .tensor import (LEAKY_SLOPE, AdamState, Tensor, activation, adam_step, backward, matmul,
+                     no_grad, softmax, softmax_cross_entropy)
 
 
 class Variant(str, Enum):
@@ -37,27 +37,52 @@ class Variant(str, Enum):
     IRGAN = "irgan"
 
 
-HEADS = ("sigmoid_scalar", "softmax", "linear")
+# the output head each role's builder gives its network
+ROLE_HEADS = {"generator": "linear", "discriminator": "sigmoid_scalar", "approximator": "softmax"}
 
 
 @dataclass
 class NetworkSpec:
-    """Hidden widths, hidden activation, and output head of a dense stack."""
+    """Hidden widths and output head of a dense stack; every hidden layer is leaky_relu."""
 
     hidden: list[int]
-    activation: str = "leaky_relu"
-    alpha: float = 0.2
     head: str = "linear"
 
     def validate(self):
         if not self.hidden or any(int(w) <= 0 for w in self.hidden):
             raise ConfigError(f"hidden widths must be a non-empty list of positive ints, got {self.hidden}")
-        if self.head not in HEADS:
-            raise ConfigError(f"unknown head {self.head!r}; expected one of {HEADS}")
+        if self.head not in ROLE_HEADS.values():
+            raise ConfigError(f"unknown head {self.head!r}; expected one of {list(ROLE_HEADS.values())}")
 
     def to_dict(self):
-        return {"hidden": [int(w) for w in self.hidden], "activation": self.activation,
-                "alpha": self.alpha, "head": self.head}
+        return {"hidden": [int(w) for w in self.hidden], "activation": "leaky_relu",
+                "alpha": LEAKY_SLOPE, "head": self.head}
+
+
+def layer_dims(meta: dict, hidden) -> list:
+    """(fan_in, fan_out) of every layer of the network that meta describes.
+
+    D's first layer sees d + m channels per pixel (cgan, fcgan), d * m (sbp)
+    or d (irgan); fcgan appends the condition to every hidden activation,
+    which widens each later fan-in by m.
+    """
+    h, w, d = meta["image_shape"]
+    m, role = meta["cond_dim"], meta["role"]
+    if role == "generator":
+        in_dim, out_dim, extra = meta["noise_dim"] + m, h * w * d, 0
+    elif role == "approximator":
+        in_dim, out_dim, extra = h * w * d, m, 0
+    else:
+        variant = Variant(meta["variant"])
+        channels = {Variant.CGAN: d + m, Variant.FCGAN: d + m, Variant.SBP: d * m, Variant.IRGAN: d}
+        in_dim, out_dim = h * w * channels[variant], 1
+        extra = m if variant is Variant.FCGAN else 0
+    dims, cur = [], in_dim
+    for width in hidden:
+        dims.append((cur, int(width)))
+        cur = int(width) + extra
+    dims.append((cur, out_dim))
+    return dims
 
 
 @dataclass
@@ -71,26 +96,33 @@ class ModelParams:
     weights: list[Tensor]
     biases: list[Tensor]
     spec: NetworkSpec
-    in_dim: int
-    out_dim: int
     meta: dict = field(default_factory=dict)
     adam: dict = field(default_factory=dict)
 
+    @property
+    def in_dim(self) -> int:
+        return self.weights[0].shape[0]
+
+    @property
+    def out_dim(self) -> int:
+        return self.weights[-1].shape[1]
+
     @classmethod
-    def init(cls, in_dim, out_dim, spec: NetworkSpec, stream: RngStream,
-             hyper=None, meta=None) -> "ModelParams":
-        """Fan-in scaled uniform weights, zero biases, fresh Adam state."""
+    def init(cls, meta: dict, hidden, stream: RngStream, hyper=None) -> "ModelParams":
+        """A net in meta's layout and its role's head: fan-in scaled weights, fresh Adam state."""
+        spec = NetworkSpec(hidden, ROLE_HEADS[meta["role"]])
         spec.validate()
-        dims = _layer_dims(in_dim, out_dim, spec, meta or {})
+        dims = layer_dims(meta, spec.hidden)
+        extra = dims[-1][0] - int(spec.hidden[-1])  # fcgan's widened hidden fan-ins
+        meta = dict(meta, hidden_extra=extra) if extra else dict(meta)
         weights, biases = [], []
-        for i, (fan_in, fan_out) in enumerate(dims):
+        for fan_in, fan_out in dims:
             bound = 1.0 / math.sqrt(fan_in)
             weights.append(Tensor(stream.uniform(-bound, bound, (fan_in, fan_out))))
             biases.append(Tensor(np.zeros(fan_out)))
-        mp = cls(weights, biases, spec, in_dim, out_dim, dict(meta or {}))
-        hyper = hyper or {}
+        mp = cls(weights, biases, spec, meta)
         for name, t in mp.named().items():
-            mp.adam[name] = AdamState.fresh(t.shape, **hyper)
+            mp.adam[name] = AdamState.fresh(t.shape, **(hyper or {}))
         return mp
 
     def named(self) -> dict:
@@ -123,17 +155,6 @@ class ModelParams:
             st.v[...] = arrays[f"adam.v:{name}"]
 
 
-def _layer_dims(in_dim, out_dim, spec: NetworkSpec, meta: dict):
-    """(fan_in, fan_out) per layer; fan_in grows where a condition joins."""
-    extra = int(meta.get("hidden_extra", 0))
-    dims, cur = [], in_dim
-    for w in spec.hidden:
-        dims.append((cur, int(w)))
-        cur = int(w) + extra
-    dims.append((cur, out_dim))
-    return dims
-
-
 def _apply_grads(params: ModelParams):
     """One Adam step on every parameter that received a gradient; clears it."""
     for name, t in params.named().items():
@@ -152,7 +173,7 @@ def _dense_stack(x: Tensor, params: ModelParams, append=None, projected=False) -
         if i > 0 or not projected:
             h = matmul(h, params.weights[i])
         h = h + params.biases[i]
-        h = activation(h, params.spec.activation, params.spec.alpha)
+        h = activation(h, "leaky_relu")
         if append is not None:
             h = append(h)
     return matmul(h, params.weights[-1]) + params.biases[-1]
@@ -178,38 +199,22 @@ def _flatten_rows(x: Tensor) -> Tensor:
 
 def build_generator(image_shape, cond_dim, noise_dim, spec: NetworkSpec,
                     stream: RngStream, hyper=None) -> ModelParams:
-    h, w, d = image_shape
-    meta = {"role": "generator", "image_shape": [h, w, d], "cond_dim": int(cond_dim),
+    meta = {"role": "generator", "image_shape": list(image_shape), "cond_dim": int(cond_dim),
             "noise_dim": int(noise_dim)}
-    spec = NetworkSpec(spec.hidden, spec.activation, spec.alpha, "linear")
-    return ModelParams.init(noise_dim + cond_dim, h * w * d, spec, stream, hyper, meta)
+    return ModelParams.init(meta, spec.hidden, stream, hyper)
 
 
 def build_discriminator(image_shape, cond_dim, spec: NetworkSpec, variant: Variant,
                         stream: RngStream, hyper=None) -> ModelParams:
-    h, w, d = image_shape
-    variant = Variant(variant)
-    m = int(cond_dim)
-    if variant in (Variant.CGAN, Variant.FCGAN):
-        in_dim = h * w * (d + m)
-    elif variant is Variant.SBP:
-        in_dim = h * w * (d * m)
-    else:
-        in_dim = h * w * d
-    meta = {"role": "discriminator", "image_shape": [h, w, d], "cond_dim": m,
-            "variant": variant.value}
-    if variant is Variant.FCGAN:
-        meta["hidden_extra"] = m
-    spec = NetworkSpec(spec.hidden, spec.activation, spec.alpha, "sigmoid_scalar")
-    return ModelParams.init(in_dim, 1, spec, stream, hyper, meta)
+    meta = {"role": "discriminator", "image_shape": list(image_shape), "cond_dim": int(cond_dim),
+            "variant": Variant(variant).value}
+    return ModelParams.init(meta, spec.hidden, stream, hyper)
 
 
 def build_approximator(image_shape, cond_dim, spec: NetworkSpec,
                        stream: RngStream, hyper=None) -> ModelParams:
-    h, w, d = image_shape
-    meta = {"role": "approximator", "image_shape": [h, w, d], "cond_dim": int(cond_dim)}
-    spec = NetworkSpec(spec.hidden, spec.activation, spec.alpha, "softmax")
-    return ModelParams.init(h * w * d, int(cond_dim), spec, stream, hyper, meta)
+    meta = {"role": "approximator", "image_shape": list(image_shape), "cond_dim": int(cond_dim)}
+    return ModelParams.init(meta, spec.hidden, stream, hyper)
 
 
 # ----------------------------------------------------------------------

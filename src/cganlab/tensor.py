@@ -44,7 +44,8 @@ LOG_FLOOR = 1e-12
 _SIG_LO = np.nextafter(0.0, 1.0)
 _SIG_HI = np.nextafter(1.0, 0.0)
 
-ACTIVATION_KINDS = ("relu", "leaky_relu", "sigmoid", "tanh")
+# negative-side slope of leaky_relu, the hidden activation of every network
+LEAKY_SLOPE = 0.2
 
 # False inside no_grad(); a context variable, so one thread's inference
 # never strips the graph another thread is building.
@@ -284,26 +285,18 @@ def matmul(a, b) -> Tensor:
     return Tensor(a.data @ b.data, (a, b), "matmul", back)
 
 
-def activation(x, kind: str, alpha: float = 0.2) -> Tensor:
-    """Elementwise nonlinearity: relu, leaky_relu(alpha), sigmoid, or tanh."""
+def activation(x, kind: str) -> Tensor:
+    """Elementwise nonlinearity: leaky_relu (slope LEAKY_SLOPE), sigmoid, or tanh."""
     x = Tensor._coerce(x)
-    if kind == "relu":
-        y = np.maximum(x.data, 0.0)
-
-        def back(g, a=x, d=x.data):
-            _accum(a, g * (d > 0))
-
-    elif kind == "leaky_relu":
-        if not (0.0 < alpha < 1.0):
-            raise ConfigError(f"leaky_relu alpha must be in (0,1), got {alpha}")
-        # max(x, alpha*x) is exactly x for x > 0 and alpha*x otherwise when
-        # 0 < alpha < 1, signed zeros included; g*1.0 is exactly g. Each
+    if kind == "leaky_relu":
+        # max(x, slope*x) is exactly x for x > 0 and slope*x otherwise when
+        # 0 < slope < 1, signed zeros included; g*1.0 is exactly g. Each
         # direction writes its result into its one full-size temporary.
-        y = alpha * x.data
+        y = LEAKY_SLOPE * x.data
         np.maximum(x.data, y, out=y)
 
-        def back(g, a=x, d=x.data, al=alpha):
-            slope = np.where(d > 0, 1.0, al)
+        def back(g, a=x, d=x.data):
+            slope = np.where(d > 0, 1.0, LEAKY_SLOPE)
             _accum(a, np.multiply(g, slope, out=slope))
 
     elif kind == "sigmoid":
@@ -322,7 +315,7 @@ def activation(x, kind: str, alpha: float = 0.2) -> Tensor:
             _accum(a, g * (1.0 - t * t))
 
     else:
-        raise ConfigError(f"unknown activation kind {kind!r}; expected one of {ACTIVATION_KINDS}")
+        raise ConfigError(f"unknown activation kind {kind!r}; expected leaky_relu, sigmoid or tanh")
     return Tensor(y, (x,), kind, back)
 
 
@@ -439,10 +432,10 @@ class AdamState:
     step: int
     m: np.ndarray
     v: np.ndarray
-    lr: float = 2e-4
-    beta1: float = 0.5
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    lr: float
+    beta1: float
+    beta2: float
+    epsilon: float
 
     @classmethod
     def fresh(cls, shape, lr=2e-4, beta1=0.5, beta2=0.999, epsilon=1e-8) -> "AdamState":

@@ -217,7 +217,7 @@ def train_step(x_real, c_real, g: ModelParams, d: ModelParams, q, cfg: TrainConf
 def build_models(cfg: TrainConfig, image_shape, cond_dim, root: RngStream):
     """Fresh G and D for a dataset; G's architecture ignores the variant.
 
-    Both take NetworkSpec's hidden activation and AdamState.fresh's betas and
+    Both take the fixed hidden activation and AdamState.fresh's betas and
     epsilon; only the learning rate comes from cfg.
     """
     hyper = {"lr": cfg.lr}

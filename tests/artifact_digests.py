@@ -6,8 +6,9 @@ Run from anywhere, naming the tree whose `src/` to run:
 
 On mixture-3x2 and tiny-digits-3 it runs `pretrain-q --steps 200 --seed 3`,
 `train` of all four variants with `--seed 7` (300 steps on mixture-3x2, 150
-on tiny-digits-3; irgan uses that Q), and one `eval --seed 5
---samples-per-condition 400` of the four generators in each sigma mode. Every
+on tiny-digits-3; irgan uses that Q), one `eval --seed 5
+--samples-per-condition 400` of the four generators in each sigma mode, and
+`sample --condition 1 --count 16 --seed 3` of the sbp generator. Every
 command is a fresh `python -m cganlab.cli` process with PYTHONPATH=TREE/src
 and OPENBLAS_NUM_THREADS=1. It prints one JSON object mapping each artifact,
 as `dataset/run/file`, to its SHA-256; `log.csv` is hashed without its
@@ -39,6 +40,8 @@ def commands(dataset: str, steps: int):
     for mode in ("per_condition", "global"):
         runs.append((f"eval-{mode}", ["eval", *gens, *ds, "--seed", "5",
                                       "--samples-per-condition", "400", "--sigma-mode", mode]))
+    runs.append(("sample", ["sample", "--g-checkpoint", "{train-sbp}/g.ckpt", "--condition", "1",
+                            "--count", "16", "--seed", "3"]))
     return runs
 
 
@@ -63,7 +66,7 @@ def main(tree: Path) -> dict:
                 if r.returncode != 0:
                     sys.exit(f"cganlab {' '.join(args)} exited {r.returncode}:\n{r.stderr}")
                 for p in sorted(dirs[run].iterdir()):
-                    if p.suffix in (".ckpt", ".csv", ".txt"):
+                    if p.suffix in (".ckpt", ".csv", ".txt", ".bin", ".pgm", ".ppm"):
                         digests[f"{dataset}/{run}/{p.name}"] = digest(p)
     return digests
 

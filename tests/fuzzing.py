@@ -14,7 +14,7 @@ import numpy as np
 
 from cganlab.checkpoint import MAGIC, VERSION, save_model
 from cganlab.data import CIFAR_RECORD_LEN, IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
-from cganlab.models import NetworkSpec, build_generator
+from cganlab.models import NetworkSpec, build_discriminator, build_generator
 from cganlab.rng import RngStream
 
 
@@ -129,12 +129,18 @@ def container_bytes(header, payload=b""):
     return MAGIC + struct.pack("<IQ", VERSION, len(blob)) + blob + payload
 
 
-def valid_model_container():
-    """(header, payload) of a small generator checkpoint written by save_model."""
-    g = build_generator((2, 2, 1), 3, 4, NetworkSpec([5]), RngStream(1, ("fuzz",)))
+def valid_model_container(variant=None):
+    """(header, payload) of a small checkpoint written by save_model.
+
+    A generator, or with variant a discriminator of that variant.
+    """
+    if variant is None:
+        net = build_generator((2, 2, 1), 3, 4, NetworkSpec([5]), RngStream(1, ("fuzz",)))
+    else:
+        net = build_discriminator((2, 2, 1), 3, NetworkSpec([5]), variant, RngStream(1, ("fuzz",)))
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "g.ckpt"
-        save_model(path, g, extra={"name": "gen", "train_step": 0})
+        path = Path(tmp) / "net.ckpt"
+        save_model(path, net, extra={"name": "net", "train_step": 0})
         raw = path.read_bytes()
     hlen = struct.unpack_from("<Q", raw, 12)[0]
     return json.loads(raw[20:20 + hlen]), raw[20 + hlen:]
@@ -145,7 +151,10 @@ def container_fuzz_cases():
 
     Cases of layer "container" break the container schema, which
     read_container must reject; cases of layer "model" are valid containers
-    whose model header load_model must reject.
+    whose model header load_model must reject. The cases from
+    "generator-noise-dim-plus-one" on keep every array shape their header
+    states, so only a header field that disagrees with the layout the role
+    fields imply can reject them.
     """
     def entries(*arrays):
         return {"version": VERSION, "meta": {}, "arrays": list(arrays)}
@@ -168,9 +177,10 @@ def container_fuzz_cases():
     container("empty-with-huge-dims", entries({"name": "a", "shape": [0, 2 ** 62, 2 ** 62]}))
     container("duplicate-name", entries({"name": "a", "shape": [1]}, {"name": "a", "shape": [1]}),
               f8 * 2)
-    header, payload = valid_model_container()
+    bases = {v: valid_model_container(v) for v in (None, "cgan", "fcgan")}
 
-    def model(name, mutate):
+    def model(name, mutate, base=None):
+        header, payload = bases[base]
         h = copy.deepcopy(header)
         mutate(h["meta"], h["arrays"])
         cases.append((name, "model", container_bytes(h, payload)))
@@ -188,4 +198,13 @@ def container_fuzz_cases():
     model("hyper-beta1-one", lambda m, a: m["hyper"].update(beta1=1.0))
     model("adam-steps-list", lambda m, a: m.update(adam_steps=[1]))
     model("missing-bias", lambda m, a: a[[e["name"] for e in a].index("l0.b")].update(name="l9.b"))
+    model("generator-noise-dim-plus-one",
+          lambda m, a: m["model"].update(noise_dim=m["model"]["noise_dim"] + 1))
+    model("image-shape-of-another-size", lambda m, a: m["model"].update(image_shape=[3, 2, 1]))
+    model("spec-activation-tanh", lambda m, a: m["spec"].update(activation="tanh"))
+    model("spec-activation-relu", lambda m, a: m["spec"].update(activation="relu"))
+    model("spec-alpha-half", lambda m, a: m["spec"].update(alpha=0.5))
+    model("generator-softmax-head", lambda m, a: m["spec"].update(head="softmax"))
+    model("cgan-with-hidden-extra", lambda m, a: m["model"].update(variant="cgan"), "fcgan")
+    model("fcgan-without-hidden-extra", lambda m, a: m["model"].update(variant="fcgan"), "cgan")
     return cases

@@ -3,7 +3,8 @@ import pytest
 
 from cganlab.checkpoint import MAGIC, load_model, read_container, save_model, write_container
 from cganlab.errors import ParseError
-from cganlab.models import NetworkSpec, build_generator
+from cganlab.models import (NetworkSpec, build_approximator, build_discriminator,
+                            build_generator, layer_dims)
 from cganlab.rng import RngStream
 from cganlab.tensor import adam_step
 
@@ -95,6 +96,25 @@ def test_model_round_trip_with_optimizer_state(tmp_path):
         np.testing.assert_array_equal(st2.v, st.v)
         assert (st2.lr, st2.beta1, st2.beta2, st2.epsilon) \
             == (st.lr, st.beta1, st.beta2, st.epsilon)
+
+
+@pytest.mark.parametrize("net", ["generator", "approximator", "cgan", "fcgan", "sbp", "irgan"])
+def test_model_save_load_save_is_byte_identical(tmp_path, net):
+    shape, m, spec, stream = (3, 2, 2), 4, NetworkSpec([6, 5]), RngStream(2, (net,))
+    if net == "generator":
+        params = build_generator(shape, m, 7, spec, stream)
+    elif net == "approximator":
+        params = build_approximator(shape, m, spec, stream)
+    else:
+        params = build_discriminator(shape, m, spec, net, stream)
+    # the layout the builder made is the one layer_dims derives from its meta
+    assert [w.shape for w in params.weights] == layer_dims(params.meta, spec.hidden)
+    assert (params.in_dim, params.out_dim) == (params.weights[0].shape[0],
+                                               params.weights[-1].shape[1])
+    save_model(tmp_path / "a.ckpt", params, extra={"name": net})
+    loaded, _ = load_model(tmp_path / "a.ckpt")
+    save_model(tmp_path / "b.ckpt", loaded, extra={"name": net})
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
 def test_load_model_rejects_non_model_container(tmp_path):

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from cganlab.checkpoint import load_model, read_container, write_container
 from cganlab.cli import main
+from cganlab.data import render_digits_idx
 
 
 @pytest.fixture
@@ -72,6 +73,23 @@ def test_irgan_without_q_checkpoint_exits_2(runner, tmp_path):
     assert "q-checkpoint" in result.stderr
 
 
+@pytest.mark.parametrize("which", ["q-of-another-dataset", "generator"])
+def test_q_checkpoint_must_fit_the_dataset(runner, trained_dir, tmp_path, which):
+    if which == "generator":
+        q, dataset = trained_dir / "g.ckpt", "mixture-3x2"
+    else:
+        run_ok(runner, ["pretrain-q", "--dataset", "mixture-3x2", "--steps", "0",
+                        "--out", str(tmp_path / "q")])
+        q, dataset = tmp_path / "q" / "q.ckpt", "tiny-digits-3"
+    result = runner.invoke(main, ["train", "--variant", "irgan", "--dataset", dataset,
+                                  "--steps", "1", "--q-checkpoint", str(q),
+                                  "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("config error: ")
+    assert "step 1/" not in result.stderr
+    assert not (tmp_path / "o" / "g.ckpt").exists()
+
+
 def test_lambda_rejected_for_non_irgan(runner, tmp_path):
     result = runner.invoke(main, ["train", "--variant", "cgan", "--dataset", "mixture-3x2",
                                   "--steps", "1", "--lambda", "0.7", "--out", str(tmp_path / "o")])
@@ -106,14 +124,37 @@ def test_train_determinism_and_rerun(runner, tmp_path):
     assert (tmp_path / "r1" / "g.ckpt").read_bytes() == (tmp_path / "r3" / "g.ckpt").read_bytes()
 
 
+def _without_steps(resolved):
+    del resolved["steps"]
+    return "steps"
+
+
+def _steps_many(resolved):
+    resolved["steps"] = "many"
+    return "steps"
+
+
+def _variant_wgan(resolved):
+    resolved["variant"] = "wgan"
+    return "variant"
+
+
 @pytest.mark.parametrize("doc", [[1, 2], {"command": "train"},
-                                 {"command": "train", "resolved": "steps=3"}])
-def test_rerun_bad_manifest_is_data_error(runner, tmp_path, doc):
+                                 {"command": "train", "resolved": "steps=3"},
+                                 _without_steps, _steps_many, _variant_wgan])
+def test_rerun_bad_manifest_is_data_error(runner, trained_dir, tmp_path, doc):
+    key = None
+    if callable(doc):  # a change to the settings of a manifest that train wrote
+        mutate, doc = doc, json.loads((trained_dir / "manifest.json").read_text())
+        key = mutate(doc["resolved"])
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(doc))
     result = runner.invoke(main, ["rerun", str(path), "--out", str(tmp_path / "o")])
     assert result.exit_code == 3
     assert result.stderr.startswith("data error: ")
+    if key is not None:
+        assert f"'{key}'" in result.stderr
+    assert not (tmp_path / "o" / "g.ckpt").exists()
 
 
 def test_rerun_checks_the_dataset_checksum(runner, trained_dir, tmp_path):
@@ -290,6 +331,49 @@ def test_resume_needs_the_earlier_manifest(runner, trained_dir, tmp_path):
         assert result.stderr.startswith("data error: ")
         assert "manifest" in result.stderr
         assert not (tmp_path / "o" / "g.ckpt").exists()
+
+
+def test_resume_refuses_another_dataset(runner, trained_dir, tmp_path):
+    # a tiny-digits-3 run continued on tiny-mnist-3, here a rendered corpus
+    mnist = tmp_path / "mnist"
+    images, labels = render_digits_idx(mnist, count_per_label=800)
+    images.rename(mnist / "train-images-idx3-ubyte")
+    labels.rename(mnist / "train-labels-idx1-ubyte")
+    base = ["train", "--variant", "cgan", "--batch-size", "32", "--seed", "2"]
+    run_ok(runner, base + ["--dataset", "tiny-digits-3", "--steps", "2",
+                           "--out", str(tmp_path / "digits")])
+    result = runner.invoke(main, base + ["--dataset", "tiny-mnist-3", "--data-dir", str(mnist),
+                                         "--steps", "4", "--resume", str(tmp_path / "digits"),
+                                         "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("config error: --dataset tiny-mnist-3 differs from "
+                                    "tiny-digits-3")
+    assert not (tmp_path / "o" / "g.ckpt").exists()
+    # a mixture-3x2 run, with its own settings given as flags, continued on tiny-digits-3
+    result = runner.invoke(main, ["train", "--variant", "sbp", "--dataset", "tiny-digits-3",
+                                  *TRAIN_FAST, "--lr", "1.5e-3", "--noise-dim", "8",
+                                  "--g-hidden", "64,64", "--d-hidden", "64,64", "--steps", "22",
+                                  "--resume", str(trained_dir), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("config error: --dataset tiny-digits-3 differs from "
+                                    "mixture-3x2")
+    assert not (tmp_path / "o" / "g.ckpt").exists()
+
+
+def test_resume_checks_the_dataset_checksum(runner, trained_dir, tmp_path):
+    half = tmp_path / "half"
+    half.mkdir()
+    for name in ("g.ckpt", "d.ckpt", "log.csv"):
+        (half / name).write_bytes((trained_dir / name).read_bytes())
+    doc = json.loads((trained_dir / "manifest.json").read_text())
+    doc["dataset"]["checksum"] = "0" * 64
+    (half / "manifest.json").write_text(json.dumps(doc))
+    result = runner.invoke(main, ["train", "--variant", "sbp", "--dataset", "mixture-3x2",
+                                  *TRAIN_FAST, "--steps", "22", "--resume", str(half),
+                                  "--out", str(tmp_path / "o")])
+    assert result.exit_code == 3, result.output
+    assert result.stderr.startswith("data error: ") and "0" * 64 in result.stderr
+    assert not (tmp_path / "o" / "g.ckpt").exists()
 
 
 def test_resume_refuses_other_lambda(runner, tmp_path):
@@ -494,6 +578,27 @@ def test_sample_condition_out_of_range(runner, trained_dir, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("field,value", [("noise_dim", 9), ("image_shape", [2, 1, 2]),
+                                         ("activation", "tanh"), ("alpha", 0.5)])
+def test_sample_refuses_a_header_that_disagrees_with_its_layout(runner, trained_dir, tmp_path,
+                                                                field, value):
+    meta, arrays = read_container(trained_dir / "g.ckpt")
+    (meta["spec"] if field in ("activation", "alpha") else meta["model"])[field] = value
+    write_container(tmp_path / "g.ckpt", meta, arrays)
+    result = runner.invoke(main, ["sample", "--g-checkpoint", str(tmp_path / "g.ckpt"),
+                                  "--condition", "0", "--out", str(tmp_path / "o")])
+    assert result.exit_code == 3, result.output
+    assert result.stderr.startswith("data error: ")
+    assert not (tmp_path / "o" / "samples.bin").exists()
+
+
+def test_sample_refuses_another_role(runner, trained_dir, tmp_path):
+    result = runner.invoke(main, ["sample", "--g-checkpoint", str(trained_dir / "d.ckpt"),
+                                  "--condition", "0", "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("config error: ") and "discriminator" in result.stderr
+
+
 def test_sample_deterministic(runner, trained_dir, tmp_path):
     args = ["sample", "--g-checkpoint", str(trained_dir / "g.ckpt"), "--condition", "0",
             "--count", "4", "--seed", "6"]
@@ -528,6 +633,16 @@ def test_config_file_unknown_key(runner, tmp_path):
                                   "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert result.exit_code == 2
     assert "bogus_knob" in result.stderr
+
+
+@pytest.mark.parametrize("line,key", [("steps = many", "steps"), ("lr = [1]", "lr")])
+def test_config_file_malformed_value(runner, tmp_path, line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    result = runner.invoke(main, ["train", "--variant", "sbp", "--dataset", "mixture-3x2",
+                                  "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("config error: ") and f"'{key}'" in result.stderr
 
 
 def test_internal_failure_exits_1(runner, trained_dir, tmp_path):
