@@ -2,7 +2,9 @@
 
 Subcommands: pretrain-q, train, eval, sample, rerun. Every run writes a
 manifest.json holding the fully resolved configuration, dataset checksums,
-seed and artifact paths, so the run can be reproduced (see `rerun`).
+seed and artifact paths. `read_manifest` alone reads one back: `rerun`
+repeats the run it records, and `train --resume DIR` continues the run in
+DIR, where only --steps and --checkpoint-every may differ from its settings.
 
 Conventions: progress goes to stderr; the only stdout output is one final
 JSON line per command. Exit codes: 0 success, 2 configuration or usage
@@ -94,9 +96,8 @@ def load_dataset(name, data_dir=None, checksum=None):
     if name not in DATA_SEEDS:
         raise ConfigError(f"unknown dataset {name!r}; expected one of {DATASET_NAMES}")
     seed = DATA_SEEDS[name]
-    oracle = None
     if name == "mixture-3x2":
-        train_ds, valid_ds, test_ds, oracle = datamod.mixture_3x2(seed)
+        train_ds, valid_ds, test_ds, _ = datamod.mixture_3x2(seed)
         label_names = ["0", "1", "2"]
     elif name == "tiny-digits-3":
         if data_dir:
@@ -131,7 +132,7 @@ def load_dataset(name, data_dir=None, checksum=None):
         raise DataError(f"dataset {name!r} has checksum {found!r}, "
                         f"but the manifest recorded {checksum!r}")
     return {"name": name, "train": train_ds, "valid": valid_ds, "test": test_ds,
-            "oracle": oracle, "label_names": label_names, "checksum": found}
+            "label_names": label_names, "checksum": found}
 
 
 # ----------------------------------------------------------------------
@@ -221,20 +222,40 @@ def command_defaults(command: str, dataset: str) -> dict:
     return {**BASE_DEFAULTS, **TRAIN_DEFAULTS[dataset], **dict.fromkeys(COMMAND_KEYS[command])}
 
 
-def manifest_settings(doc: dict, source) -> dict:
-    """The typed settings a manifest records for its command; DataError names a bad one."""
+def read_manifest(path, command=None) -> dict:
+    """The manifest at path, its `resolved` settings typed; DataError names any fault.
+
+    With `command`, it must record a run of that command. A manifest of any
+    command but sample must record the name and checksum of its dataset.
+    """
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as e:
+        raise DataError(f"cannot read manifest {path}: {e}") from None
+    except ValueError as e:
+        raise DataError(f"manifest {path} is not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"manifest {path} is not a JSON object")
+    expected = (command,) if command else tuple(COMMAND_KEYS)
+    if doc.get("command") not in expected:
+        raise DataError(f"manifest {path} records command {doc.get('command')!r}; "
+                        f"expected one of {expected}")
     resolved = doc.get("resolved")
     if not isinstance(resolved, dict):
-        raise DataError(f"manifest {source} has no 'resolved' object")
-    command = doc.get("command")
-    if command == "sample":
-        keys = COMMAND_KEYS[command]
+        raise DataError(f"manifest {path} has no 'resolved' object")
+    if doc["command"] == "sample":
+        keys = COMMAND_KEYS["sample"]
     elif resolved.get("dataset") in TRAIN_DEFAULTS:
-        keys = ("dataset", *command_defaults(command, resolved["dataset"]))
+        keys = ("dataset", *command_defaults(doc["command"], resolved["dataset"]))
+        dataset = doc.get("dataset")
+        if not (isinstance(dataset, dict) and dataset.get("name") == resolved["dataset"]
+                and isinstance(dataset.get("checksum"), str) and dataset["checksum"]):
+            raise DataError(f"manifest {path} records no name and checksum of its dataset "
+                            f"{resolved['dataset']!r}")
     else:
-        raise DataError(f"manifest {source} records dataset {resolved.get('dataset')!r}; "
+        raise DataError(f"manifest {path} records dataset {resolved.get('dataset')!r}; "
                         f"expected one of {DATASET_NAMES}")
-    return typed_settings(resolved, keys, DataError, f"manifest {source}")
+    return dict(doc, resolved=typed_settings(resolved, keys, DataError, f"manifest {path}"))
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -400,28 +421,6 @@ def _train_config(res: dict) -> TrainConfig:
         d_hidden=parse_widths(res["d_hidden"]), checkpoint_every=res["checkpoint_every"])
 
 
-def _recorded_run(rdir: Path) -> tuple:
-    """The TrainConfig and the dataset that rdir/manifest.json records; DataError if it does not."""
-    path = rdir / "manifest.json"
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as e:
-        raise DataError(f"cannot read the manifest of the run to resume: {e}") from None
-    except ValueError as e:
-        raise DataError(f"{path} is not valid JSON: {e}") from None
-    if not isinstance(doc, dict) or doc.get("command") != "train":
-        raise DataError(f"{path} does not record a train run")
-    res = manifest_settings(doc, path)
-    dataset = doc.get("dataset")
-    if not (isinstance(dataset, dict) and isinstance(dataset.get("name"), str)
-            and isinstance(dataset.get("checksum"), str)):
-        raise DataError(f"{path} records no dataset name and checksum")
-    try:
-        return _train_config(res), dataset
-    except ConfigError as e:
-        raise DataError(f"{path} does not record a train configuration: {e}") from None
-
-
 def load_fitting_model(path, role: str, info=None) -> tuple:
     """load_model of a checkpoint that a flag names as a `role` for the dataset `info`.
 
@@ -442,11 +441,26 @@ def load_fitting_model(path, role: str, info=None) -> tuple:
     return params, meta
 
 
-def _refuse_changed(settings, source: str):
-    """ConfigError for the first (flag, asked, found) whose asked value differs."""
-    for flag, asked, found in settings:
-        if asked != found:
-            raise ConfigError(f"--{flag} {asked} differs from {found}, which {source}")
+def _resumed_model(path, role: str, info, was: TrainConfig) -> tuple:
+    """load_fitting_model of a checkpoint of the run `was`; DataError if it is not one."""
+    try:
+        params, meta = load_fitting_model(path, role, info)
+    except ConfigError as e:
+        raise DataError(str(e)) from None
+    want = {"noise_dim": was.noise_dim} if role == "generator" else {"variant": was.variant.value}
+    want.update(hidden=was.g_hidden if role == "generator" else was.d_hidden, lr=was.lr,
+                seed=was.seed)
+    have = dict(params.meta, hidden=params.spec.hidden, lr=meta["hyper"]["lr"],
+                seed=meta.get("seed"))
+    for key, value in want.items():
+        if have[key] != value:
+            raise DataError(f"{path} holds a {role} with {key} {have[key]!r}, but the manifest "
+                            f"beside it records {value!r}")
+    return params, meta
+
+
+# the names of the train flags that set a TrainConfig field of another name
+TRAIN_FLAGS = {"d_steps_per_g_step": "d-steps", "lam": "lambda", "generator_loss_mode": "loss-mode"}
 
 
 def do_train(res: dict, out_dir: Path, checksum=None) -> dict:
@@ -454,53 +468,51 @@ def do_train(res: dict, out_dir: Path, checksum=None) -> dict:
     cfg = _train_config(res)
     variant = cfg.variant
     cfg.validate()
+    if variant is Variant.IRGAN and not res.get("q_checkpoint"):
+        raise ConfigError("--q-checkpoint is required for the irgan variant")
+    if variant is not Variant.IRGAN and res.get("q_checkpoint"):
+        raise ConfigError(f"--q-checkpoint is only meaningful for irgan, not {variant.value}")
+    rdir = Path(res["resume"]) if res.get("resume") else None
+    if rdir:
+        # a resume continues the recorded run; only its length and checkpointing may change
+        manifest = rdir / "manifest.json"
+        recorded = read_manifest(manifest, "train")
+        try:
+            was = _train_config(recorded["resolved"])
+            was.validate()
+        except ConfigError as e:
+            raise DataError(f"manifest {manifest}: {e}") from None
+        asked, found = ({"dataset": r["dataset"], **vars(c), "q_checkpoint": r.get("q_checkpoint")}
+                        for r, c in ((res, cfg), (recorded["resolved"], was)))
+        for key, value in asked.items():
+            if key not in ("total_steps", "checkpoint_every") and value != found[key]:
+                flag = TRAIN_FLAGS.get(key, key.replace("_", "-"))
+                raise ConfigError(f"--{flag} {getattr(value, 'value', value)} differs from "
+                                  f"{getattr(found[key], 'value', found[key])}, which the run "
+                                  f"in {rdir} was trained with")
+        if checksum and checksum != recorded["dataset"]["checksum"]:
+            raise DataError(f"the manifest records dataset checksum {checksum!r}, but the run "
+                            f"in {rdir} was trained on {recorded['dataset']['checksum']!r}")
+        checksum = recorded["dataset"]["checksum"]
+    info = load_dataset(res["dataset"], res.get("data_dir"), checksum)
+    q_params = None
+    if variant is Variant.IRGAN:
+        q_params, _ = load_fitting_model(res["q_checkpoint"], "approximator", info)
     g = d = None
     start_step = 0
     earlier = TrainLog()
-    if res.get("resume"):
-        rdir = Path(res["resume"])
-        g, gmeta = load_model(rdir / "g.ckpt")
-        d, dmeta = load_model(rdir / "d.ckpt")
-        if g.meta["role"] != "generator" or d.meta["role"] != "discriminator":
-            raise DataError(f"{rdir} must hold a generator g.ckpt and a discriminator d.ckpt")
+    if rdir:
+        g, gmeta = _resumed_model(rdir / "g.ckpt", "generator", info, was)
+        d, _ = _resumed_model(rdir / "d.ckpt", "discriminator", info, was)
         start_step = gmeta.get("train_step", 0)
         if not isinstance(start_step, int) or isinstance(start_step, bool) or start_step < 0:
             raise DataError(f"{rdir / 'g.ckpt'} records train_step {start_step!r}, "
                             f"not a non-negative int")
-        if d.meta.get("variant") != variant.value:
-            raise ConfigError(f"cannot resume {d.meta.get('variant')!r} run in {rdir} "
-                              f"as variant {variant.value!r}")
         if cfg.total_steps < start_step:
             raise ConfigError(f"--steps {cfg.total_steps} is below the {start_step} steps "
                               f"already trained in {rdir}")
-        # the earlier run fixes these, so a different value would be a false label
-        _refuse_changed((("lr", cfg.lr, gmeta["hyper"]["lr"]),
-                         ("lr", cfg.lr, dmeta["hyper"]["lr"]),
-                         ("noise-dim", cfg.noise_dim, g.meta["noise_dim"]),
-                         ("g-hidden", cfg.g_hidden, g.spec.hidden),
-                         ("d-hidden", cfg.d_hidden, d.spec.hidden)),
-                        f"the checkpoints in {rdir} were trained with")
         earlier = TrainLog.read(rdir / "log.csv", start_step)
-        was, dataset = _recorded_run(rdir)
-        _refuse_changed((("dataset", res["dataset"], dataset["name"]),
-                         ("seed", cfg.seed, gmeta.get("seed")),
-                         ("batch-size", cfg.batch_size, was.batch_size),
-                         ("d-steps", cfg.d_steps_per_g_step, was.d_steps_per_g_step),
-                         ("loss-mode", cfg.generator_loss_mode, was.generator_loss_mode),
-                         ("lambda", cfg.lam, was.lam)),
-                        f"the run in {rdir} was trained with")
-        if checksum and checksum != dataset["checksum"]:
-            raise DataError(f"the manifest records dataset checksum {checksum!r}, but the run "
-                            f"in {rdir} was trained on {dataset['checksum']!r}")
-        checksum = dataset["checksum"]
-    info = load_dataset(res["dataset"], res.get("data_dir"), checksum)
-    q_params = None
-    if variant is Variant.IRGAN:
-        if not res.get("q_checkpoint"):
-            raise ConfigError("--q-checkpoint is required for the irgan variant")
-        q_params, _ = load_fitting_model(res["q_checkpoint"], "approximator", info)
-    if res.get("resume"):
-        _progress(f"resuming from {res['resume']} at step {start_step}")
+        _progress(f"resuming from {rdir} at step {start_step}")
     every = max(1, cfg.total_steps // 20) if cfg.total_steps else 1
 
     def progress(rec):
@@ -593,9 +605,6 @@ def do_sample(res: dict, out_dir: Path) -> dict:
     t0 = time.perf_counter()
     params, meta = load_fitting_model(res["g_checkpoint"], "generator")
     condition, count = res["condition"], res["count"]
-    m = params.meta["cond_dim"]
-    if not 0 <= condition < m:
-        raise ConfigError(f"condition index {condition} out of range 0..{m - 1}")
     if count < 1:
         raise ConfigError(f"count must be positive, got {count}")
     stream = RngStream(res["seed"], ("sample",))
@@ -717,30 +726,20 @@ def cmd_sample(out, **flags):
 def cmd_rerun(manifest, out):
     """Repeat a recorded run from its manifest into a new output directory.
 
-    The dataset must still have the checksum the manifest recorded. A tool
-    version or build that differs from the recorded one is a warning.
+    Any fault of the manifest, a setting the command refuses included, is a
+    data error, and the dataset must still have the checksum the manifest
+    recorded. A tool version or build that differs from it is a warning.
     """
-    p = Path(manifest)
-    if not p.is_file():
-        raise DataError(f"manifest not found: {p}")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
-        raise DataError(f"manifest is not valid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise DataError(f"manifest {p} is not a JSON object")
-    command = doc.get("command")
-    impl = {"pretrain-q": do_pretrain_q, "train": do_train, "eval": do_eval,
-            "sample": do_sample}.get(command)
-    if impl is None:
-        raise ConfigError(f"manifest records unknown command {command!r}")
-    res = manifest_settings(doc, p)
+    doc = read_manifest(manifest)
     for line in build_differences(doc):
         _progress(f"warning: {line}; the results may differ in their bits")
-    dataset = doc.get("dataset")
-    if isinstance(dataset, dict) and dataset.get("checksum") and impl is not do_sample:
-        impl = functools.partial(impl, checksum=dataset["checksum"])
-    summary = impl(res, _out_dir(out))
+    impl = {"pretrain-q": do_pretrain_q, "train": do_train, "eval": do_eval,
+            "sample": do_sample}[doc["command"]]
+    checksum = () if impl is do_sample else (doc["dataset"]["checksum"],)
+    try:
+        summary = impl(doc["resolved"], _out_dir(out), *checksum)
+    except ConfigError as e:
+        raise DataError(f"manifest {manifest}: {e}") from None
     _emit(summary)
 
 

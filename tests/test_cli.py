@@ -96,6 +96,15 @@ def test_lambda_rejected_for_non_irgan(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_q_checkpoint_rejected_for_non_irgan(runner, trained_dir, tmp_path):
+    result = runner.invoke(main, ["train", "--variant", "cgan", "--dataset", "mixture-3x2",
+                                  "--steps", "1", "--q-checkpoint", str(trained_dir / "g.ckpt"),
+                                  "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("config error: --q-checkpoint ")
+    assert not (tmp_path / "o" / "g.ckpt").exists()
+
+
 def test_unknown_variant_is_usage_error(runner, tmp_path):
     result = runner.invoke(main, ["train", "--variant", "wgan", "--dataset", "mixture-3x2",
                                   "--out", str(tmp_path / "o")])
@@ -124,29 +133,51 @@ def test_train_determinism_and_rerun(runner, tmp_path):
     assert (tmp_path / "r1" / "g.ckpt").read_bytes() == (tmp_path / "r3" / "g.ckpt").read_bytes()
 
 
-def _without_steps(resolved):
-    del resolved["steps"]
+def _without_steps(doc):
+    del doc["resolved"]["steps"]
     return "steps"
 
 
-def _steps_many(resolved):
-    resolved["steps"] = "many"
+def _steps_many(doc):
+    doc["resolved"]["steps"] = "many"
     return "steps"
 
 
-def _variant_wgan(resolved):
-    resolved["variant"] = "wgan"
+def _variant_wgan(doc):
+    doc["resolved"]["variant"] = "wgan"
     return "variant"
+
+
+def _loss_mode_wasserstein(doc):
+    doc["resolved"]["loss_mode"] = "wasserstein"
+    return "wasserstein"
+
+
+def _command_fit(doc):
+    doc["command"] = "fit"
+    return "fit"
+
+
+def _batch_size_zero(doc):
+    doc["resolved"]["batch_size"] = 0
+    return None
+
+
+def _without_dataset(doc):
+    del doc["dataset"]
+    return "mixture-3x2"
 
 
 @pytest.mark.parametrize("doc", [[1, 2], {"command": "train"},
                                  {"command": "train", "resolved": "steps=3"},
-                                 _without_steps, _steps_many, _variant_wgan])
+                                 _without_steps, _steps_many, _variant_wgan,
+                                 _loss_mode_wasserstein, _command_fit, _batch_size_zero,
+                                 _without_dataset])
 def test_rerun_bad_manifest_is_data_error(runner, trained_dir, tmp_path, doc):
     key = None
-    if callable(doc):  # a change to the settings of a manifest that train wrote
+    if callable(doc):  # a change to a manifest that train wrote
         mutate, doc = doc, json.loads((trained_dir / "manifest.json").read_text())
-        key = mutate(doc["resolved"])
+        key = mutate(doc)
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(doc))
     result = runner.invoke(main, ["rerun", str(path), "--out", str(tmp_path / "o")])
@@ -275,7 +306,7 @@ def test_resume_matches_straight_run(runner, tmp_path):
 def test_resume_needs_the_earlier_log(runner, trained_dir, tmp_path):
     half = tmp_path / "half"
     half.mkdir()
-    for name in ("g.ckpt", "d.ckpt"):
+    for name in ("g.ckpt", "d.ckpt", "manifest.json"):
         (half / name).write_bytes((trained_dir / name).read_bytes())
     lines = (trained_dir / "log.csv").read_text().splitlines()
     args = ["train", "--variant", "sbp", "--dataset", "mixture-3x2", "--steps", "22",
@@ -292,7 +323,7 @@ def test_resume_needs_the_earlier_log(runner, trained_dir, tmp_path):
 def test_resume_bad_train_step_is_data_error(runner, trained_dir, tmp_path):
     bad = tmp_path / "bad"
     bad.mkdir()
-    for name in ("g.ckpt", "d.ckpt", "log.csv"):
+    for name in ("g.ckpt", "d.ckpt", "log.csv", "manifest.json"):
         (bad / name).write_bytes((trained_dir / name).read_bytes())
     meta, arrays = read_container(bad / "g.ckpt")
     meta["train_step"] = "20"
@@ -391,6 +422,59 @@ def test_resume_refuses_other_lambda(runner, tmp_path):
     run_ok(runner, resume + ["--lambda", "2.0", "--out", str(tmp_path / "o")])
 
 
+def test_resume_refuses_another_approximator(runner, tmp_path):
+    for q in ("q1", "q2"):
+        run_ok(runner, ["pretrain-q", "--dataset", "mixture-3x2", "--steps", "0",
+                        "--out", str(tmp_path / q)])
+    base = ["train", "--variant", "irgan", "--dataset", "mixture-3x2", "--batch-size", "32"]
+    run_ok(runner, base + ["--steps", "2", "--q-checkpoint", str(tmp_path / "q1" / "q.ckpt"),
+                           "--out", str(tmp_path / "half")])
+    result = runner.invoke(main, base + ["--steps", "4", "--resume", str(tmp_path / "half"),
+                                         "--q-checkpoint", str(tmp_path / "q2" / "q.ckpt"),
+                                         "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("config error: --q-checkpoint ")
+    assert not (tmp_path / "o" / "g.ckpt").exists()
+
+
+def test_resume_refuses_checkpoints_of_another_dataset(runner, trained_dir, tmp_path):
+    # tiny-digits-3 checkpoints beside the manifest and log of a mixture-3x2 run
+    run_ok(runner, ["train", "--variant", "sbp", "--dataset", "tiny-digits-3", *TRAIN_FAST,
+                    "--steps", "2", "--out", str(tmp_path / "digits")])
+    half = tmp_path / "half"
+    half.mkdir()
+    for name, run in (("g.ckpt", tmp_path / "digits"), ("d.ckpt", tmp_path / "digits"),
+                      ("log.csv", trained_dir), ("manifest.json", trained_dir)):
+        (half / name).write_bytes((run / name).read_bytes())
+    result = runner.invoke(main, ["train", "--variant", "sbp", "--dataset", "mixture-3x2",
+                                  *TRAIN_FAST, "--steps", "22", "--resume", str(half),
+                                  "--out", str(tmp_path / "o")])
+    assert result.exit_code == 3, result.output
+    assert result.stderr.startswith("data error: ") and "Traceback" not in result.output
+    assert not (tmp_path / "o" / "g.ckpt").exists()
+
+
+@pytest.mark.parametrize("key,value,flags", [("loss_mode", "wasserstein", []),
+                                             ("lr", 0.1, ["--lr", "0.1"]),
+                                             ("noise_dim", 4, ["--noise-dim", "4"]),
+                                             ("d_hidden", "32", ["--d-hidden", "32"])])
+def test_resume_refuses_a_manifest_that_its_run_contradicts(runner, trained_dir, tmp_path,
+                                                           key, value, flags):
+    half = tmp_path / "half"
+    half.mkdir()
+    for name in ("g.ckpt", "d.ckpt", "log.csv"):
+        (half / name).write_bytes((trained_dir / name).read_bytes())
+    doc = json.loads((trained_dir / "manifest.json").read_text())
+    doc["resolved"][key] = value
+    (half / "manifest.json").write_text(json.dumps(doc))
+    result = runner.invoke(main, ["train", "--variant", "sbp", "--dataset", "mixture-3x2",
+                                  *TRAIN_FAST, *flags, "--steps", "22", "--resume", str(half),
+                                  "--out", str(tmp_path / "o")])
+    assert result.exit_code == 3, result.output
+    assert result.stderr.startswith("data error: ")
+    assert not (tmp_path / "o" / "g.ckpt").exists()
+
+
 def test_d_steps_resume_matches_straight_run(runner, tmp_path):
     base = ["train", "--variant", "fcgan", "--dataset", "mixture-3x2",
             "--batch-size", "32", "--seed", "3", "--d-steps", "2"]
@@ -412,7 +496,8 @@ def test_resume_refuses_other_variant(runner, trained_dir, tmp_path):
                                   *TRAIN_FAST, "--resume", str(trained_dir),
                                   "--out", str(tmp_path / "o")])
     assert result.exit_code == 2
-    assert "'sbp'" in result.stderr and "'cgan'" in result.stderr
+    assert result.stderr.startswith("config error: --variant cgan differs from sbp, which the "
+                                    f"run in {trained_dir} was trained with")
     assert not (tmp_path / "o" / "d.ckpt").exists()
 
 
