@@ -21,6 +21,11 @@ TypeError.
 A model header's role fields and hidden widths fix the network's layout
 (models.layer_dims, as for the builders); its spec, in_dim, out_dim,
 model.hidden_extra and array shapes must state that layout exactly.
+
+Adam moments are stored in the parameter's full layout, also where the
+network keeps them once for rows tied across pixels (models.tied_rows): save
+expands them to every pixel, and load requires the pixels' copies to be the
+same bytes before it keeps one.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ContractError, ParseError
 from .models import ROLE_HEADS, ModelParams, NetworkSpec, Variant, layer_dims
 from .tensor import AdamState, Tensor
 
@@ -182,7 +187,8 @@ def load_model(path):
     """Rebuild a ModelParams (with optimizer state) from a checkpoint.
 
     Every header field and array shape that follows from the layout must
-    match it; anything else raises ParseError.
+    match it, and tied rows' Adam moments must agree across pixels; anything
+    else raises ParseError.
     """
     meta, arrays = read_container(path)
     if meta.get("kind") != "model":
@@ -212,11 +218,13 @@ def load_model(path):
     weights = [Tensor(arrays[f"l{i}.w"]) for i in range(len(dims))]
     biases = [Tensor(arrays[f"l{i}.b"]) for i in range(len(dims))]
     params = ModelParams(weights, biases, spec, dict(model))
-    for name, t in params.named().items():
-        st = AdamState(steps.get(name, 0),
-                       arrays[f"adam.m:{name}"], arrays[f"adam.v:{name}"],
-                       hyper["lr"], hyper["beta1"], hyper["beta2"], hyper["epsilon"])
-        params.adam[name] = st
+    for name in params.named():
+        try:
+            m, v = params.moments(name, arrays[f"adam.m:{name}"], arrays[f"adam.v:{name}"])
+        except ContractError as e:
+            raise ParseError(f"model container {path}: Adam moments of {name!r}: {e}") from None
+        params.adam[name] = AdamState(steps.get(name, 0), m, v, hyper["lr"], hyper["beta1"],
+                                      hyper["beta2"], hyper["epsilon"])
     return params, meta
 
 

@@ -503,11 +503,16 @@ def do_train(res: dict, out_dir: Path, checksum=None) -> dict:
     earlier = TrainLog()
     if rdir:
         g, gmeta = _resumed_model(rdir / "g.ckpt", "generator", info, was)
-        d, _ = _resumed_model(rdir / "d.ckpt", "discriminator", info, was)
+        d, dmeta = _resumed_model(rdir / "d.ckpt", "discriminator", info, was)
         start_step = gmeta.get("train_step", 0)
         if not isinstance(start_step, int) or isinstance(start_step, bool) or start_step < 0:
             raise DataError(f"{rdir / 'g.ckpt'} records train_step {start_step!r}, "
                             f"not a non-negative int")
+        d_step = dmeta.get("train_step", 0)
+        if type(d_step) is not int or d_step != start_step:
+            raise DataError(f"{rdir / 'd.ckpt'} records train_step {d_step!r}, but "
+                            f"{rdir / 'g.ckpt'} records {start_step}: a resume needs both "
+                            f"networks at the same step")
         if cfg.total_steps < start_step:
             raise ConfigError(f"--steps {cfg.total_steps} is below the {start_step} steps "
                               f"already trained in {rdir}")

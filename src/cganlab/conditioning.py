@@ -18,7 +18,9 @@ The two spatial ops also take an optional `weight` of shape [h*w*C, k], C
 being their output channel count. With it they return flatten(op(x, c)) @
 weight, shape [b, k], computed from the factored algebra without building
 the op's channels, and are differentiable in the weight too. Without it they
-are the reference definitions above.
+are the reference definitions above. Replicate-concat's weight gradient is a
+tensor.TiedRows, which holds the condition rows' gradient once, not once per
+pixel.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .tensor import Tensor, _accum, concat_last, matmul
+from .tensor import Tensor, TiedRows, _accum, concat_last, matmul
 
 # Pooled inputs up to this many elements are built and multiplied: below it
 # the per-condition loop's fixed cost per condition (row selection, a small
@@ -71,7 +73,9 @@ def spatial_replicate_concat(x, c, weight=None) -> Tensor:
 
     With `weight`, returns flatten(out) @ weight as x @ W_image + c @ sum_p
     W_p,cond: every pixel sees the same c, so the condition rows of all
-    pixels collapse into one [m, k] matrix.
+    pixels collapse into one [m, k] matrix. For the same reason the weight's
+    gradient gives every pixel's condition rows the same c^T g; it arrives
+    as a TiedRows holding that [m, k] block once.
     """
     xb, cb, single = _norm_spatial_pair(x, c)
     b, h, w, d = xb.shape
@@ -147,10 +151,8 @@ def _replicate_concat_product(xb, cb, wt, w3):
         if ca.wanted:
             _accum(ca, g @ w_cond.T)
         if wa.wanted:
-            dw = np.empty(w3.shape)
-            dw[:, :d, :] = (xs.T @ g).reshape(pixels, d, k)
-            dw[:, d:, :] = ca.data.T @ g  # the same for every pixel
-            _accum(wa, dw.reshape(wa.shape))
+            # every pixel's condition rows get the same gradient, kept once
+            _accum(wa, TiedRows((xs.T @ g).reshape(pixels, d, k), ca.data.T @ g))
 
     return Tensor(out_data, (xb, cb, wt), "replicate_concat", back)
 

@@ -12,6 +12,13 @@ the discriminators differ:
           (vector concatenation onto the width-w activation).
 * sbp   - input image replaced by its bilinear pooling with the condition.
 * irgan - unconditional discriminator; the condition never enters D.
+
+In cgan and fcgan every pixel of D's first layer input carries the same
+condition values, so the rows of D's first weight that read them get the same
+gradient at every pixel (tied_rows). That gradient and those rows' Adam
+moments are kept once, as tensor.TiedRows, and one update is subtracted from
+every pixel's copy; the weight itself, and every checkpoint, keep the full
+per-pixel layout.
 """
 
 from __future__ import annotations
@@ -26,8 +33,8 @@ from .conditioning import spatial_bilinear_pool, spatial_replicate_concat, vecto
 from .data import epoch_batches
 from .errors import ConfigError, DataError, DimensionError
 from .rng import RngStream
-from .tensor import (LEAKY_SLOPE, AdamState, Tensor, activation, adam_step, backward, matmul,
-                     no_grad, softmax, softmax_cross_entropy)
+from .tensor import (LEAKY_SLOPE, AdamState, Tensor, TiedRows, activation, adam_step, backward,
+                     matmul, no_grad, softmax, softmax_cross_entropy)
 
 
 class Variant(str, Enum):
@@ -85,6 +92,23 @@ def layer_dims(meta: dict, hidden) -> list:
     return dims
 
 
+def tied_rows(meta: dict) -> dict:
+    """{parameter name: (pixels, d, m)} for each weight with tied rows.
+
+    cgan and fcgan feed D's first layer every pixel's d channels followed by
+    the m condition values, which are the same at every pixel. Viewed as
+    [pixels, d + m, k], that weight's m condition rows of each pixel get the
+    same gradient c^T g, and from Adam's zero start the same moments and
+    updates; its gradient and moments are TiedRows of this layout. No other
+    network, and no other weight, has tied rows.
+    """
+    if meta["role"] != "discriminator" or Variant(meta["variant"]) not in (Variant.CGAN,
+                                                                            Variant.FCGAN):
+        return {}
+    h, w, d = meta["image_shape"]
+    return {"l0.w": (h * w, d, meta["cond_dim"])}
+
+
 @dataclass
 class ModelParams:
     """Named weight/bias tensors for one network, with Adam state alongside.
@@ -121,8 +145,11 @@ class ModelParams:
             weights.append(Tensor(stream.uniform(-bound, bound, (fan_in, fan_out))))
             biases.append(Tensor(np.zeros(fan_out)))
         mp = cls(weights, biases, spec, meta)
+        tied = tied_rows(meta)
         for name, t in mp.named().items():
-            mp.adam[name] = AdamState.fresh(t.shape, **(hyper or {}))
+            st = mp.adam[name] = AdamState.fresh(t.shape, **(hyper or {}))
+            if name in tied:
+                st.m, st.v = (TiedRows.zeros(*tied[name], t.shape[1]) for _ in "mv")
         return mp
 
     def named(self) -> dict:
@@ -135,24 +162,42 @@ class ModelParams:
     def param_count(self) -> int:
         return sum(t.size for t in self.named().values())
 
-    def named_arrays(self) -> dict:
-        """Parameter and optimizer arrays keyed by name: the live arrays, not copies."""
+    def named_arrays(self, copy=False) -> dict:
+        """Parameter and optimizer arrays keyed by name, in the checkpoint layout.
+
+        The live arrays, or with copy their copies. Adam moments kept as
+        TiedRows are expanded to every pixel's copy, a fresh array either way.
+        """
         arrays = {name: t.data for name, t in self.named().items()}
         for name, st in self.adam.items():
             arrays[f"adam.m:{name}"] = st.m
             arrays[f"adam.v:{name}"] = st.v
-        return arrays
+        return {name: a.full() if isinstance(a, TiedRows) else a.copy() if copy else a
+                for name, a in arrays.items()}
 
     def snapshot(self) -> dict:
-        """Deep copy of parameter and optimizer arrays, keyed by name."""
-        return {name: a.copy() for name, a in self.named_arrays().items()}
+        """Copies of the parameter and optimizer arrays, keyed by name, in the checkpoint layout."""
+        return self.named_arrays(copy=True)
+
+    def moments(self, name: str, m: np.ndarray, v: np.ndarray) -> tuple:
+        """Adam moments of `name`, given in the checkpoint layout, as its state keeps them.
+
+        The arrays themselves, or for a weight with tied rows TiedRows
+        views of them; ContractError when the pixels' copies differ.
+        """
+        tie = tied_rows(self.meta).get(name)
+        if tie is None:
+            return m, v
+        pixels, d, _ = tie
+        return TiedRows.compress(m, pixels, d), TiedRows.compress(v, pixels, d)
 
     def restore(self, arrays: dict):
+        """Set parameters and Adam moments from copies of arrays in the checkpoint layout."""
         for name, t in self.named().items():
             t.data[...] = arrays[name]
+            m, v = self.moments(name, arrays[f"adam.m:{name}"], arrays[f"adam.v:{name}"])
             st = self.adam[name]
-            st.m[...] = arrays[f"adam.m:{name}"]
-            st.v[...] = arrays[f"adam.v:{name}"]
+            st.m, st.v = m.copy(), v.copy()
 
 
 def _apply_grads(params: ModelParams):

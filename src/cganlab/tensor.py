@@ -18,6 +18,11 @@ aliasing is safe, and no zeros are allocated. The only difference from
 zeros-plus-sum is the sign of a zero gradient entry: no op divides by a
 gradient or tests its sign, and Adam maps -0.0 and 0.0 to the same update.
 
+A .grad is an ndarray of the node's shape, except where an op knows that
+blocks of rows share their gradient: spatial replicate-concat's weight gets a
+TiedRows, which stores those rows once. adam_step takes it with moments of
+the same form and gives the weight the bits the full gradient would.
+
 Inside `with no_grad():` nodes record no parents and no closure, so each
 intermediate array is freed as soon as nothing else holds it. The forward
 arithmetic is unchanged, so the values are the same bits as with a graph.
@@ -188,6 +193,68 @@ class Tensor:
 
 # ----------------------------------------------------------------------
 # gradient plumbing
+
+
+class TiedRows:
+    """A [P * (d + t), k] array whose P row blocks share their last t rows.
+
+    Viewed as [P, d + t, k], every block holds d free rows of its own and t
+    tied rows equal to those of every other block. `free` is the [P, d, k]
+    free rows and `tied` the single [t, k] copy of the tied rows; full()
+    builds the array they stand for. It is the gradient of a weight whose
+    input repeats the same t values in each of P blocks (spatial
+    replicate-concat's condition), and the form of that weight's Adam
+    moments, so neither is ever stored P times. Gradient accumulation adds
+    two of them with +.
+    """
+
+    __slots__ = ("free", "tied")
+
+    def __init__(self, free: np.ndarray, tied: np.ndarray):
+        self.free, self.tied = free, tied
+
+    @classmethod
+    def zeros(cls, blocks: int, d: int, t: int, k: int) -> "TiedRows":
+        return cls(np.zeros((blocks, d, k)), np.zeros((t, k)))
+
+    @classmethod
+    def compress(cls, full: np.ndarray, blocks: int, d: int) -> "TiedRows":
+        """The TiedRows form of the array `full`, as views of it.
+
+        ContractError when the blocks' tied rows are not the same bytes.
+        """
+        w3 = full.reshape(blocks, -1, full.shape[-1])
+        bits = w3[:, d:].view(np.uint64)
+        if not (bits == bits[:1]).all():
+            raise ContractError(f"the last {w3.shape[1] - d} rows of the {blocks} row blocks "
+                                f"are meant to be tied, but differ")
+        return cls(w3[:, :d], w3[0, d:])
+
+    @property
+    def layout(self) -> tuple:
+        """(P, d, t, k)."""
+        blocks, d, k = self.free.shape
+        return blocks, d, self.tied.shape[0], k
+
+    @property
+    def shape(self) -> tuple:
+        blocks, d, t, k = self.layout
+        return blocks * (d + t), k
+
+    def __add__(self, other):
+        if not isinstance(other, TiedRows):
+            return NotImplemented
+        return TiedRows(self.free + other.free, self.tied + other.tied)
+
+    def copy(self) -> "TiedRows":
+        return TiedRows(self.free.copy(), self.tied.copy())
+
+    def full(self) -> np.ndarray:
+        blocks, d, t, k = self.layout
+        out = np.empty((blocks, d + t, k))
+        out[:, :d] = self.free
+        out[:, d:] = self.tied
+        return out.reshape(self.shape)
 
 
 def _accum(node: Tensor, g: np.ndarray):
@@ -427,7 +494,11 @@ ADAM_BLOCK = 8192
 
 @dataclass
 class AdamState:
-    """Moment accumulators and hyperparameters for one parameter tensor."""
+    """Moment accumulators and hyperparameters for one parameter tensor.
+
+    m and v are arrays of the parameter's shape, or TiedRows when the
+    parameter's gradient arrives as TiedRows.
+    """
 
     step: int
     m: np.ndarray
@@ -464,37 +535,81 @@ def adam_step(param, grad, state: AdamState):
     with fresh m and v arrays: updating those in place left a small-array
     training step with no allocation that outlives it, and glibc then trimmed
     and re-faulted the heap top every step.
+
+    A TiedRows gradient needs TiedRows moments of the same layout. Its free
+    rows are updated as above, through their strided view of the parameter;
+    its tied rows' moments and update are computed once, and the update is
+    subtracted from every block's copy. Each element sees the same operations
+    as with the full gradient and full moments, so the parameter gets the
+    same bits.
     """
     data = param.data if isinstance(param, Tensor) else param
-    grad = np.asarray(grad, dtype=np.float64)
+    tied = isinstance(grad, TiedRows)
+    if tied != isinstance(state.m, TiedRows):
+        raise DimensionError("a TiedRows gradient needs TiedRows Adam moments, and only it does")
+    if not tied:
+        grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != data.shape:
         raise DimensionError(f"grad shape {grad.shape} != param shape {data.shape}")
     if state.m.shape != data.shape:
         raise DimensionError(f"adam state shape {state.m.shape} != param shape {data.shape}")
+    if tied and grad.layout != state.m.layout:
+        raise DimensionError(f"tied gradient layout {grad.layout} != adam state layout "
+                             f"{state.m.layout}")
     state.step += 1
-    if data.size <= ADAM_BLOCK:
-        state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-        state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-        m_hat = state.m / (1.0 - state.beta1 ** state.step)
-        v_hat = state.v / (1.0 - state.beta2 ** state.step)
-        data -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
-        if not np.isfinite(data).all():
-            raise ContractError("adam update produced non-finite parameters")
+    c1 = 1.0 - state.beta1 ** state.step
+    c2 = 1.0 - state.beta2 ** state.step
+    if not tied:
+        state.m, state.v = _adam_rows(data, grad, state.m, state.v, state, c1, c2)
         return param, state
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** state.step
-    c2 = 1.0 - b2 ** state.step
+    m, v = state.m, state.v
+    blocks, d, k = grad.free.shape
+    w3 = data.reshape(blocks, -1, k)
+    m.free, v.free = _adam_rows(w3[:, :d], grad.free, m.free, v.free, state, c1, c2)
+    m.tied, v.tied = _moments(grad.tied, m.tied, v.tied, state)
+    copies = w3[:, d:]
+    copies -= _adam_delta(m.tied, v.tied, state, c1, c2)
+    _check_finite(copies)
+    return param, state
+
+
+def _moments(g, m, v, st: AdamState):
+    """Adam's new first and second moments, as fresh arrays."""
+    return st.beta1 * m + (1.0 - st.beta1) * g, st.beta2 * v + (1.0 - st.beta2) * g * g
+
+
+def _adam_delta(m, v, st: AdamState, c1, c2):
+    """The amount Adam subtracts, from moments m, v and bias corrections c1, c2."""
+    return st.lr * (m / c1) / (np.sqrt(v / c2) + st.epsilon)
+
+
+def _check_finite(data):
+    if not np.isfinite(data).all():
+        raise ContractError("adam update produced non-finite parameters")
+
+
+def _adam_rows(data, g, m, v, st: AdamState, c1, c2):
+    """Update data in place from gradient g and moments m, v; returns the new m and v.
+
+    Whole-array with fresh moments up to ADAM_BLOCK elements, else in blocks
+    of leading-axis rows with the moments written in place (see adam_step).
+    """
+    if data.size <= ADAM_BLOCK:
+        m, v = _moments(g, m, v, st)
+        data -= _adam_delta(m, v, st, c1, c2)
+        _check_finite(data)
+        return m, v
+    b1, b2 = st.beta1, st.beta2
     n = data.shape[0]
     rows = max(1, ADAM_BLOCK * n // data.size)
     for r in range(0, n, rows):
         s = slice(r, r + rows)
-        g, m, v, d = grad[s], state.m[s], state.v[s], data[s]
+        gs, ms, vs, ds = g[s], m[s], v[s], data[s]
         # m = beta1 * m + (1 - beta1) * g, and v likewise, in place
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        d -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
-        if not np.isfinite(d).all():
-            raise ContractError("adam update produced non-finite parameters")
-    return param, state
+        ms *= b1
+        ms += (1.0 - b1) * gs
+        vs *= b2
+        vs += (1.0 - b2) * gs * gs
+        ds -= _adam_delta(ms, vs, st, c1, c2)
+        _check_finite(ds)
+    return m, v

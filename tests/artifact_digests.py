@@ -9,8 +9,10 @@ On mixture-3x2 and tiny-digits-3 it runs `pretrain-q --steps 200 --seed 3`,
 on tiny-digits-3; irgan uses that Q), one `eval --seed 5
 --samples-per-condition 400` of the four generators in each sigma mode, and
 `sample --condition 1 --count 16 --seed 3` of the sbp generator. It also
-runs cgan for half the steps, a `--resume` of that run to the full step
-count, and a `rerun` of the sbp run's manifest. Every command is a fresh
+runs cgan for half the steps with `--checkpoint-every` a quarter of the
+steps, so its mid-run `g_step*`/`d_step*` checkpoints are hashed too, a
+`--resume` of that run to the full step count, and a `rerun` of the sbp
+run's manifest. Every command is a fresh
 `python -m cganlab.cli` process with PYTHONPATH=TREE/src and
 OPENBLAS_NUM_THREADS=1. It prints one JSON object mapping each artifact,
 as `dataset/run/file`, to its SHA-256; `log.csv` is hashed without its
@@ -45,7 +47,8 @@ def commands(dataset: str, steps: int):
     runs.append(("sample", ["sample", "--g-checkpoint", "{train-sbp}/g.ckpt", "--condition", "1",
                             "--count", "16", "--seed", "3"]))
     cgan = ["train", "--variant", "cgan", *ds, "--seed", "7"]
-    runs.append(("train-cgan-half", [*cgan, "--steps", str(steps // 2)]))
+    runs.append(("train-cgan-half", [*cgan, "--steps", str(steps // 2),
+                                     "--checkpoint-every", str(steps // 4)]))
     runs.append(("train-cgan-resumed", [*cgan, "--steps", str(steps),
                                         "--resume", "{train-cgan-half}"]))
     runs.append(("rerun-sbp", ["rerun", "{train-sbp}/manifest.json"]))

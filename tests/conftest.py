@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cganlab.rng import RngStream
-from cganlab.tensor import Tensor, backward
+from cganlab.tensor import Tensor, TiedRows, backward
 
 
 def numeric_grad(f, x, h=1e-5):
@@ -40,6 +40,11 @@ def assert_grads_match(build, *arrays, rtol=1e-4, atol=1e-6, h=1e-5):
         assert analytic is not None, f"input {i} received no gradient"
         numeric = numeric_grad(f, np.array(a, dtype=np.float64), h=h)
         np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol)
+
+
+def full_grad(grad):
+    """A gradient as an ndarray: a TiedRows (cgan/fcgan's first D weight) expanded."""
+    return grad.full() if isinstance(grad, TiedRows) else grad
 
 
 def projection(weights):

@@ -6,6 +6,7 @@ one with a diagnostic rather than crash or silently succeed.
 
 import copy
 import json
+import math
 import struct
 import tempfile
 from pathlib import Path
@@ -154,7 +155,8 @@ def container_fuzz_cases():
     whose model header load_model must reject. The cases from
     "generator-noise-dim-plus-one" on keep every array shape their header
     states, so only a header field that disagrees with the layout the role
-    fields imply can reject them.
+    fields imply can reject them; the last keeps the whole header, and only
+    the per-pixel copies of cgan's tied Adam moments disagree.
     """
     def entries(*arrays):
         return {"version": VERSION, "meta": {}, "arrays": list(arrays)}
@@ -207,4 +209,21 @@ def container_fuzz_cases():
     model("generator-softmax-head", lambda m, a: m["spec"].update(head="softmax"))
     model("cgan-with-hidden-extra", lambda m, a: m["model"].update(variant="cgan"), "fcgan")
     model("fcgan-without-hidden-extra", lambda m, a: m["model"].update(variant="fcgan"), "cgan")
+    cases.append(("cgan-adam-m-condition-rows-differ-by-pixel", "model", untied_moments()))
     return cases
+
+
+def untied_moments():
+    """A cgan D checkpoint whose pixel-1 `adam.m:l0.w` condition rows differ from pixel 0's."""
+    header, payload = valid_model_container("cgan")
+    at = 0
+    for entry in header["arrays"]:
+        if entry["name"] == "adam.m:l0.w":
+            break
+        at += 8 * math.prod(entry["shape"])
+    model = header["meta"]["model"]
+    d, m, k = model["image_shape"][2], model["cond_dim"], entry["shape"][1]
+    row = (d + m) + d  # pixel 1's first condition row
+    raw = bytearray(payload)
+    raw[at + 8 * row * k:at + 8 * row * k + 8] = struct.pack("<d", 1e-3)
+    return container_bytes(header, bytes(raw))

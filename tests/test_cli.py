@@ -334,6 +334,20 @@ def test_resume_bad_train_step_is_data_error(runner, trained_dir, tmp_path):
     assert "train_step" in result.stderr
 
 
+def test_resume_refuses_a_discriminator_of_another_step(runner, tmp_path):
+    base = ["train", "--variant", "cgan", "--dataset", "mixture-3x2", "--batch-size", "32",
+            "--seed", "4"]
+    run_ok(runner, base + ["--steps", "8", "--checkpoint-every", "4",
+                           "--out", str(tmp_path / "half")])
+    half = tmp_path / "half"
+    (half / "d.ckpt").write_bytes((half / "d_step4.ckpt").read_bytes())
+    result = runner.invoke(main, base + ["--steps", "12", "--resume", str(half),
+                                         "--out", str(tmp_path / "o")])
+    assert result.exit_code == 3, result.output
+    assert result.stderr.startswith("data error: ") and "train_step 4" in result.stderr
+    assert not (tmp_path / "o" / "g.ckpt").exists()
+
+
 @pytest.mark.parametrize("flag,value", [("--lr", "0.1"), ("--noise-dim", "4"),
                                         ("--g-hidden", "32,32"), ("--d-hidden", "64"),
                                         ("--seed", "6"), ("--batch-size", "16"),

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from cganlab.data import LabeledDataset
-from cganlab.errors import ConfigError, DataError, DimensionError
+from cganlab.errors import ConfigError, ContractError, DataError, DimensionError
 from cganlab.models import (NetworkSpec, Variant, approximator_forward,
                             build_approximator, build_discriminator, build_generator,
                             classifier_accuracy, discriminator_forward,
                             generator_forward, pretrain_approximator)
 from cganlab.rng import RngStream
-from cganlab.tensor import Tensor, backward
-from conftest import assert_grads_match, projection
+from cganlab.tensor import Tensor, TiedRows, backward
+from conftest import assert_grads_match, full_grad, projection
 
 IMG = (3, 3, 1)
 M = 3
@@ -140,6 +140,33 @@ def test_discriminator_gradients(variant, rng):
             lambda xx, cc: discriminator_forward(xx, cc, d).reshape((1,)).sum(), x, c)
 
 
+@pytest.mark.parametrize("variant", [v.value for v in Variant])
+def test_only_cgan_and_fcgan_keep_tied_moments(variant):
+    d = make_d(variant)
+    tied = variant in ("cgan", "fcgan")
+    assert isinstance(d.adam["l0.w"].m, TiedRows) == tied
+    assert isinstance(d.adam["l0.w"].v, TiedRows) == tied
+    assert not any(isinstance(st.m, TiedRows) for st in make_g().adam.values())
+    if tied:
+        assert d.adam["l0.w"].m.layout == (9, 1, M, SPEC.hidden[0])
+        assert d.adam["l0.w"].m.shape == d.weights[0].shape
+
+
+def test_restore_of_tied_moments_checks_and_compresses(rng):
+    d = make_d("cgan")
+    st = d.adam["l0.w"]
+    st.m = TiedRows(rng.normal(size=st.m.free.shape), rng.normal(size=st.m.tied.shape))
+    snap = d.snapshot()
+    assert snap["adam.m:l0.w"].shape == d.weights[0].shape
+    d.adam["l0.w"].m = TiedRows.zeros(*st.m.layout)
+    d.restore(snap)
+    assert isinstance(d.adam["l0.w"].m, TiedRows)
+    assert d.snapshot()["adam.m:l0.w"].tobytes() == snap["adam.m:l0.w"].tobytes()
+    snap["adam.m:l0.w"][(1 + M) + 1] += 1.0  # pixel 1's first condition row
+    with pytest.raises(ContractError):
+        d.restore(snap)
+
+
 def _leaves(root):
     out, seen, stack = [], set(), [root]
     while stack:
@@ -168,10 +195,10 @@ def test_backward_wrt_params_matches_full_sweep(variant, rng):
         g_update = g_update + irgan_regularizer(approximator_forward(fake, q), c, 1.0)
     for loss, params in ((d_update, d), (g_update, g)):
         backward(loss)
-        full = {name: t.grad.copy() for name, t in params.named().items()}
+        full = {name: full_grad(t.grad).copy() for name, t in params.named().items()}
         backward(loss, wrt=params.named().values())
         for name, t in params.named().items():
-            assert t.grad.tobytes() == full[name].tobytes(), name
+            assert full_grad(t.grad).tobytes() == full[name].tobytes(), name
         requested = {id(t) for t in params.named().values()}
         others = [leaf for leaf in _leaves(loss) if id(leaf) not in requested]
         assert others and all(leaf.grad is None for leaf in others)

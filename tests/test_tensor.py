@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 
 from cganlab.errors import ConfigError, ContractError, DimensionError
-from cganlab.tensor import (ADAM_BLOCK, LOG_FLOOR, AdamState, Tensor, activation, adam_step,
-                            backward, concat_last, is_one_hot, log, matmul, no_grad, one_hot,
-                            rows, softmax, softmax_cross_entropy)
+from cganlab.tensor import (ADAM_BLOCK, LOG_FLOOR, AdamState, Tensor, TiedRows, activation,
+                            adam_step, backward, concat_last, is_one_hot, log, matmul, no_grad,
+                            one_hot, rows, softmax, softmax_cross_entropy)
 from conftest import assert_grads_match, projection
 
 mpmath.mp.dps = 50
@@ -376,6 +376,21 @@ def test_adam_blocks_match_whole_array_formula(shape, rng):
     if p.size > ADAM_BLOCK:  # several blocks: updated in place
         assert st.m is m_array and st.v is v_array
     assert st.step == 3
+
+
+def test_adam_refuses_a_gradient_of_another_form(rng):
+    p = Tensor(rng.normal(size=(6, 2)))  # 2 blocks of 1 free and 2 tied rows
+    tied = TiedRows(rng.normal(size=(2, 1, 2)), rng.normal(size=(2, 2)))
+    with pytest.raises(DimensionError):
+        adam_step(p, tied, AdamState.fresh((6, 2)))
+    st = AdamState.fresh((6, 2))
+    st.m, st.v = TiedRows.zeros(2, 1, 2, 2), TiedRows.zeros(2, 1, 2, 2)
+    with pytest.raises(DimensionError):
+        adam_step(p, tied.full(), st)
+    with pytest.raises(DimensionError):
+        adam_step(p, TiedRows(rng.normal(size=(3, 0, 2)), rng.normal(size=(2, 2))), st)
+    adam_step(p, tied, st)
+    assert st.step == 1
 
 
 def test_adam_on_checkpoint_loaded_model_matches_formula(tmp_path, rng):

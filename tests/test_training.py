@@ -4,16 +4,18 @@ import mpmath
 import numpy as np
 import pytest
 
-from cganlab import training
+from cganlab import models, training
+from cganlab.checkpoint import load_model, save_model
+from cganlab.conditioning import spatial_replicate_concat
 from cganlab.data import LabeledDataset, mixture_3x2_spec, synth_mixture
 from cganlab.errors import ConfigError, ContractError, DataError
-from cganlab.models import (NetworkSpec, build_approximator, discriminator_forward,
-                            generator_forward, pretrain_approximator)
+from cganlab.models import (NetworkSpec, build_approximator, build_discriminator,
+                            discriminator_forward, generator_forward, pretrain_approximator)
 from cganlab.rng import RngStream
-from cganlab.tensor import Tensor, backward
+from cganlab.tensor import AdamState, Tensor, TiedRows, _accum, adam_step, backward, rows
 from cganlab.training import (TrainConfig, build_models, d_loss, g_loss,
                               irgan_regularizer, train)
-from conftest import numeric_grad
+from conftest import full_grad, numeric_grad
 
 mpmath.mp.dps = 50
 
@@ -231,8 +233,98 @@ def test_stacked_d_update_matches_two_calls(variant, images, tiny_mixture, monke
     rec = training.train_step(x_real, c_real, g, d, q, cfg, label_probs, stream, 0)
     assert abs(rec["d_loss"] - loss.item()) <= 1e-12 * abs(loss.item())
     for name, t in d_ref.named().items():
-        got = updates[0][name]
-        assert np.max(np.abs(got - t.grad)) <= 1e-12 * np.max(np.abs(t.grad)), name
+        got, want = full_grad(updates[0][name]), full_grad(t.grad)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+
+def _full_dw_replicate_concat(x, c, weight=None):
+    """Replicate-concat's product as it was before tied rows, the reference below.
+
+    Its weight gradient is one full [h*w*(d+m), k] array in which every
+    pixel's condition rows are a copy of c^T g. Only the weight gets a
+    gradient: in a D update the images and conditions are constants.
+    """
+    if weight is None:
+        return spatial_replicate_concat(x, c)
+    b, h, w, d = x.shape
+    pixels, m, k = h * w, c.shape[1], weight.shape[1]
+    w3 = weight.data.reshape(pixels, d + m, k)
+    xs = x.data.reshape(b, pixels * d)
+    w_image = w3[:, :d, :].reshape(pixels * d, k)
+    w_cond = w3[:, d:, :].sum(axis=0)
+
+    def back(g, wa=weight):
+        dw = np.empty(w3.shape)
+        dw[:, :d, :] = (xs.T @ g).reshape(pixels, d, k)
+        dw[:, d:, :] = c.data.T @ g
+        _accum(wa, dw.reshape(wa.shape))
+
+    return Tensor(xs @ w_image + c.data @ w_cond, (x, c, weight), "replicate_concat", back)
+
+
+def _d_update(d, x, c, full):
+    """One D update on a stacked real and fake batch, as train_step makes it.
+
+    With full, every gradient is an array and goes through adam_step as is.
+    """
+    b = x.shape[0] // 2
+    p = discriminator_forward(x, c, d)
+    backward(d_loss(rows(p, 0, b), rows(p, b, 2 * b)), wrt=d.named().values())
+    if not full:
+        training._apply_grads(d)
+        return
+    for name, t in d.named().items():
+        adam_step(t, t.grad, d.adam[name])
+        t.grad = None
+
+
+def _assert_same_bytes(a, b):
+    want, got = a.named_arrays(), b.named_arrays()
+    assert sorted(want) == sorted(got)
+    for name in want:
+        assert want[name].tobytes() == got[name].tobytes(), name
+    assert {n: st.step for n, st in a.adam.items()} == {n: st.step for n, st in b.adam.items()}
+
+
+@pytest.mark.parametrize("variant", ["cgan", "fcgan"])
+@pytest.mark.parametrize("shape,m", [((28, 28, 1), 10), ((3, 3, 1), 4), ((1, 1, 2), 3)],
+                         ids=["28x28x1", "3x3x1", "1x1x2"])
+def test_tied_rows_update_matches_full_gradient_bytes(variant, shape, m, tmp_path, monkeypatch):
+    rng = np.random.default_rng(8)
+    batches = [(Tensor(rng.uniform(-1, 1, (16,) + shape)),
+                Tensor(np.eye(m)[rng.integers(0, m, 16)])) for _ in range(25)]
+
+    def build():
+        return build_discriminator(shape, m, NetworkSpec([16, 8]), variant, RngStream(6, ("d",)),
+                                   hyper={"lr": 1e-3})
+
+    # the reference: the full weight gradient and full moments for l0.w
+    ref = build()
+    st = ref.adam["l0.w"]
+    ref.adam["l0.w"] = AdamState.fresh(ref.weights[0].shape, st.lr, st.beta1, st.beta2,
+                                       st.epsilon)
+    with monkeypatch.context() as patch:
+        patch.setattr(models, "spatial_replicate_concat", _full_dw_replicate_concat)
+        for x, c in batches[:20]:
+            _d_update(ref, x, c, full=True)
+    d = build()
+    assert isinstance(d.adam["l0.w"].m, TiedRows)
+    for x, c in batches[:20]:
+        _d_update(d, x, c, full=False)
+    _assert_same_bytes(ref, d)
+
+    # the checkpoint keeps the per-pixel layout, and training resumes from it
+    save_model(tmp_path / "ref.ckpt", ref)
+    save_model(tmp_path / "d.ckpt", d)
+    assert (tmp_path / "ref.ckpt").read_bytes() == (tmp_path / "d.ckpt").read_bytes()
+    loaded, _ = load_model(tmp_path / "d.ckpt")
+    with monkeypatch.context() as patch:
+        patch.setattr(models, "spatial_replicate_concat", _full_dw_replicate_concat)
+        for x, c in batches[20:]:
+            _d_update(ref, x, c, full=True)
+    for x, c in batches[20:]:
+        _d_update(loaded, x, c, full=False)
+    _assert_same_bytes(ref, loaded)
 
 
 def test_irgan_requires_q_and_leaves_it_frozen(tiny_mixture, tiny_q):
