@@ -43,14 +43,6 @@ def pixels_to_bytes(x: np.ndarray) -> np.ndarray:
     return np.clip(np.rint((np.asarray(x) + 1.0) * 127.5), 0, 255).astype(np.uint8)
 
 
-def sha256_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def sha256_arrays(*arrays) -> str:
     h = hashlib.sha256()
     for a in arrays:
@@ -186,7 +178,8 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
         raise ParseError(f"label value {label_bytes[bad[0]]} outside 0..9", offset=8 + int(bad[0]))
     labels = one_hot(label_bytes, 10)
     meta = {"name": Path(images_path).name, "scale": PIXEL_SCALE,
-            "checksum": sha256_file(images_path), "label_checksum": sha256_file(labels_path)}
+            "checksum": hashlib.sha256(img_raw).hexdigest(),
+            "label_checksum": hashlib.sha256(lab_raw).hexdigest()}
     return LabeledDataset(scale_pixels(pixels), labels, meta)
 
 
@@ -234,7 +227,7 @@ def load_cifar10_binary(paths) -> LabeledDataset:
         px = records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
         all_images.append(px)
         all_labels.append(label_bytes)
-        checksums.append(sha256_file(path))
+        checksums.append(hashlib.sha256(raw).hexdigest())
     pixels = np.concatenate(all_images)
     labels = one_hot(np.concatenate(all_labels), 10)
     meta = {"name": Path(paths[0]).name, "scale": PIXEL_SCALE, "checksum": ",".join(checksums),
@@ -465,46 +458,77 @@ def _glyph_points(label: int):
     raise DataError(f"no glyph for label {label}")
 
 
-_PIXELS = np.arange(28).reshape(-1, 1)
+# Digits of one label rendered together are bounded so that their
+# [B, P, 4, 4] stroke-window squared distances fill at most GLYPH_BLOCK bytes.
+GLYPH_BLOCK = 1 << 20
+
+# Offsets from floor(p_y) of the rows, and from floor(p_x) of the columns, that
+# a stroke point p can light: the radius is below 1.7, so a lit pixel's row y
+# has |y - p_y| < 2, which leaves floor(p_y) - 1 .. floor(p_y) + 2.
+_WINDOW = np.arange(-1, 3)
 
 
-def render_digit(label: int, stream: RngStream, outline=None) -> np.ndarray:
-    """One noisy 28x28 uint8 glyph: stroke, box blur, additive noise.
+def _glyph_chunk(outline: np.ndarray) -> int:
+    """Digits per chunk for a stroke of outline.shape[0] points."""
+    return max(1, GLYPH_BLOCK // (outline.shape[0] * _WINDOW.size ** 2 * 8))
 
-    outline is the label's stroke as an array of (y, x) points; callers that
-    render many digits of one label pass it to compute it only once.
+
+def _render_glyphs(outline: np.ndarray, streams) -> np.ndarray:
+    """Noisy 28x28 uint8 glyphs of one stroke, one per stream: [B, 28, 28].
+
+    Each glyph draws its shift, radius, intensity and noise from its own
+    stream. A pixel (y, x) is lit when (y - p_y)^2 + (x - p_x)^2 <= r^2 for
+    some stroke point p; the lit canvas is box-blurred, noised and clipped.
+    Every step is elementwise per glyph, so a glyph's bytes do not depend on
+    the others rendered with it.
     """
-    if outline is None:
-        outline = np.asarray(_glyph_points(label))
-    pts = outline + stream.uniform(-2.0, 2.0, 2)
-    r = stream.uniform(1.0, 1.7)
-    val = stream.uniform(175.0, 255.0)
-    # squared distance from pixel (y, x) to every stroke point, row and
-    # column terms computed once per row and per column
-    dy2, dx2 = (_PIXELS - pts[:, 0]) ** 2, (_PIXELS - pts[:, 1]) ** 2
-    d2 = (dy2[:, None, :] + dx2[None, :, :]).min(axis=2)
-    padded = np.zeros((30, 30))
-    padded[1:29, 1:29] = np.where(d2 <= r * r, val, 0.0)
-    blurred = sum(padded[i:i + 28, j:j + 28] for i in range(3) for j in range(3)) / 9.0
-    noisy = blurred + stream.uniform(0.0, 25.0, (28, 28))
+    n = len(streams)
+    shift, r, val, noise = np.empty((n, 2)), np.empty(n), np.empty(n), np.empty((n, 28, 28))
+    for k, s in enumerate(streams):
+        shift[k] = s.uniform(-2.0, 2.0, 2)
+        r[k] = s.uniform(1.0, 1.7)
+        val[k] = s.uniform(175.0, 255.0)
+        noise[k] = s.uniform(0.0, 25.0, (28, 28))
+    pts = outline + shift[:, None, :]  # [B, P, 2]
+    near = np.floor(pts).astype(np.intp)[..., None] + _WINDOW  # [B, P, 2, 4]: rows, columns
+    d = (near - pts[..., None]) ** 2
+    hit = d[:, :, 0, :, None] + d[:, :, 1, None, :] <= (r * r)[:, None, None, None]
+    # Scatter the hits onto [B, 30, 30] canvases with a one-pixel border; a
+    # hit off the 28x28 grid is clipped onto the border, which is then cleared.
+    at = np.clip(near + 1, 0, 29)
+    rows = at[:, :, 0, :] * 30 + (np.arange(n) * 900)[:, None, None]
+    lit = np.zeros((n, 30, 30), dtype=bool)
+    lit.reshape(-1)[(rows[..., None] + at[:, :, 1, None, :])[hit]] = True
+    lit[:, [0, -1], :] = lit[:, :, [0, -1]] = False
+    padded = np.where(lit, val[:, None, None], 0.0)
+    blurred = sum(padded[:, i:i + 28, j:j + 28] for i in range(3) for j in range(3)) / 9.0
+    noisy = blurred + noise
     return np.clip(noisy, 0, 255).astype(np.uint8)
 
 
 def render_digits_idx(out_dir, count_per_label=700, seed=7):
-    """Write a rendered corpus of the glyphs 0, 1 and 2 as an IDX image/label file pair."""
+    """Write a rendered corpus of the glyphs 0, 1 and 2 as an IDX image/label file pair.
+
+    Digit i of label lab draws from stream.split(f"label-{lab}").split(f"i-{i}"),
+    so its bytes do not depend on how the digits are chunked.
+    """
+    if count_per_label < 1:
+        raise DataError("count_per_label must be positive")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stream = RngStream(seed, ("digits",))
-    images, labs = [], []
+    images = []
     for lab in (0, 1, 2):
         s = stream.split(f"label-{lab}")
         outline = np.asarray(_glyph_points(lab))
-        for i in range(count_per_label):
-            images.append(render_digit(lab, s.split(f"i-{i}"), outline))
-            labs.append(lab)
-    order = stream.split("interleave").permutation(len(labs))
-    images = np.stack(images)[order]
-    labs = np.array(labs, dtype=np.uint8)[order]
+        chunk = _glyph_chunk(outline)
+        for start in range(0, count_per_label, chunk):
+            ids = range(start, min(start + chunk, count_per_label))
+            images.append(_render_glyphs(outline, [s.split(f"i-{i}") for i in ids]))
+    labs = np.repeat(np.arange(3, dtype=np.uint8), count_per_label)
+    order = stream.split("interleave").permutation(labs.size)
+    images = np.concatenate(images)[order]
+    labs = labs[order]
     img_path = out_dir / "digits-images-idx3-ubyte"
     lab_path = out_dir / "digits-labels-idx1-ubyte"
     write_idx_images(img_path, images)

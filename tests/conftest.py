@@ -1,8 +1,10 @@
-"""Shared test helpers: finite-difference gradient checks and datasets."""
+"""Shared test helpers: finite-difference gradient checks, datasets and a
+one-glyph-at-a-time digit renderer."""
 
 import numpy as np
 import pytest
 
+from cganlab.data import _glyph_points
 from cganlab.rng import RngStream
 from cganlab.tensor import Tensor, TiedRows, backward
 
@@ -55,6 +57,33 @@ def projection(weights):
         return (t * w).sum()
 
     return reduce
+
+
+_PIXELS = np.arange(28).reshape(-1, 1)
+
+
+def render_digit(label: int, stream: RngStream, outline=None) -> np.ndarray:
+    """One noisy 28x28 uint8 glyph: stroke, box blur, additive noise.
+
+    The reference for `cganlab.data.render_digits_idx`, which renders a
+    label's glyphs in batches and must write the same bytes. The stroke mask
+    takes every stroke point's squared distance to all 784 pixels. outline is
+    the label's stroke as an array of (y, x) points.
+    """
+    if outline is None:
+        outline = np.asarray(_glyph_points(label))
+    pts = outline + stream.uniform(-2.0, 2.0, 2)
+    r = stream.uniform(1.0, 1.7)
+    val = stream.uniform(175.0, 255.0)
+    # squared distance from pixel (y, x) to every stroke point, row and
+    # column terms computed once per row and per column
+    dy2, dx2 = (_PIXELS - pts[:, 0]) ** 2, (_PIXELS - pts[:, 1]) ** 2
+    d2 = (dy2[:, None, :] + dx2[None, :, :]).min(axis=2)
+    padded = np.zeros((30, 30))
+    padded[1:29, 1:29] = np.where(d2 <= r * r, val, 0.0)
+    blurred = sum(padded[i:i + 28, j:j + 28] for i in range(3) for j in range(3)) / 9.0
+    noisy = blurred + stream.uniform(0.0, 25.0, (28, 28))
+    return np.clip(noisy, 0, 255).astype(np.uint8)
 
 
 @pytest.fixture(scope="session")

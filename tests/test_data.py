@@ -1,17 +1,19 @@
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
 from cganlab.data import (CIFAR10_LABELS, CIFAR_RECORD_LEN, LabeledDataset,
-                          MixtureComponent, MixtureSpec, MixtureOracle,
-                          adaptive_avg_pool, load_cifar10_binary,
+                          MixtureComponent, MixtureSpec, MixtureOracle, _glyph_chunk,
+                          _glyph_points, adaptive_avg_pool, load_cifar10_binary,
                           load_idx, mixture_3x2_spec, parse_idx_image_header,
-                          parse_idx_label_header, pixels_to_bytes, render_digit,
+                          parse_idx_label_header, pixels_to_bytes,
                           render_digits_idx, scale_pixels, split, synth_mixture,
                           tiny_digits3, write_idx_images, write_idx_labels)
 from cganlab.errors import DataError, ParseError
 from cganlab.rng import RngStream
+from conftest import render_digit
 from fuzzing import (cifar10_record_bytes, cifar_fuzz_cases, idx_fuzz_cases, valid_cifar_file,
                      valid_idx_pair)
 
@@ -53,6 +55,24 @@ def test_idx_round_trip_and_pixel_scaling(tmp_path):
     np.testing.assert_array_equal(ds.label_indices(), labels)
     # scaling is exactly invertible on the uint8 lattice
     np.testing.assert_array_equal(pixels_to_bytes(ds.images)[..., 0], images)
+
+
+def file_sha256(path) -> str:
+    """SHA-256 of a file as read back from disk, in 1 MiB pieces."""
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for piece in iter(lambda: f.read(1 << 20), b""):
+            h.update(piece)
+    return h.hexdigest()
+
+
+def test_idx_checksums_are_the_files_sha256(tmp_path):
+    img, lab = valid_idx_pair()
+    (tmp_path / "img").write_bytes(img)
+    (tmp_path / "lab").write_bytes(lab)
+    ds = load_idx(tmp_path / "img", tmp_path / "lab")
+    assert ds.meta["checksum"] == file_sha256(tmp_path / "img")
+    assert ds.meta["label_checksum"] == file_sha256(tmp_path / "lab")
 
 
 def test_scaling_invertible_for_every_byte():
@@ -139,6 +159,7 @@ def test_cifar_concatenates_multiple_files(tmp_path):
     p2.write_bytes(valid_cifar_file(records=3, seed=5))
     ds = load_cifar10_binary([p1, p2])
     assert ds.count == 5
+    assert ds.meta["checksum"] == f"{file_sha256(p1)},{file_sha256(p2)}"
 
 
 # ----------------------------------------------------------------------
@@ -288,8 +309,7 @@ def test_render_digit_deterministic():
 
 
 def test_render_digit_matches_whole_grid_formula():
-    """Row and column distance terms give the bytes of the direct 784 x P form."""
-    from cganlab.data import _glyph_points
+    """The reference's row and column distance terms give the bytes of the direct 784 x P form."""
     for label in (0, 1, 2):
         outline = np.asarray(_glyph_points(label))
         for seed in range(4):
@@ -312,6 +332,52 @@ def test_digit_corpus_written_through_idx(tmp_path):
     ds = load_idx(img_path, lab_path)
     assert ds.count == 15
     assert sorted(np.unique(ds.label_indices())) == [0, 1, 2]
+
+
+def test_digit_corpus_needs_a_digit_per_label(tmp_path):
+    for count in (0, -1):
+        with pytest.raises(DataError, match="count_per_label"):
+            render_digits_idx(tmp_path, count_per_label=count, seed=1)
+
+
+def reference_corpus(tmp_path, count_per_label, seed):
+    """The IDX pair render_digits_idx must write, from one render_digit per glyph."""
+    stream = RngStream(seed, ("digits",))
+    glyphs = []
+    for lab in (0, 1, 2):
+        s = stream.split(f"label-{lab}")
+        glyphs += [render_digit(lab, s.split(f"i-{i}")) for i in range(count_per_label)]
+    labs = np.repeat(np.arange(3, dtype=np.uint8), count_per_label)
+    order = stream.split("interleave").permutation(labs.size)
+    write_idx_images(tmp_path / "ref-images", np.stack(glyphs)[order])
+    write_idx_labels(tmp_path / "ref-labels", labs[order])
+    return (tmp_path / "ref-images").read_bytes(), (tmp_path / "ref-labels").read_bytes()
+
+
+def test_digit_corpus_matches_one_glyph_at_a_time(tmp_path):
+    """Batched rendering writes the reference's bytes within one chunk and across chunk edges."""
+    chunks = [_glyph_chunk(np.asarray(_glyph_points(lab))) for lab in (0, 1, 2)]
+    below, above = min(chunks) - 1, max(chunks) + 1
+    assert below >= 5  # every label fits one chunk at 1, 5 and `below`, none at `above`
+    for seed in (1, 7, 12345):
+        for count in (1, 5, below, above):
+            img_path, lab_path = render_digits_idx(tmp_path, count_per_label=count, seed=seed)
+            want_img, want_lab = reference_corpus(tmp_path, count, seed)
+            assert img_path.read_bytes() == want_img, (seed, count)
+            assert lab_path.read_bytes() == want_lab, (seed, count)
+
+
+TINY_DIGITS3_IMAGES_SHA256 = "c7a5fb1b4a613de655918e62c050fa05d0e88764211f9bc227e899057fed87a4"
+TINY_DIGITS3_LABELS_SHA256 = "5296c3ee6265966ce9357f67314bc8586594958297a765a9f6b271ed8be366c6"
+
+
+def test_tiny_digits_source_files_pinned(tmp_path, digits_data):
+    img_path, lab_path = render_digits_idx(tmp_path, count_per_label=700, seed=11)
+    assert file_sha256(img_path) == TINY_DIGITS3_IMAGES_SHA256
+    assert file_sha256(lab_path) == TINY_DIGITS3_LABELS_SHA256
+    for part in digits_data:
+        assert part.meta["checksum"] == TINY_DIGITS3_IMAGES_SHA256
+        assert part.meta["label_checksum"] == TINY_DIGITS3_LABELS_SHA256
 
 
 def test_tiny_digits_preset_shape(digits_data):
