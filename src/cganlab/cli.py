@@ -147,19 +147,19 @@ def parse_widths(text) -> list:
 
 
 def parse_sigma_grid(text):
+    """'lo:hi:count' (log-spaced) or 'a,b,c' as an array; ConfigError when malformed."""
     if text is None:
         return default_sigma_grid()
     text = str(text)
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"bad sigma grid {text!r}; expected 'lo:hi:count' or 'a,b,c'")
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-        return default_sigma_grid(n, lo, hi)
     try:
-        return np.array([float(v) for v in text.split(",")])
-    except ValueError:
-        raise ConfigError(f"bad sigma grid {text!r}") from None
+        if ":" not in text:
+            return np.array([float(v) for v in text.split(",")])
+        lo, hi, n = text.split(":")
+        with np.errstate(invalid="raise"):
+            return default_sigma_grid(int(n), float(lo), float(hi))
+    except (ValueError, FloatingPointError) as e:  # unparsable, or a count or bounds refused
+        raise ConfigError(f"bad sigma grid {text!r} ({e}); expected 'lo:hi:count' "
+                          f"or 'a,b,c'") from None
 
 
 def load_config_file(path) -> dict:

@@ -538,20 +538,20 @@ def render_digits_idx(out_dir, count_per_label=700, seed=7):
 
 def _three_class_8x8(ds: LabeledDataset, seed, name) -> tuple:
     """Filter labels {0,1,2}, pool to 8x8, split 1500/300/300."""
-    idx = np.nonzero(ds.label_indices() <= 2)[0]
+    labels = ds.label_indices()
+    idx = np.nonzero(labels <= 2)[0]
     if idx.size < 2100:
         raise DataError(f"need at least 2100 samples of labels 0..2, found {idx.size}")
-    sub = ds.subset(idx)
-    # deterministic stratified subsample down to exactly 2100
+    # deterministic stratified subsample down to exactly 2100, copied once
     stream = RngStream(seed, ("subsample",))
     keep = []
-    labels = sub.label_indices()
+    labels = labels[idx]
     for lab in (0, 1, 2):
         members = np.nonzero(labels == lab)[0]
         order = members[stream.split(f"label-{lab}").permutation(members.size)]
         keep.append(order[:700])
     keep = np.sort(np.concatenate(keep))
-    sub = sub.subset(keep)
+    sub = ds.subset(idx[keep])
     pooled = adaptive_avg_pool(sub.images, 8)
     meta = dict(sub.meta)
     meta["name"] = name

@@ -2,8 +2,10 @@
 condition approximator Q(c|x).
 
 Everything is fully connected. Images are flattened at the input, except in
-the conditioned discriminators, whose condition-injection op returns the
-first layer's product directly. The generator is identical across variants
+the conditioned discriminators: their condition-injection op takes the
+image batch, the condition batch and the first layer's weight, and returns
+the first layer's product directly (the op's weight-free definition is the
+tests' reference for it). The generator is identical across variants
 (the condition is concatenated to the noise vector once, at the input); only
 the discriminators differ:
 
@@ -158,9 +160,6 @@ class ModelParams:
             out[f"l{i}.w"] = w
             out[f"l{i}.b"] = b
         return out
-
-    def param_count(self) -> int:
-        return sum(t.size for t in self.named().values())
 
     def named_arrays(self, copy=False) -> dict:
         """Parameter and optimizer arrays keyed by name, in the checkpoint layout.
@@ -341,8 +340,12 @@ def pretrain_approximator(train, valid, spec: NetworkSpec, budget: int,
 
     Returns (params, history) where history records per-step losses and the
     validation accuracies every Q_EVAL_EVERY steps and at the end. A budget
-    of 0 returns the untouched initial parameters.
+    of 0 returns the untouched initial parameters; a negative budget or a
+    batch size below 1 is a ConfigError.
     """
+    if budget < 0 or batch_size < 1:
+        raise ConfigError(f"pretraining needs a non-negative budget and a positive batch size, "
+                          f"got {budget} steps of {batch_size}")
     if train.count == 0 or valid.count == 0:
         raise DataError("pretraining needs non-empty train and validation sets")
     if train.cond_dim != valid.cond_dim:

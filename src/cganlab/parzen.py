@@ -48,8 +48,8 @@ class ParzenConfig:
 
     def validate(self):
         grid = np.asarray(self.sigma_grid, dtype=np.float64)
-        if grid.size == 0 or np.any(grid <= 0):
-            raise ConfigError("sigma grid must be non-empty and strictly positive")
+        if grid.size == 0 or not np.all((grid > 0) & np.isfinite(grid)):
+            raise ConfigError("sigma grid must be non-empty, finite and strictly positive")
         if np.any(np.diff(grid) <= 0):
             raise ConfigError("sigma grid must be sorted ascending without duplicates")
         if self.samples_per_condition < 1:

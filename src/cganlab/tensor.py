@@ -111,10 +111,6 @@ class Tensor:
             raise ContractError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """Copy the value into a fresh leaf, cutting the graph."""
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op!r})"
 
@@ -398,24 +394,6 @@ def log(x) -> Tensor:
     return Tensor(y, (x,), "log", back)
 
 
-def concat_last(a, b) -> Tensor:
-    """Concatenate along the trailing axis; leading axes must agree."""
-    a, b = Tensor._coerce(a), Tensor._coerce(b)
-    if a.ndim != b.ndim:
-        raise DimensionError(f"concat rank mismatch: {a.shape} vs {b.shape}")
-    if a.shape[:-1] != b.shape[:-1]:
-        raise DimensionError(f"concat leading dimensions disagree: {a.shape} vs {b.shape}")
-    if a.shape[-1] == 0 or b.shape[-1] == 0:
-        raise DimensionError("concat operands must be non-empty along the last axis")
-    split = a.shape[-1]
-
-    def back(g, x=a, y=b, s=split):
-        _accum(x, g[..., :s])
-        _accum(y, g[..., s:])
-
-    return Tensor(np.concatenate([a.data, b.data], axis=-1), (a, b), "concat", back)
-
-
 def rows(x, start: int, stop: int) -> Tensor:
     """Rows start..stop-1 of x: a view forward, scattered into zeros backward."""
     x = Tensor._coerce(x)
@@ -514,8 +492,8 @@ class AdamState:
             raise ConfigError(f"beta1 must be in [0,1), got {beta1}")
         if not 0.0 <= beta2 < 1.0:
             raise ConfigError(f"beta2 must be in [0,1), got {beta2}")
-        if lr < 0.0:
-            raise ConfigError(f"lr must be non-negative, got {lr}")
+        if not 0.0 <= lr < np.inf:
+            raise ConfigError(f"lr must be finite and non-negative, got {lr}")
         if epsilon <= 0.0:
             raise ConfigError(f"epsilon must be positive, got {epsilon}")
         return cls(0, np.zeros(shape), np.zeros(shape), lr, beta1, beta2, epsilon)

@@ -53,12 +53,17 @@ class TrainConfig:
     def validate(self):
         if self.total_steps < 0 or self.batch_size < 1 or self.d_steps_per_g_step < 1:
             raise ConfigError("steps, batch size and d-steps must be positive")
+        if self.noise_dim < 1:
+            raise ConfigError(f"noise dimension must be at least 1, got {self.noise_dim}")
+        if self.checkpoint_every < 0:
+            raise ConfigError(f"checkpoint interval must be non-negative (0 for none), "
+                              f"got {self.checkpoint_every}")
         if self.generator_loss_mode not in GENERATOR_LOSS_MODES:
             raise ConfigError(f"unknown generator loss mode {self.generator_loss_mode!r}; "
                               f"expected one of {GENERATOR_LOSS_MODES}")
         if self.variant is Variant.IRGAN:
-            if not self.lam > 0:
-                raise ConfigError("the irgan variant needs lambda > 0")
+            if not 0 < self.lam < np.inf:
+                raise ConfigError(f"the irgan variant needs a finite lambda > 0, got {self.lam}")
         elif self.lam != 0.0:
             raise ConfigError(f"lambda is only meaningful for irgan, got {self.lam} "
                               f"with variant {self.variant.value}")

@@ -12,7 +12,10 @@ on tiny-digits-3; irgan uses that Q), one `eval --seed 5
 runs cgan for half the steps with `--checkpoint-every` a quarter of the
 steps, so its mid-run `g_step*`/`d_step*` checkpoints are hashed too, a
 `--resume` of that run to the full step count, and a `rerun` of the sbp
-run's manifest. Every command is a fresh
+run's manifest. On tiny-digits-3 it also trains sbp with `--batch-size 256`,
+whose pooled inputs exceed `conditioning.POOL_BUILD_MAX`, so sbp's
+per-condition product is hashed as well as the built one that the default
+batch size takes. Every command is a fresh
 `python -m cganlab.cli` process with PYTHONPATH=TREE/src and
 OPENBLAS_NUM_THREADS=1. It prints one JSON object mapping each artifact,
 as `dataset/run/file`, to its SHA-256; `log.csv` is hashed without its
@@ -30,6 +33,8 @@ from pathlib import Path
 
 VARIANTS = ("cgan", "fcgan", "sbp", "irgan")
 TRAIN_STEPS = {"mixture-3x2": 300, "tiny-digits-3": 150}
+# batch sizes at which sbp is trained once more, beside the dataset's default
+SBP_BATCH_SIZES = {"tiny-digits-3": 256}
 
 
 def commands(dataset: str, steps: int):
@@ -52,6 +57,10 @@ def commands(dataset: str, steps: int):
     runs.append(("train-cgan-resumed", [*cgan, "--steps", str(steps),
                                         "--resume", "{train-cgan-half}"]))
     runs.append(("rerun-sbp", ["rerun", "{train-sbp}/manifest.json"]))
+    if dataset in SBP_BATCH_SIZES:
+        bs = str(SBP_BATCH_SIZES[dataset])
+        runs.append((f"train-sbp-b{bs}", ["train", "--variant", "sbp", *ds, "--steps", str(steps),
+                                          "--seed", "7", "--batch-size", bs]))
     return runs
 
 

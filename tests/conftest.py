@@ -1,4 +1,5 @@
-"""Shared test helpers: finite-difference gradient checks, datasets and a
+"""Shared test helpers: finite-difference gradient checks, datasets, the
+weight-free definitions of the spatial conditioning ops and a
 one-glyph-at-a-time digit renderer."""
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from cganlab.data import _glyph_points
 from cganlab.rng import RngStream
-from cganlab.tensor import Tensor, TiedRows, backward
+from cganlab.tensor import Tensor, TiedRows, _accum, backward
 
 
 def numeric_grad(f, x, h=1e-5):
@@ -38,8 +39,8 @@ def assert_grads_match(build, *arrays, rtol=1e-4, atol=1e-6, h=1e-5):
             args = [Tensor(x if j == i else arr) for j, arr in enumerate(arrays)]
             return build(*args).item()
 
-        analytic = tensors[i].grad
-        assert analytic is not None, f"input {i} received no gradient"
+        assert tensors[i].grad is not None, f"input {i} received no gradient"
+        analytic = full_grad(tensors[i].grad)
         numeric = numeric_grad(f, np.array(a, dtype=np.float64), h=h)
         np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol)
 
@@ -57,6 +58,43 @@ def projection(weights):
         return (t * w).sum()
 
     return reduce
+
+
+def replicate_concat(x, c) -> Tensor:
+    """c tiled over the spatial grid of x and appended along channels.
+
+    The definition of `cganlab.conditioning.spatial_replicate_concat`, which
+    returns flatten(replicate_concat(x, c)) @ weight without building it. x
+    is one image [h, w, d] with a condition [m], or a batch [b, h, w, d]
+    with [b, m]; the output has d + m channels.
+    """
+    d = x.shape[-1]
+    tiled = np.broadcast_to(c.data[..., None, None, :], x.shape[:-1] + c.shape[-1:])
+
+    def back(g, xa=x, ca=c):
+        _accum(xa, g[..., :d])
+        _accum(ca, g[..., d:].sum(axis=(-3, -2)))
+
+    return Tensor(np.concatenate([x.data, tiled], axis=-1), (x, c), "replicate_concat", back)
+
+
+def bilinear_pool(x, c) -> Tensor:
+    """Every pixel's channel vector times every entry of c, condition-major.
+
+    The definition of `cganlab.conditioning.spatial_bilinear_pool`, which
+    returns flatten(bilinear_pool(x, c)) @ weight. Shapes as for
+    replicate_concat; out[..., i, j, a*d + e] = x[..., i, j, e] * c[..., a].
+    """
+    *lead, h, w, d = x.shape
+    m = c.shape[-1]
+    prod = np.einsum("...hwd,...m->...hwmd", x.data, c.data)
+
+    def back(g, xa=x, ca=c):
+        g5 = g.reshape(prod.shape)
+        _accum(xa, np.einsum("...hwmd,...m->...hwd", g5, ca.data))
+        _accum(ca, np.einsum("...hwmd,...hwd->...m", g5, xa.data))
+
+    return Tensor(prod.reshape(*lead, h, w, m * d), (x, c), "bilinear_pool", back)
 
 
 _PIXELS = np.arange(28).reshape(-1, 1)

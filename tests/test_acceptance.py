@@ -27,7 +27,7 @@ from cganlab.parzen import (ParzenConfig, conditional_eval, default_sigma_grid,
 from cganlab.rng import RngStream
 from cganlab.tensor import Tensor, activation, matmul, softmax_cross_entropy
 from cganlab.training import TrainConfig, train
-from conftest import assert_grads_match, projection
+from conftest import assert_grads_match, bilinear_pool, projection
 from fuzzing import cifar_fuzz_cases, idx_fuzz_cases
 
 mpmath.mp.dps = 50
@@ -132,16 +132,20 @@ def test_a1_gradient_suite(rng):
         target[np.arange(3), rng.integers(0, 4, 3)] = 1.0
         fd(lambda t: softmax_cross_entropy(t, target), logits)
 
-        z, c = rng.normal(size=4), rng.normal(size=3)
-        wz = rng.normal(size=7)
+        z, c = rng.normal(size=(2, 4)), rng.normal(size=(2, 3))
+        wz = rng.normal(size=(2, 7))
         fd(lambda zz, cc: projection(wz)(vector_concat(zz, cc)), z, c)
 
-        img = rng.normal(size=(2, 2, 2))
-        cc2 = rng.normal(size=3)
-        w_rc = rng.normal(size=(2, 2, 5))
-        fd(lambda xx, ci: projection(w_rc)(spatial_replicate_concat(xx, ci)), img, cc2)
-        w_bp = rng.normal(size=(2, 2, 6))
-        fd(lambda xx, ci: projection(w_bp)(spatial_bilinear_pool(xx, ci)), img, cc2)
+        # the ops as D's first layer calls them: a batch and the weight
+        img = rng.normal(size=(2, 2, 2, 2))
+        cc2 = rng.normal(size=(2, 3))
+        w_out = rng.normal(size=(2, 4))
+        w_rc = rng.normal(size=(2 * 2 * 5, 4))
+        fd(lambda xx, ci, ww: projection(w_out)(spatial_replicate_concat(xx, ci, ww)),
+           img, cc2, w_rc)
+        w_bp = rng.normal(size=(2 * 2 * 6, 4))
+        fd(lambda xx, ci, ww: projection(w_out)(spatial_bilinear_pool(xx, ci, ww)),
+           img, cc2, w_bp)
 
     img_shape, m, k = (2, 2, 1), 2, 3
     spec = NetworkSpec([4])
@@ -181,7 +185,7 @@ def test_a2_sbp_algebra(rng):
         a = int(rng.integers(0, m))
         e = np.zeros(m)
         e[a] = 1.0
-        out = spatial_bilinear_pool(Tensor(x), Tensor(e)).data.reshape(n, n, m, d)
+        out = bilinear_pool(Tensor(x), Tensor(e)).data.reshape(n, n, m, d)
         assert np.array_equal(out[:, :, a, :], x)
         mask = np.ones(m, dtype=bool)
         mask[a] = False
@@ -189,14 +193,14 @@ def test_a2_sbp_algebra(rng):
 
         c1, c2 = rng.normal(size=m), rng.normal(size=m)
         al, be = float(rng.normal()), float(rng.normal())
-        combo = spatial_bilinear_pool(Tensor(x), Tensor(al * c1 + be * c2)).data
-        parts = (al * spatial_bilinear_pool(Tensor(x), Tensor(c1)).data
-                 + be * spatial_bilinear_pool(Tensor(x), Tensor(c2)).data)
+        combo = bilinear_pool(Tensor(x), Tensor(al * c1 + be * c2)).data
+        parts = (al * bilinear_pool(Tensor(x), Tensor(c1)).data
+                 + be * bilinear_pool(Tensor(x), Tensor(c2)).data)
         assert np.max(np.abs(combo - parts)) < 1e-12
 
     for _ in range(50):
         n, d, m = rng.integers(1, 7), rng.integers(1, 6), rng.integers(1, 9)
-        out = spatial_bilinear_pool(Tensor(np.ones((n, n, d))), Tensor(np.ones(m)))
+        out = bilinear_pool(Tensor(np.ones((n, n, d))), Tensor(np.ones(m)))
         assert out.shape == (n, n, d * m)
 
     elapsed = time.monotonic() - t0

@@ -111,6 +111,29 @@ def test_unknown_variant_is_usage_error(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("train", ("--noise-dim", "0")), ("train", ("--noise-dim", "-1")),
+    ("train", ("--lr", "nan")), ("train", ("--lr", "inf")),
+    ("train", ("--checkpoint-every", "-3")),
+    ("irgan", ("--lambda", "inf")),
+    ("pretrain-q", ("--steps", "-5")), ("pretrain-q", ("--lr", "nan")),
+    ("pretrain-q", ("--batch-size", "0")),
+], ids=lambda v: v if isinstance(v, str) else "=".join(v))
+def test_unusable_setting_exits_2(runner, tmp_path, command, flags):
+    args = {"train": ["train", "--variant", "cgan", "--steps", "2"],
+            "irgan": ["train", "--variant", "irgan", "--steps", "2", "--q-checkpoint",
+                      str(tmp_path / "q" / "q.ckpt")],
+            "pretrain-q": ["pretrain-q"]}[command]
+    if command == "irgan":
+        run_ok(runner, ["pretrain-q", "--dataset", "mixture-3x2", "--steps", "0",
+                        "--out", str(tmp_path / "q")])
+    result = runner.invoke(main, [*args, "--dataset", "mixture-3x2", *flags,
+                                  "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("config error: ")
+    assert not list((tmp_path / "o").glob("*"))
+
+
 def test_missing_data_dir_exits_3(runner, tmp_path):
     result = runner.invoke(main, ["train", "--variant", "cgan", "--dataset", "mnist",
                                   "--steps", "1", "--out", str(tmp_path / "o")])
@@ -637,6 +660,25 @@ def test_eval_sigma_grid_flag(runner, trained_dir, tmp_path):
     report = (tmp_path / "o" / "report.csv").read_text().strip().splitlines()
     for line in report[1:]:
         assert float(line.split(",")[1]) in (0.05, 0.1, 0.2)
+
+
+@pytest.mark.parametrize("grid", ["0.1:1:x", "a:1:3", "0:1:5", "0.1:1:-2", "1:2", "-1:1:5",
+                                  "nan,1"])
+def test_malformed_sigma_grid_is_config_error(runner, trained_dir, tmp_path, grid):
+    args = ["eval", "--g-checkpoint", str(trained_dir / "g.ckpt"), "--dataset", "mixture-3x2",
+            "--seed", "1", "--samples-per-condition", "60"]
+    result = runner.invoke(main, [*args, "--sigma-grid", grid, "--out", str(tmp_path / "bad")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("config error: ")
+    # recorded in a manifest, the same grid is malformed data
+    run_ok(runner, [*args, "--sigma-grid", "0.05:1:3", "--out", str(tmp_path / "o")])
+    doc = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    doc["resolved"]["sigma_grid"] = grid
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    result = runner.invoke(main, ["rerun", str(tmp_path / "manifest.json"),
+                                  "--out", str(tmp_path / "re")])
+    assert result.exit_code == 3, result.output
+    assert result.stderr.startswith("data error: ")
 
 
 def test_eval_warns_when_sigma_is_on_the_grid_edge(runner, trained_dir, tmp_path):

@@ -2,10 +2,11 @@ import mpmath
 import numpy as np
 import pytest
 
+from cganlab.conditioning import vector_concat
 from cganlab.errors import ConfigError, ContractError, DimensionError
 from cganlab.tensor import (ADAM_BLOCK, LOG_FLOOR, AdamState, Tensor, TiedRows, activation,
-                            adam_step, backward, concat_last, is_one_hot, log, matmul, no_grad,
-                            one_hot, rows, softmax, softmax_cross_entropy)
+                            adam_step, backward, is_one_hot, log, matmul, no_grad, one_hot, rows,
+                            softmax, softmax_cross_entropy)
 from conftest import assert_grads_match, projection
 
 mpmath.mp.dps = 50
@@ -205,7 +206,7 @@ def test_fan_in_through_add_reshape_and_concat(rng):
     x, y = Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=(2, 2)))
     a = x + Tensor(np.ones((2, 3)))
     r = x.reshape((3, 2))
-    cc = concat_last(x, y)
+    cc = vector_concat(x, y)
     loss = (a * w1).sum() + (r * w2).sum() + (cc * w3).sum()
     backward(loss)
     # first-write leaves x.grad aliasing a.grad; later arrivals must not write through
@@ -234,12 +235,6 @@ def test_reductions_and_reshape_gradients(rng):
     assert_grads_match(lambda t: projection(w)(t.reshape((2, 10))), x)
     assert_grads_match(lambda t: (t.mean(axis=1) * Tensor(np.arange(4.0))).sum(), x)
     assert_grads_match(lambda t: t.mean(), x)
-
-
-def test_concat_last_gradients(rng):
-    a, b = rng.normal(size=(3, 2)), rng.normal(size=(3, 4))
-    w = rng.normal(size=(3, 6))
-    assert_grads_match(lambda x, y: projection(w)(concat_last(x, y)), a, b)
 
 
 def test_rows_gradients(rng):
@@ -350,6 +345,9 @@ def test_adam_hyper_validation():
         AdamState.fresh((1,), beta1=1.0)
     with pytest.raises(ConfigError):
         AdamState.fresh((1,), epsilon=0.0)
+    for lr in (-1e-3, np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            AdamState.fresh((1,), lr=lr)
 
 
 def reference_adam(data, grad, m, v, step, st):

@@ -6,7 +6,6 @@ import pytest
 
 from cganlab import models, training
 from cganlab.checkpoint import load_model, save_model
-from cganlab.conditioning import spatial_replicate_concat
 from cganlab.data import LabeledDataset, mixture_3x2_spec, synth_mixture
 from cganlab.errors import ConfigError, ContractError, DataError
 from cganlab.models import (NetworkSpec, build_approximator, build_discriminator,
@@ -217,7 +216,7 @@ def test_stacked_d_update_matches_two_calls(variant, images, tiny_mixture, monke
     s = stream.split("d-0")
     z = training._sample_noise(s.split("z"), 32, cfg.noise_dim)
     cf = training._sample_conditions(s.split("c"), 32, label_probs)
-    x_fake = generator_forward(z, cf, g).detach()
+    x_fake = Tensor(generator_forward(z, cf, g).data)
     loss = d_loss(discriminator_forward(Tensor(x_real), Tensor(c_real), d_ref),
                   discriminator_forward(x_fake, cf, d_ref))
     backward(loss, wrt=d_ref.named().values())
@@ -237,15 +236,13 @@ def test_stacked_d_update_matches_two_calls(variant, images, tiny_mixture, monke
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
 
 
-def _full_dw_replicate_concat(x, c, weight=None):
+def _full_dw_replicate_concat(x, c, weight):
     """Replicate-concat's product as it was before tied rows, the reference below.
 
     Its weight gradient is one full [h*w*(d+m), k] array in which every
     pixel's condition rows are a copy of c^T g. Only the weight gets a
     gradient: in a D update the images and conditions are constants.
     """
-    if weight is None:
-        return spatial_replicate_concat(x, c)
     b, h, w, d = x.shape
     pixels, m, k = h * w, c.shape[1], weight.shape[1]
     w3 = weight.data.reshape(pixels, d + m, k)
