@@ -20,7 +20,8 @@ TypeError.
 
 A model header's role fields and hidden widths fix the network's layout
 (models.layer_dims, as for the builders); its spec, in_dim, out_dim,
-model.hidden_extra and array shapes must state that layout exactly.
+model.hidden_extra, array shapes and adam_steps must state that layout
+exactly. A name, which eval gives a report file, is one path component.
 
 Adam moments are stored in the parameter's full layout, also where the
 network keeps them once for rows tied across pixels (models.tied_rows): save
@@ -218,12 +219,15 @@ def load_model(path):
     weights = [Tensor(arrays[f"l{i}.w"]) for i in range(len(dims))]
     biases = [Tensor(arrays[f"l{i}.b"]) for i in range(len(dims))]
     params = ModelParams(weights, biases, spec, dict(model))
+    if sorted(steps) != sorted(params.named()):
+        raise ParseError(f"model container {path}: 'adam_steps' names {sorted(steps)}, but the "
+                         f"network's parameters are {sorted(params.named())}")
     for name in params.named():
         try:
             m, v = params.moments(name, arrays[f"adam.m:{name}"], arrays[f"adam.v:{name}"])
         except ContractError as e:
             raise ParseError(f"model container {path}: Adam moments of {name!r}: {e}") from None
-        params.adam[name] = AdamState(steps.get(name, 0), m, v, hyper["lr"], hyper["beta1"],
+        params.adam[name] = AdamState(steps[name], m, v, hyper["lr"], hyper["beta1"],
                                       hyper["beta2"], hyper["epsilon"])
     return params, meta
 
@@ -262,7 +266,11 @@ def _model_header(meta, path):
     need(hyper["lr"] >= 0.0 and 0.0 <= hyper["beta1"] < 1.0 and 0.0 <= hyper["beta2"] < 1.0
          and hyper["epsilon"] > 0.0,
          f"'hyper' {hyper} needs lr >= 0, beta1 and beta2 in [0, 1) and epsilon > 0")
-    steps = meta.get("adam_steps", {})
+    steps = meta.get("adam_steps")
     need(isinstance(steps, dict) and all(_is_int(n) and n >= 0 for n in steps.values()),
          "'adam_steps' must map names to non-negative ints")
+    name = meta.get("name")
+    need("name" not in meta or (isinstance(name, str) and name not in ("", ".", "..")
+                                and not any(ch in name for ch in "/\\\0")),
+         f"'name' must be one non-empty path component, got {name!r}")
     return list(hidden), model, hyper, steps

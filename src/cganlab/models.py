@@ -1,11 +1,13 @@
 """Dense networks: generator G(z, c), four discriminator variants, and the
 condition approximator Q(c|x).
 
-Everything is fully connected. Images are flattened at the input, except in
-the conditioned discriminators: their condition-injection op takes the
-image batch, the condition batch and the first layer's weight, and returns
-the first layer's product directly (the op's weight-free definition is the
-tests' reference for it). The generator is identical across variants
+Everything is fully connected, and every forward takes a batch. Layer 0's
+product is flatten(input) @ W0, except in the conditioned discriminators:
+their condition-injection op takes the image batch, the condition batch and
+the first layer's weight and returns that product (the op's weight-free
+definition is the tests' reference for it). From there every net is the same
+stack, each hidden layer ending in one tensor.leaky_relu(x, bias) node. The
+generator is identical across variants
 (the condition is concatenated to the noise vector once, at the input); only
 the discriminators differ:
 
@@ -36,7 +38,7 @@ from .data import epoch_batches
 from .errors import ConfigError, DataError, DimensionError
 from .rng import RngStream
 from .tensor import (LEAKY_SLOPE, AdamState, Tensor, TiedRows, activation, adam_step, backward,
-                     matmul, no_grad, softmax, softmax_cross_entropy)
+                     leaky_relu, matmul, no_grad, softmax, softmax_cross_entropy)
 
 
 class Variant(str, Enum):
@@ -207,34 +209,26 @@ def _apply_grads(params: ModelParams):
             t.grad = None
 
 
-def _dense_stack(x: Tensor, params: ModelParams, append=None, projected=False) -> Tensor:
-    """Run the hidden stack; `append(h)` is applied to every hidden activation.
-
-    With projected, x is already the first layer's product with its weight.
-    """
-    h = x
-    for i in range(len(params.weights) - 1):
-        if i > 0 or not projected:
-            h = matmul(h, params.weights[i])
-        h = h + params.biases[i]
-        h = activation(h, "leaky_relu")
+def _dense_stack(h0: Tensor, params: ModelParams, append=None) -> Tensor:
+    """Logits from layer 0's product h0: each hidden layer is one leaky_relu(x, bias)
+    node, then `append(h)` if given, then the next product; the output adds its bias."""
+    h = h0
+    for i in range(1, len(params.weights)):
+        h = leaky_relu(h, params.biases[i - 1])
         if append is not None:
             h = append(h)
-    return matmul(h, params.weights[-1]) + params.biases[-1]
+        h = matmul(h, params.weights[i])
+    return h + params.biases[-1]
 
 
-def _ensure_batched(v, rank_single):
-    t = Tensor._coerce(v)
-    if t.ndim == rank_single:
-        return t.reshape((1,) + t.shape), True
-    if t.ndim == rank_single + 1:
-        return t, False
-    raise DimensionError(f"expected rank {rank_single} or {rank_single + 1}, got shape {t.shape}")
-
-
-def _flatten_rows(x: Tensor) -> Tensor:
-    b = x.shape[0]
-    return x.reshape((b, int(np.prod(x.shape[1:]))))
+def _input_product(x, params: ModelParams) -> Tensor:
+    """flatten(x) @ W0 for G, Q and irgan's D; x is a batch of the net's input."""
+    x, meta = Tensor._coerce(x), params.meta
+    sample = (params.in_dim,) if meta["role"] == "generator" else tuple(meta["image_shape"])
+    if x.shape[1:] != sample:
+        raise DimensionError(f"{meta['role']} expects inputs of shape [b, *{list(sample)}], "
+                             f"got {x.shape}")
+    return matmul(x.reshape((x.shape[0], params.in_dim)) if x.ndim > 2 else x, params.weights[0])
 
 
 # ----------------------------------------------------------------------
@@ -266,57 +260,34 @@ def build_approximator(image_shape, cond_dim, spec: NetworkSpec,
 
 
 def generator_forward(z, c, params: ModelParams) -> Tensor:
-    """G(z, c): noise and condition concatenated, dense stack, tanh image."""
-    zb, single = _ensure_batched(z, 1)
-    cb, _ = _ensure_batched(c, 1)
-    if zb.shape[0] != cb.shape[0]:
-        raise DimensionError(f"batch sizes disagree: noise {zb.shape} vs condition {cb.shape}")
-    h, w, d = params.meta["image_shape"]
-    x = vector_concat(zb, cb)
-    if x.shape[1] != params.in_dim:
-        raise DimensionError(f"generator expects input width {params.in_dim}, got {x.shape[1]}")
-    out = _dense_stack(x, params)
-    img = activation(out, "tanh").reshape((zb.shape[0], h, w, d))
-    return img.reshape((h, w, d)) if single else img
+    """G(z, c): noise [b, k] and conditions [b, m] concatenated, dense stack, tanh images."""
+    x = vector_concat(z, c)
+    out = _dense_stack(_input_product(x, params), params)
+    return activation(out, "tanh").reshape((x.shape[0],) + tuple(params.meta["image_shape"]))
 
 
 def discriminator_forward(x, c, params: ModelParams) -> Tensor:
-    """D(x[, c]) as a probability in (0, 1); shape [b] (scalar if unbatched)."""
+    """D(x, c) of images [b, h, w, d] and conditions [b, m] (None for irgan): [b] in (0, 1)."""
     variant = Variant(params.meta["variant"])
-    xb, single = _ensure_batched(x, 3)
-    m = params.meta["cond_dim"]
     append = None
     if variant is Variant.IRGAN:
-        h0 = _flatten_rows(xb)
-        if h0.shape[1] != params.in_dim:
-            raise DimensionError(
-                f"discriminator(irgan) expects input width {params.in_dim}, got {h0.shape[1]}")
-        logits = _dense_stack(h0, params)
+        h0 = _input_product(x, params)
     else:
-        cb, _ = _ensure_batched(c, 1)
-        if cb.shape[1] != m:
-            raise DimensionError(f"condition width {cb.shape[1]} != expected {m}")
+        c = Tensor._coerce(c)
         # the first layer's product comes from the conditioning op itself,
         # which need not build the conditioned input
         op = spatial_bilinear_pool if variant is Variant.SBP else spatial_replicate_concat
-        h0 = op(xb, cb, weight=params.weights[0])
+        h0 = op(x, c, weight=params.weights[0])
         if variant is Variant.FCGAN:
             def append(hid):
-                return vector_concat(hid, cb)
-        logits = _dense_stack(h0, params, append, projected=True)
-    prob = activation(logits, "sigmoid").reshape((xb.shape[0],))
-    return prob.reshape(()) if single else prob
+                return vector_concat(hid, c)
+    logits = _dense_stack(h0, params, append)
+    return activation(logits, "sigmoid").reshape((logits.shape[0],))
 
 
 def approximator_forward(x, params: ModelParams) -> Tensor:
-    """Q(c|x): softmax distribution over conditions, shape [b, m]."""
-    xb, single = _ensure_batched(x, 3)
-    h0 = _flatten_rows(xb)
-    if h0.shape[1] != params.in_dim:
-        raise DimensionError(f"approximator expects input width {params.in_dim}, got {h0.shape[1]}")
-    logits = _dense_stack(h0, params)
-    probs = softmax(logits)
-    return probs.reshape((probs.shape[1],)) if single else probs
+    """Q(c|x) of images [b, h, w, d]: softmax distributions over conditions, shape [b, m]."""
+    return softmax(_dense_stack(_input_product(x, params), params))
 
 
 # ----------------------------------------------------------------------
@@ -341,13 +312,16 @@ def pretrain_approximator(train, valid, spec: NetworkSpec, budget: int,
     Returns (params, history) where history records per-step losses and the
     validation accuracies every Q_EVAL_EVERY steps and at the end. A budget
     of 0 returns the untouched initial parameters; a negative budget or a
-    batch size below 1 is a ConfigError.
+    batch size below 1 is a ConfigError, and one the training set cannot
+    fill a DataError.
     """
     if budget < 0 or batch_size < 1:
         raise ConfigError(f"pretraining needs a non-negative budget and a positive batch size, "
                           f"got {budget} steps of {batch_size}")
     if train.count == 0 or valid.count == 0:
         raise DataError("pretraining needs non-empty train and validation sets")
+    if train.count < batch_size:
+        raise DataError(f"dataset of {train.count} samples cannot fill batches of {batch_size}")
     if train.cond_dim != valid.cond_dim:
         raise DataError(f"label widths disagree: {train.cond_dim} vs {valid.cond_dim}")
     params = build_approximator(train.image_shape, train.cond_dim, spec,
@@ -356,9 +330,8 @@ def pretrain_approximator(train, valid, spec: NetworkSpec, budget: int,
     best = params.snapshot()
     best_acc = classifier_accuracy(params, valid.images, valid.labels)
     history["val_acc"].append((0, best_acc))
-    batch_size = min(batch_size, train.count)
     for i, idx in epoch_batches(train.count, batch_size, stream, 0, int(budget)):
-        logits = _dense_stack(_flatten_rows(Tensor(train.images[idx])), params)
+        logits = _dense_stack(_input_product(train.images[idx], params), params)
         loss = softmax_cross_entropy(logits, train.labels[idx])
         backward(loss, wrt=params.named().values())
         _apply_grads(params)

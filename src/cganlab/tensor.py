@@ -3,7 +3,8 @@
 Define-by-run: every Tensor wraps a numpy array together with the op tag and
 parent nodes that produced it, and a closure routing an incoming gradient to
 those parents. Graphs are rebuilt each training step; backward() is one
-reverse topological sweep with accumulation at fan-in nodes.
+reverse topological sweep with accumulation at fan-in nodes. A hidden layer
+is two nodes, its product and leaky_relu(x, bias).
 
 backward(loss, wrt=params) prunes the sweep: only nodes on a path to one of
 the requested leaves are marked `wanted`, the closures skip operand gradients
@@ -348,21 +349,34 @@ def matmul(a, b) -> Tensor:
     return Tensor(a.data @ b.data, (a, b), "matmul", back)
 
 
+def leaky_relu(x, bias) -> Tensor:
+    """leaky_relu(x + bias), slope LEAKY_SLOPE, of a [b, k] batch and a [k] bias, as one node.
+
+    As 0 < slope < 1, max(pre, slope*pre) is exactly pre for pre > 0 and
+    slope*pre otherwise, signed zeros included; g*1.0 is exactly g. The output
+    is positive where pre is, so the backward reads it and pre is not kept.
+    """
+    x, bias = Tensor._coerce(x), Tensor._coerce(bias)
+    if x.ndim != 2 or bias.shape != x.shape[1:]:
+        raise DimensionError(f"leaky_relu needs [b, k] and [k] operands, got {x.shape}, {bias.shape}")
+    pre = x.data + bias.data
+    y = LEAKY_SLOPE * pre
+    np.maximum(pre, y, out=y)
+
+    def back(g, a=x, b=bias, out=y):
+        gs = np.where(out > 0, 1.0, LEAKY_SLOPE)
+        np.multiply(g, gs, out=gs)
+        _accum(a, gs)
+        if b.wanted:
+            _accum(b, gs.sum(axis=0))
+
+    return Tensor(y, (x, bias), "leaky_relu", back)
+
+
 def activation(x, kind: str) -> Tensor:
-    """Elementwise nonlinearity: leaky_relu (slope LEAKY_SLOPE), sigmoid, or tanh."""
+    """An output head's elementwise nonlinearity: sigmoid or tanh."""
     x = Tensor._coerce(x)
-    if kind == "leaky_relu":
-        # max(x, slope*x) is exactly x for x > 0 and slope*x otherwise when
-        # 0 < slope < 1, signed zeros included; g*1.0 is exactly g. Each
-        # direction writes its result into its one full-size temporary.
-        y = LEAKY_SLOPE * x.data
-        np.maximum(x.data, y, out=y)
-
-        def back(g, a=x, d=x.data):
-            slope = np.where(d > 0, 1.0, LEAKY_SLOPE)
-            _accum(a, np.multiply(g, slope, out=slope))
-
-    elif kind == "sigmoid":
+    if kind == "sigmoid":
         d = x.data
         y = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
                      np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
@@ -378,7 +392,7 @@ def activation(x, kind: str) -> Tensor:
             _accum(a, g * (1.0 - t * t))
 
     else:
-        raise ConfigError(f"unknown activation kind {kind!r}; expected leaky_relu, sigmoid or tanh")
+        raise ConfigError(f"unknown activation kind {kind!r}; expected sigmoid or tanh")
     return Tensor(y, (x,), kind, back)
 
 

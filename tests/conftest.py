@@ -1,13 +1,13 @@
 """Shared test helpers: finite-difference gradient checks, datasets, the
-weight-free definitions of the spatial conditioning ops and a
-one-glyph-at-a-time digit renderer."""
+one-operand definition of leaky_relu, the weight-free definitions of the
+spatial conditioning ops and a one-glyph-at-a-time digit renderer."""
 
 import numpy as np
 import pytest
 
 from cganlab.data import _glyph_points
 from cganlab.rng import RngStream
-from cganlab.tensor import Tensor, TiedRows, _accum, backward
+from cganlab.tensor import LEAKY_SLOPE, Tensor, TiedRows, _accum, backward
 
 
 def numeric_grad(f, x, h=1e-5):
@@ -58,6 +58,22 @@ def projection(weights):
         return (t * w).sum()
 
     return reduce
+
+
+def reference_leaky_relu(x) -> Tensor:
+    """max(x, LEAKY_SLOPE * x) elementwise, with slope 1 or LEAKY_SLOPE backward.
+
+    The definition of `cganlab.tensor.leaky_relu(x, bias)`, which computes
+    reference_leaky_relu(x + bias) as one node and must give the same bits.
+    """
+    y = LEAKY_SLOPE * x.data
+    np.maximum(x.data, y, out=y)
+
+    def back(g, a=x, d=x.data):
+        slope = np.where(d > 0, 1.0, LEAKY_SLOPE)
+        _accum(a, np.multiply(g, slope, out=slope))
+
+    return Tensor(y, (x,), "leaky_relu", back)
 
 
 def replicate_concat(x, c) -> Tensor:

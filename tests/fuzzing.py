@@ -199,6 +199,14 @@ def container_fuzz_cases():
     model("hyper-without-lr", lambda m, a: m["hyper"].pop("lr"))
     model("hyper-beta1-one", lambda m, a: m["hyper"].update(beta1=1.0))
     model("adam-steps-list", lambda m, a: m.update(adam_steps=[1]))
+    model("adam-steps-missing", lambda m, a: m.pop("adam_steps"))
+    model("adam-steps-empty", lambda m, a: m.update(adam_steps={}))
+    model("adam-steps-without-a-bias", lambda m, a: m["adam_steps"].pop("l0.b"))
+    model("adam-steps-unknown-name", lambda m, a: m["adam_steps"].update({"l9.w": 0}))
+    for label, bad in (("with-slash", "sub/dir"), ("with-backslash", "sub\\dir"),
+                       ("with-nul", "a\0b"), ("dot", "."), ("dot-dot", ".."), ("empty", ""),
+                       ("int", 5), ("null", None), ("list", ["g"])):
+        model(f"name-{label}", lambda m, a, bad=bad: m.update(name=bad))
     model("missing-bias", lambda m, a: a[[e["name"] for e in a].index("l0.b")].update(name="l9.b"))
     model("generator-noise-dim-plus-one",
           lambda m, a: m["model"].update(noise_dim=m["model"]["noise_dim"] + 1))

@@ -25,7 +25,7 @@ from cganlab.models import (NetworkSpec, Variant, approximator_forward,
 from cganlab.parzen import (ParzenConfig, conditional_eval, default_sigma_grid,
                             generate_samples, parzen_log_likelihood, select_sigma)
 from cganlab.rng import RngStream
-from cganlab.tensor import Tensor, activation, matmul, softmax_cross_entropy
+from cganlab.tensor import Tensor, activation, leaky_relu, matmul, softmax_cross_entropy
 from cganlab.training import TrainConfig, train
 from conftest import assert_grads_match, bilinear_pool, projection
 from fuzzing import cifar_fuzz_cases, idx_fuzz_cases
@@ -122,9 +122,12 @@ def test_a1_gradient_suite(rng):
         w = rng.normal(size=(3, 2))
         fd(lambda x, y: projection(w)(matmul(x, y)), a, b)
 
+        bias = rng.normal(size=5)
+        # x + bias stays away from leaky_relu's kink
         x = rng.normal(size=(2, 5)) + 0.3 * np.sign(rng.normal(size=(2, 5)))
         wx = rng.normal(size=(2, 5))
-        for kind in ("leaky_relu", "sigmoid", "tanh"):
+        fd(lambda t, bb: projection(wx)(leaky_relu(t, bb)), x - bias, bias)
+        for kind in ("sigmoid", "tanh"):
             fd(lambda t, k=kind: projection(wx)(activation(t, k)), x)
 
         logits = rng.normal(size=(3, 4))
@@ -147,25 +150,27 @@ def test_a1_gradient_suite(rng):
         fd(lambda xx, ci, ww: projection(w_out)(spatial_bilinear_pool(xx, ci, ww)),
            img, cc2, w_bp)
 
+    # two hidden layers, so a later layer's matmul -> leaky_relu, and fcgan's
+    # concatenation after every hidden layer, are checked too
     img_shape, m, k = (2, 2, 1), 2, 3
-    spec = NetworkSpec([4])
+    spec = NetworkSpec([4, 3])
     for i in range(20):
         g = build_generator(img_shape, m, k, spec, RngStream(i, ("a1g",)))
-        z = rng.uniform(-1, 1, k)
-        c = rng.uniform(0.1, 1.0, m)
-        wg = rng.normal(size=img_shape)
+        z = rng.uniform(-1, 1, (1, k))
+        c = rng.uniform(0.1, 1.0, (1, m))
+        wg = rng.normal(size=(1,) + img_shape)
         fd(lambda zz, cc: projection(wg)(generator_forward(zz, cc, g)), z, c)
 
-        x = rng.uniform(-1, 1, img_shape)
+        x = rng.uniform(-1, 1, (1,) + img_shape)
         for variant in Variant:
             d = build_discriminator(img_shape, m, spec, variant, RngStream(i, ("a1d", variant.value)))
             if variant is Variant.IRGAN:
-                fd(lambda xx, dd=d: discriminator_forward(xx, None, dd).reshape((1,)).sum(), x)
+                fd(lambda xx, dd=d: discriminator_forward(xx, None, dd).sum(), x)
             else:
-                fd(lambda xx, cc, dd=d: discriminator_forward(xx, cc, dd).reshape((1,)).sum(), x, c)
+                fd(lambda xx, cc, dd=d: discriminator_forward(xx, cc, dd).sum(), x, c)
 
         q = build_approximator(img_shape, m, spec, RngStream(i, ("a1q",)))
-        wq = rng.normal(size=m)
+        wq = rng.normal(size=(1, m))
         fd(lambda xx: (approximator_forward(xx, q) * Tensor(wq)).sum(), x)
 
     elapsed = time.monotonic() - t0

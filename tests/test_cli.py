@@ -576,6 +576,14 @@ def test_pretrain_q_learns_mixture(runner, tmp_path):
     assert summary["val_accuracy"] > 0.95
 
 
+def test_pretrain_q_refuses_a_batch_larger_than_the_dataset(runner, tmp_path):
+    result = runner.invoke(main, ["pretrain-q", "--dataset", "mixture-3x2", "--steps", "5",
+                                  "--batch-size", "100000", "--out", str(tmp_path / "q")])
+    assert result.exit_code == 3, result.output
+    assert "cannot fill batches of 100000" in result.stderr
+    assert not (tmp_path / "q" / "manifest.json").exists()
+
+
 # ----------------------------------------------------------------------
 # eval
 
@@ -650,6 +658,20 @@ def test_eval_malformed_checkpoint_is_data_error(runner, trained_dir, tmp_path):
                                   "--dataset", "mixture-3x2", "--out", str(tmp_path / "o")])
     assert result.exit_code == 3
     assert result.stderr.startswith("data error: ") and "'spec'" in result.stderr
+
+
+@pytest.mark.parametrize("name", ["sub/dir", 5])
+def test_eval_refuses_a_checkpoint_name_that_is_no_file_name(runner, trained_dir, tmp_path,
+                                                              name):
+    meta, arrays = read_container(trained_dir / "g.ckpt")
+    meta["name"] = name
+    for copy in ("a", "b"):
+        write_container(tmp_path / f"{copy}.ckpt", meta, arrays)
+    result = runner.invoke(main, ["eval", "--g-checkpoint", str(tmp_path / "a.ckpt"),
+                                  "--g-checkpoint", str(tmp_path / "b.ckpt"),
+                                  "--dataset", "mixture-3x2", "--out", str(tmp_path / "o")])
+    assert result.exit_code == 3, result.output
+    assert result.stderr.startswith("data error: ") and "'name'" in result.stderr
 
 
 def test_eval_sigma_grid_flag(runner, trained_dir, tmp_path):

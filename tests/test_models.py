@@ -26,8 +26,9 @@ def make_d(variant, seed=0, **kw):
 
 
 def onehot(i, m=M):
-    v = np.zeros(m)
-    v[i] = 1.0
+    """A batch of one: the [1, m] one-hot row of condition i."""
+    v = np.zeros((1, m))
+    v[0, i] = 1.0
     return v
 
 
@@ -39,14 +40,14 @@ def test_generator_zero_final_layer_gives_zero_image(stream):
     g = make_g()
     g.weights[-1].data[...] = 0.0
     g.biases[-1].data[...] = 0.0
-    out = generator_forward(Tensor(stream.uniform(-1, 1, K)), Tensor(onehot(1)), g)
-    assert out.shape == IMG
-    np.testing.assert_array_equal(out.data, np.zeros(IMG))
+    out = generator_forward(Tensor(stream.uniform(-1, 1, (1, K))), Tensor(onehot(1)), g)
+    assert out.shape == (1,) + IMG
+    np.testing.assert_array_equal(out.data, np.zeros((1,) + IMG))
 
 
 def test_generator_deterministic_forward(stream):
     g = make_g()
-    z = stream.uniform(-1, 1, K)
+    z = stream.uniform(-1, 1, (1, K))
     a = generator_forward(Tensor(z), Tensor(onehot(0)), g).data
     b = generator_forward(Tensor(z), Tensor(onehot(0)), g).data
     assert np.array_equal(a, b)
@@ -63,9 +64,9 @@ def test_generator_output_in_tanh_range(stream):
 
 def test_generator_gradients_wrt_noise_and_condition(rng):
     g = make_g(3)
-    z = rng.uniform(-1, 1, K)
-    c = rng.uniform(0.1, 1.0, M)
-    w = rng.normal(size=IMG)
+    z = rng.uniform(-1, 1, (1, K))
+    c = rng.uniform(0.1, 1.0, (1, M))
+    w = rng.normal(size=(1,) + IMG)
     assert_grads_match(lambda zz, cc: projection(w)(generator_forward(zz, cc, g)), z, c)
 
 
@@ -82,7 +83,22 @@ def test_generator_identical_across_variants():
 def test_generator_input_width_checked(stream):
     g = make_g()
     with pytest.raises(DimensionError):
-        generator_forward(Tensor(stream.uniform(-1, 1, K + 1)), Tensor(onehot(0)), g)
+        generator_forward(Tensor(stream.uniform(-1, 1, (1, K + 1))), Tensor(onehot(0)), g)
+
+
+def test_forwards_take_only_batches(stream):
+    """One sample without its batch axis is a DimensionError in every forward."""
+    z, c, x = stream.uniform(-1, 1, K), onehot(0)[0], stream.uniform(-1, 1, IMG)
+    with pytest.raises(DimensionError):
+        generator_forward(Tensor(z), Tensor(c), make_g())
+    for variant in Variant:
+        with pytest.raises(DimensionError):
+            discriminator_forward(Tensor(x), Tensor(onehot(0)), make_d(variant))
+        if variant is not Variant.IRGAN:
+            with pytest.raises(DimensionError):
+                discriminator_forward(Tensor(x[None]), Tensor(c), make_d(variant))
+    with pytest.raises(DimensionError):
+        approximator_forward(Tensor(x), build_approximator(IMG, M, SPEC, RngStream(0, ("q",))))
 
 
 # ----------------------------------------------------------------------
@@ -94,9 +110,9 @@ def test_discriminator_zero_output_layer_gives_half(variant, stream):
     d = make_d(variant)
     d.weights[-1].data[...] = 0.0
     d.biases[-1].data[...] = 0.0
-    x = Tensor(stream.uniform(-1, 1, IMG))
+    x = Tensor(stream.uniform(-1, 1, (1,) + IMG))
     out = discriminator_forward(x, Tensor(onehot(1)), d)
-    assert out.shape == ()
+    assert out.shape == (1,)
     assert out.item() == 0.5
 
 
@@ -111,7 +127,7 @@ def test_discriminator_outputs_strict_probabilities(variant, stream):
 
 def test_irgan_discriminator_ignores_condition(stream):
     d = make_d(Variant.IRGAN)
-    x = Tensor(stream.uniform(-1, 1, IMG))
+    x = Tensor(stream.uniform(-1, 1, (1,) + IMG))
     outs = [discriminator_forward(x, Tensor(onehot(i)), d).item() for i in range(M)]
     assert outs[0] == outs[1] == outs[2]
     assert discriminator_forward(x, None, d).item() == outs[0]
@@ -120,7 +136,7 @@ def test_irgan_discriminator_ignores_condition(stream):
 @pytest.mark.parametrize("variant", [Variant.CGAN, Variant.FCGAN, Variant.SBP])
 def test_conditioned_discriminators_react_to_condition(variant, stream):
     d = make_d(variant, seed=9)
-    x = Tensor(stream.uniform(-1, 1, IMG))
+    x = Tensor(stream.uniform(-1, 1, (1,) + IMG))
     a = discriminator_forward(x, Tensor(onehot(0)), d).item()
     b = discriminator_forward(x, Tensor(onehot(1)), d).item()
     assert a != b
@@ -129,15 +145,13 @@ def test_conditioned_discriminators_react_to_condition(variant, stream):
 @pytest.mark.parametrize("variant", list(Variant))
 def test_discriminator_gradients(variant, rng):
     d = make_d(variant, seed=5)
-    x = rng.uniform(-1, 1, IMG)
-    c = rng.uniform(0.1, 1.0, M)
+    x = rng.uniform(-1, 1, (1,) + IMG)
+    c = rng.uniform(0.1, 1.0, (1, M))
     if variant is Variant.IRGAN:
         # the condition never enters the graph, so only x carries gradient
-        assert_grads_match(
-            lambda xx: discriminator_forward(xx, None, d).reshape((1,)).sum(), x)
+        assert_grads_match(lambda xx: discriminator_forward(xx, None, d).sum(), x)
     else:
-        assert_grads_match(
-            lambda xx, cc: discriminator_forward(xx, cc, d).reshape((1,)).sum(), x, c)
+        assert_grads_match(lambda xx, cc: discriminator_forward(xx, cc, d).sum(), x, c)
 
 
 @pytest.mark.parametrize("variant", [v.value for v in Variant])
@@ -185,7 +199,7 @@ def test_backward_wrt_params_matches_full_sweep(variant, rng):
 
     g, d = make_g(), make_d(variant)
     q = build_approximator(IMG, M, NetworkSpec([5]), RngStream(0, ("q",)))
-    c = Tensor(np.stack([onehot(i % M) for i in range(5)]))
+    c = Tensor(np.concatenate([onehot(i % M) for i in range(5)]))
     x_real = Tensor(rng.uniform(-1, 1, (5,) + IMG))
     fake = generator_forward(Tensor(rng.uniform(-1, 1, (5, K))), c, g)
     d_update = d_loss(discriminator_forward(x_real, c, d),
@@ -213,7 +227,7 @@ def test_fcgan_hidden_widths_include_condition():
 
 def test_wrong_variant_shape_pairing_rejected(stream):
     d = make_d(Variant.SBP)
-    x = Tensor(stream.uniform(-1, 1, (2, 2, 1)))
+    x = Tensor(stream.uniform(-1, 1, (1, 2, 2, 1)))
     with pytest.raises(DimensionError):
         discriminator_forward(x, Tensor(onehot(0)), d)
 
@@ -226,8 +240,8 @@ def test_approximator_zero_params_uniform(stream):
     q = build_approximator(IMG, M, SPEC, RngStream(0, ("q",)))
     for t in q.weights + q.biases:
         t.data[...] = 0.0
-    out = approximator_forward(Tensor(stream.uniform(-1, 1, IMG)), q)
-    np.testing.assert_allclose(out.data, np.full(M, 1.0 / M), atol=1e-15)
+    out = approximator_forward(Tensor(stream.uniform(-1, 1, (1,) + IMG)), q)
+    np.testing.assert_allclose(out.data, np.full((1, M), 1.0 / M), atol=1e-15)
 
 
 def test_approximator_rows_sum_to_one(stream):
@@ -240,8 +254,8 @@ def test_approximator_rows_sum_to_one(stream):
 
 def test_approximator_gradients(rng):
     q = build_approximator(IMG, M, SPEC, RngStream(2, ("q",)))
-    x = rng.uniform(-1, 1, IMG)
-    w = rng.normal(size=M)
+    x = rng.uniform(-1, 1, (1,) + IMG)
+    w = rng.normal(size=(1, M))
     assert_grads_match(lambda xx: (approximator_forward(xx, q) * Tensor(w)).sum(), x)
 
 

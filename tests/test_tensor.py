@@ -5,9 +5,9 @@ import pytest
 from cganlab.conditioning import vector_concat
 from cganlab.errors import ConfigError, ContractError, DimensionError
 from cganlab.tensor import (ADAM_BLOCK, LOG_FLOOR, AdamState, Tensor, TiedRows, activation,
-                            adam_step, backward, is_one_hot, log, matmul, no_grad, one_hot, rows,
-                            softmax, softmax_cross_entropy)
-from conftest import assert_grads_match, projection
+                            adam_step, backward, is_one_hot, leaky_relu, log, matmul,
+                            no_grad, one_hot, rows, softmax, softmax_cross_entropy)
+from conftest import assert_grads_match, projection, reference_leaky_relu
 
 mpmath.mp.dps = 50
 
@@ -68,7 +68,12 @@ def test_sigmoid_at_zero():
 
 
 def test_leaky_relu_definition():
-    assert activation([-5.0, 0.0, 2.0], "leaky_relu").data.tolist() == [-1.0, 0.0, 2.0]
+    out = leaky_relu([[-5.0, 0.0, 2.0]], [1.0, 0.0, -1.0]).data
+    assert out.tolist() == [[-0.8, 0.0, 1.0]]
+    with pytest.raises(DimensionError):
+        leaky_relu([-5.0, 0.0, 2.0], [1.0, 0.0, -1.0])  # one sample, not a batch
+    with pytest.raises(DimensionError):
+        leaky_relu([[-5.0, 0.0, 2.0]], [1.0, 0.0])
 
 
 def test_sigmoid_stays_strictly_inside_unit_interval():
@@ -79,14 +84,58 @@ def test_sigmoid_stays_strictly_inside_unit_interval():
 def test_unknown_activation_kind():
     with pytest.raises(ConfigError):
         activation([1.0], "swish")
+    with pytest.raises(ConfigError):  # a hidden layer's activation is leaky_relu(x, bias)
+        activation([1.0], "leaky_relu")
 
 
-@pytest.mark.parametrize("kind", ["leaky_relu", "sigmoid", "tanh"])
+@pytest.mark.parametrize("kind", ["sigmoid", "tanh"])
 def test_activation_gradients(kind, rng):
-    # keep leaky_relu inputs away from the kink
     x = rng.normal(size=(4, 3)) + 0.3 * np.sign(rng.normal(size=(4, 3)))
     w = rng.normal(size=(4, 3))
     assert_grads_match(lambda t: projection(w)(activation(t, kind)), x)
+
+
+def test_leaky_relu_gradients(rng):
+    bias = rng.normal(size=3)
+    # keep x + bias away from the kink
+    x = rng.normal(size=(4, 3)) + 0.3 * np.sign(rng.normal(size=(4, 3))) - bias
+    w = rng.normal(size=(4, 3))
+    assert_grads_match(lambda t, b: projection(w)(leaky_relu(t, b)), x, bias)
+
+
+def _kink_operands(rng):
+    """x [6, 4] and bias [4] whose sums include +-0.0, subnormal and tiny values
+    of each sign, and ordinary values on both sides of the kink."""
+    bias = rng.normal(size=4)
+    bias[1] = -0.0
+    x = rng.normal(size=(6, 4)) * 3.0
+    x[0] = -bias  # +0.0: b + -b, and 0.0 + -0.0 in column 1
+    x[1, 1] = -0.0  # -0.0 + -0.0
+    x[2, 1], x[3, 1] = 5e-324, -5e-324
+    x[4, 1], x[5, 1] = 1e-300, -1e-300
+    return x, bias
+
+
+@pytest.mark.parametrize("wrt", ["all", "x", "bias"])
+def test_leaky_relu_matches_its_definition_bit_for_bit(wrt, rng):
+    x_arr, b_arr = _kink_operands(rng)
+    w = rng.normal(size=x_arr.shape)
+    got_x, got_b = Tensor(x_arr), Tensor(b_arr)
+    want_x, want_b = Tensor(x_arr), Tensor(b_arr)
+    got = leaky_relu(got_x, got_b)
+    want = reference_leaky_relu(want_x + want_b)
+    assert got.data.tobytes() == want.data.tobytes()
+    zero = got.data == 0.0
+    assert (zero & np.signbit(got.data)).any() and (zero & ~np.signbit(got.data)).any()
+    assert (got.data > 0.0).sum() > 2 and (got.data < 0.0).sum() > 2
+    leaves = {"all": lambda x, b: None, "x": lambda x, b: [x], "bias": lambda x, b: [b]}[wrt]
+    backward(projection(w)(got), wrt=leaves(got_x, got_b))
+    backward(projection(w)(want), wrt=leaves(want_x, want_b))
+    for g, r, kept in ((got_x, want_x, wrt != "bias"), (got_b, want_b, wrt != "x")):
+        if kept:
+            assert g.grad.tobytes() == r.grad.tobytes()
+        else:
+            assert g.grad is None and r.grad is None
 
 
 # ----------------------------------------------------------------------
@@ -281,10 +330,10 @@ def test_non_finite_result_raises():
 
 
 def test_no_grad_records_no_graph_and_keeps_the_values():
-    x, w = Tensor([[1.0, -2.0]]), Tensor([[0.5], [0.25]])
-    want = activation(x @ w, "leaky_relu")
+    x, w, b = Tensor([[1.0, -2.0]]), Tensor([[0.5], [0.25]]), Tensor([0.125])
+    want = leaky_relu(x @ w, b)
     with no_grad():
-        got = activation(x @ w, "leaky_relu")
+        got = leaky_relu(x @ w, b)
     assert got.parents == () and got._backward is None
     assert np.array_equal(got.data, want.data) and want.parents
 

@@ -378,3 +378,36 @@ def test_trainlog_csv_shape(tiny_mixture):
     first = lines[1].split(",")
     assert first[0] == "0" and first[3] == ""
     assert float(first[4]) >= 0.0
+
+
+# Tensor nodes one mixture-preset train_step builds (G and D 64,64, batch 256,
+# irgan's Q 32): each hidden layer is its product and one leaky_relu node.
+# The step runs G twice and D twice, and irgan's also Q once; with a bias add
+# and an activation node per hidden layer it built 8 nodes more (9 for irgan).
+PRESET_STEP_NODES = {"cgan": 61, "fcgan": 65, "sbp": 61, "irgan": 79}
+
+
+@pytest.mark.parametrize("variant", sorted(PRESET_STEP_NODES))
+def test_nodes_per_train_step_at_the_mixture_preset(variant, mixture_data, monkeypatch):
+    train_ds = mixture_data[0]
+    cfg = TrainConfig(variant=variant, total_steps=1, batch_size=256, lr=1.5e-3, seed=3,
+                      noise_dim=8, g_hidden=[64, 64], d_hidden=[64, 64],
+                      lam=2.0 if variant == "irgan" else 0.0)
+    root = RngStream(cfg.seed, ("train", variant))
+    g, d = build_models(cfg, train_ds.image_shape, train_ds.cond_dim, root)
+    q = build_approximator(train_ds.image_shape, train_ds.cond_dim,
+                           NetworkSpec([32], head="softmax"), RngStream(1, ("q",))) \
+        if variant == "irgan" else None
+    label_probs = train_ds.label_counts() / train_ds.count
+    built = 0
+    init = Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    training.train_step(train_ds.images[:256], train_ds.labels[:256], g, d, q, cfg, label_probs,
+                        root.split("step-0"), 0)
+    assert built == PRESET_STEP_NODES[variant]
