@@ -21,7 +21,8 @@ TypeError.
 A model header's role fields and hidden widths fix the network's layout
 (models.layer_dims, as for the builders); its spec, in_dim, out_dim,
 model.hidden_extra, array shapes and adam_steps must state that layout
-exactly. A name, which eval gives a report file, is one path component.
+exactly. A name, which eval gives a report file, is one path component of
+at most MAX_NAME_BYTES bytes of UTF-8.
 
 Adam moments are stored in the parameter's full layout, also where the
 network keeps them once for rows tied across pixels (models.tied_rows): save
@@ -31,7 +32,6 @@ same bytes before it keeps one.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os
@@ -40,6 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import ATOMIC_NAME_EXTRA, NAME_MAX, atomic_write
 from .errors import ContractError, ParseError
 from .models import ROLE_HEADS, ModelParams, NetworkSpec, Variant, layer_dims
 from .tensor import AdamState, Tensor
@@ -47,24 +48,9 @@ from .tensor import AdamState, Tensor
 MAGIC = b"CGANLABC"
 VERSION = 1
 
-
-@contextlib.contextmanager
-def atomic_write(path):
-    """Open `path` for binary writing so that it appears whole or not at all.
-
-    The bytes go to a temporary file in the same directory, which replaces
-    `path` only when the block exits normally. If the block raises, the
-    temporary file is removed and an earlier `path` is left as it was.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
-    try:
-        with open(tmp, "xb") as f:
-            yield f
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+# eval writes each network's report to report_<name>.csv through atomic_write,
+# so a name of at most this many bytes of UTF-8 leaves room for its temporary file
+MAX_NAME_BYTES = NAME_MAX - ATOMIC_NAME_EXTRA - len("report_.csv")
 
 
 def write_container(path, meta: dict, arrays: dict):
@@ -270,7 +256,18 @@ def _model_header(meta, path):
     need(isinstance(steps, dict) and all(_is_int(n) and n >= 0 for n in steps.values()),
          "'adam_steps' must map names to non-negative ints")
     name = meta.get("name")
-    need("name" not in meta or (isinstance(name, str) and name not in ("", ".", "..")
-                                and not any(ch in name for ch in "/\\\0")),
-         f"'name' must be one non-empty path component, got {name!r}")
+    need("name" not in meta or is_report_name(name),
+         f"'name' must be one non-empty path component of at most {MAX_NAME_BYTES} bytes of "
+         f"UTF-8, got {name!r}")
     return list(hidden), model, hyper, steps
+
+
+def is_report_name(name) -> bool:
+    """Whether eval can name a report file after `name`: one non-empty path
+    component of at most MAX_NAME_BYTES bytes of UTF-8."""
+    if not isinstance(name, str) or name in ("", ".", "..") or any(ch in name for ch in "/\\\0"):
+        return False
+    try:
+        return len(name.encode("utf-8")) <= MAX_NAME_BYTES
+    except UnicodeEncodeError:  # a lone surrogate, which the report table cannot encode
+        return False

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import stat
 import sys
 import tempfile
 import time
@@ -29,7 +30,8 @@ import numpy as np
 
 from . import data as datamod
 from . import __version__
-from .checkpoint import atomic_write, load_model, save_model, write_container
+from .checkpoint import MAX_NAME_BYTES, is_report_name, load_model, save_model, write_container
+from .data import atomic_write
 from .errors import CganlabError, ConfigError, DataError
 from .models import NetworkSpec, Variant, classifier_accuracy, pretrain_approximator
 from .parzen import (ParzenConfig, conditional_eval, default_sigma_grid, format_table,
@@ -100,11 +102,8 @@ def load_dataset(name, data_dir=None, checksum=None):
         train_ds, valid_ds, test_ds, _ = datamod.mixture_3x2(seed)
         label_names = ["0", "1", "2"]
     elif name == "tiny-digits-3":
-        if data_dir:
-            train_ds, valid_ds, test_ds = datamod.tiny_digits3(Path(data_dir), seed)
-        else:
-            with tempfile.TemporaryDirectory() as tmp:
-                train_ds, valid_ds, test_ds = datamod.tiny_digits3(Path(tmp), seed)
+        cache = Path(data_dir) if data_dir else digits_cache_dir()
+        train_ds, valid_ds, test_ds = datamod.tiny_digits3(cache, seed)
         label_names = ["0", "1", "2"]
     elif name == "tiny-mnist-3":
         if not data_dir:
@@ -133,6 +132,22 @@ def load_dataset(name, data_dir=None, checksum=None):
                         f"but the manifest recorded {checksum!r}")
     return {"name": name, "train": train_ds, "valid": valid_ds, "test": test_ds,
             "label_names": label_names, "checksum": found}
+
+
+def digits_cache_dir():
+    """The directory that keeps the rendered tiny-digits-3 files without --data-dir.
+
+    It is cganlab-<uid> under tempfile.gettempdir(), made with mode 0700.
+    None (render without keeping) when it cannot be made, or when it is a
+    symlink, not a directory, or owned by another user.
+    """
+    path = Path(tempfile.gettempdir()) / f"cganlab-{os.getuid()}"
+    try:
+        path.mkdir(mode=0o700, exist_ok=True)
+        st = path.lstat()
+    except OSError:
+        return None
+    return path if stat.S_ISDIR(st.st_mode) and st.st_uid == os.getuid() else None
 
 
 # ----------------------------------------------------------------------
@@ -567,14 +582,23 @@ def do_eval(res: dict, out_dir: Path, checksum=None) -> dict:
     paths = res["g_checkpoint"]
     if isinstance(paths, str):
         paths = [paths]
-    model_rows = {}
+    # every name is settled before any evaluation runs, so that a name no
+    # report file can take fails at once
+    models = {}
     for path in paths:
         params, meta = load_fitting_model(path, "generator", info)
+        name = meta.get("name") or Path(path).stem
+        while name in models:
+            name += "+"
+        if len(paths) > 1 and not is_report_name(name):
+            raise ConfigError(f"{path}: model name {name!r} cannot name a report file, which "
+                              f"needs one path component of at most {MAX_NAME_BYTES} bytes "
+                              f"of UTF-8")
+        models[name] = params
+    model_rows = {}
+    for name, params in models.items():
         m = params.meta["cond_dim"]
         cmap = {c: (c + shift) % m for c in range(m)} if shift else None
-        name = meta.get("name") or Path(path).stem
-        while name in model_rows:
-            name += "+"
         rows = conditional_eval(params, info["valid"], info["test"], cfg,
                                 res["seed"], condition_map=cmap)
         model_rows[name] = rows

@@ -11,8 +11,10 @@ x/127.5 - 1, which is exactly invertible on the uint8 lattice.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,6 +50,33 @@ def sha256_arrays(*arrays) -> str:
     for a in arrays:
         h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
+
+
+# the longest file name, in bytes, that common file systems take
+NAME_MAX = 255
+# atomic_write's temporary file name is the target's name plus at most this
+# many bytes: a leading dot and ".<pid>-<8 hex digits>.tmp", with a pid of at
+# most 7 digits (Linux's pid_max is at most 2**22)
+ATOMIC_NAME_EXTRA = len(".") + len(".4194304-") + 8 + len(".tmp")
+
+
+@contextlib.contextmanager
+def atomic_write(path):
+    """Open `path` for binary writing so that it appears whole or not at all.
+
+    The bytes go to a temporary file in the same directory, which replaces
+    `path` only when the block exits normally. If the block raises, the
+    temporary file is removed and an earlier `path` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ----------------------------------------------------------------------
@@ -154,7 +183,15 @@ def parse_idx_label_header(raw: bytes) -> int:
 
 def load_idx(images_path, labels_path) -> LabeledDataset:
     """Parse an IDX image/label file pair into a scaled, one-hot dataset."""
-    img_raw = _read_file(images_path, "IDX image")
+    return parse_idx(_read_file(images_path, "IDX image"), _read_file(labels_path, "IDX label"),
+                     Path(images_path).name)
+
+
+def parse_idx(img_raw: bytes, lab_raw: bytes, name: str) -> LabeledDataset:
+    """The scaled, one-hot dataset of IDX image and label bytes, named `name`.
+
+    Its meta records the SHA-256 of each byte string.
+    """
     count, rows, cols = parse_idx_image_header(img_raw)
     expected = count * rows * cols
     if len(img_raw) - 16 != expected:
@@ -162,7 +199,6 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
             f"truncated IDX image data: header promises {expected} bytes, file has {len(img_raw) - 16}",
             offset=16)
 
-    lab_raw = _read_file(labels_path, "IDX label")
     lab_count = parse_idx_label_header(lab_raw)
     if len(lab_raw) - 8 != lab_count:
         raise ParseError(
@@ -177,26 +213,23 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     if bad.size:
         raise ParseError(f"label value {label_bytes[bad[0]]} outside 0..9", offset=8 + int(bad[0]))
     labels = one_hot(label_bytes, 10)
-    meta = {"name": Path(images_path).name, "scale": PIXEL_SCALE,
+    meta = {"name": name, "scale": PIXEL_SCALE,
             "checksum": hashlib.sha256(img_raw).hexdigest(),
             "label_checksum": hashlib.sha256(lab_raw).hexdigest()}
     return LabeledDataset(scale_pixels(pixels), labels, meta)
 
 
-def write_idx_images(path, images: np.ndarray):
-    """Serialize uint8 images [n, rows, cols] in the IDX layout."""
-    images = np.asarray(images, dtype=np.uint8)
+def idx_image_bytes(images: np.ndarray) -> bytes:
+    """uint8 images [n, rows, cols] in the IDX layout."""
+    images = np.ascontiguousarray(images, dtype=np.uint8)
     n, rows, cols = images.shape
-    with open(path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols))
-        f.write(images.tobytes())
+    return b"".join((struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols), images.data))
 
 
-def write_idx_labels(path, labels: np.ndarray):
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABEL_MAGIC, labels.shape[0]))
-        f.write(labels.tobytes())
+def idx_label_bytes(labels: np.ndarray) -> bytes:
+    """uint8 labels [n] in the IDX layout."""
+    labels = np.ascontiguousarray(labels, dtype=np.uint8)
+    return b"".join((struct.pack(">II", IDX_LABEL_MAGIC, labels.shape[0]), labels.data))
 
 
 # ----------------------------------------------------------------------
@@ -506,16 +539,14 @@ def _render_glyphs(outline: np.ndarray, streams) -> np.ndarray:
     return np.clip(noisy, 0, 255).astype(np.uint8)
 
 
-def render_digits_idx(out_dir, count_per_label=700, seed=7):
-    """Write a rendered corpus of the glyphs 0, 1 and 2 as an IDX image/label file pair.
+def render_digits(count_per_label=700, seed=7) -> tuple:
+    """The IDX image and label bytes of a rendered corpus of the glyphs 0, 1 and 2.
 
     Digit i of label lab draws from stream.split(f"label-{lab}").split(f"i-{i}"),
     so its bytes do not depend on how the digits are chunked.
     """
     if count_per_label < 1:
         raise DataError("count_per_label must be positive")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stream = RngStream(seed, ("digits",))
     images = []
     for lab in (0, 1, 2):
@@ -528,12 +559,24 @@ def render_digits_idx(out_dir, count_per_label=700, seed=7):
     labs = np.repeat(np.arange(3, dtype=np.uint8), count_per_label)
     order = stream.split("interleave").permutation(labs.size)
     images = np.concatenate(images)[order]
-    labs = labs[order]
-    img_path = out_dir / "digits-images-idx3-ubyte"
-    lab_path = out_dir / "digits-labels-idx1-ubyte"
-    write_idx_images(img_path, images)
-    write_idx_labels(lab_path, labs)
-    return img_path, lab_path
+    return idx_image_bytes(images), idx_label_bytes(labs[order])
+
+
+DIGITS_IDX_NAMES = ("digits-images-idx3-ubyte", "digits-labels-idx1-ubyte")
+
+
+def write_digits_idx(out_dir, raws) -> tuple:
+    """Write render_digits' (image, label) bytes into out_dir, each file atomically.
+
+    Returns the (image, label) paths.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = tuple(out_dir / name for name in DIGITS_IDX_NAMES)
+    for path, raw in zip(paths, raws):
+        with atomic_write(path) as f:
+            f.write(raw)
+    return paths
 
 
 def _three_class_8x8(ds: LabeledDataset, seed, name) -> tuple:
@@ -568,8 +611,46 @@ def tiny_mnist3(data_dir, seed=11) -> tuple:
     return _three_class_8x8(full, seed, "tiny-mnist-3")
 
 
-def tiny_digits3(cache_dir, seed=11) -> tuple:
-    """Self-contained rendered-glyph variant of the tiny three-class preset."""
-    img_path, lab_path = render_digits_idx(cache_dir, count_per_label=700, seed=seed)
-    full = load_idx(img_path, lab_path)
+# SHA-256 of the (image, label) files of the tiny-digits-3 corpus rendered
+# with each seed; the files of a seed not listed here are never reused
+TINY_DIGITS3_SHA256 = {
+    11: ("c7a5fb1b4a613de655918e62c050fa05d0e88764211f9bc227e899057fed87a4",
+         "5296c3ee6265966ce9357f67314bc8586594958297a765a9f6b271ed8be366c6"),
+}
+
+
+def tiny_digits3(cache_dir=None, seed=11) -> tuple:
+    """Self-contained rendered-glyph variant of the tiny three-class preset.
+
+    The rendered IDX pair is kept in cache_dir. It is reused only when its
+    bytes hash to TINY_DIGITS3_SHA256[seed]; anything else there, missing,
+    truncated or another corpus, is rendered again and written back. The
+    render is used as it is when there is no cache_dir, when it cannot be
+    written, and when its bytes miss the pin (another numpy may draw other
+    bits), so the result never depends on what the directory held.
+    """
+    full = _pinned_digits(cache_dir, seed)
+    if full is None:
+        full = _rendered_digits(cache_dir, seed)
     return _three_class_8x8(full, seed, "tiny-digits-3")
+
+
+def _pinned_digits(cache_dir, seed):
+    """The IDX pair in cache_dir as a dataset if its bytes hash to seed's pin, else None."""
+    pin = TINY_DIGITS3_SHA256.get(seed)
+    if cache_dir is None or pin is None:
+        return None
+    try:
+        full = load_idx(*(Path(cache_dir) / name for name in DIGITS_IDX_NAMES))
+    except (DataError, OSError):
+        return None
+    return full if (full.meta["checksum"], full.meta["label_checksum"]) == pin else None
+
+
+def _rendered_digits(cache_dir, seed) -> LabeledDataset:
+    """A fresh render as a dataset, written into cache_dir (if any) when it can be."""
+    raws = render_digits(700, seed)
+    if cache_dir is not None:
+        with contextlib.suppress(OSError):
+            write_digits_idx(cache_dir, raws)
+    return parse_idx(*raws, DIGITS_IDX_NAMES[0])

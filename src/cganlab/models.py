@@ -221,13 +221,19 @@ def _dense_stack(h0: Tensor, params: ModelParams, append=None) -> Tensor:
     return h + params.biases[-1]
 
 
-def _input_product(x, params: ModelParams) -> Tensor:
-    """flatten(x) @ W0 for G, Q and irgan's D; x is a batch of the net's input."""
+def _net_input(x, params: ModelParams) -> Tensor:
+    """x as a Tensor; DimensionError unless it is a batch of the net's input."""
     x, meta = Tensor._coerce(x), params.meta
     sample = (params.in_dim,) if meta["role"] == "generator" else tuple(meta["image_shape"])
     if x.shape[1:] != sample:
         raise DimensionError(f"{meta['role']} expects inputs of shape [b, *{list(sample)}], "
                              f"got {x.shape}")
+    return x
+
+
+def _input_product(x, params: ModelParams) -> Tensor:
+    """flatten(x) @ W0 for G, Q and irgan's D; x is a batch of the net's input."""
+    x = _net_input(x, params)
     return matmul(x.reshape((x.shape[0], params.in_dim)) if x.ndim > 2 else x, params.weights[0])
 
 
@@ -277,7 +283,7 @@ def discriminator_forward(x, c, params: ModelParams) -> Tensor:
         # the first layer's product comes from the conditioning op itself,
         # which need not build the conditioned input
         op = spatial_bilinear_pool if variant is Variant.SBP else spatial_replicate_concat
-        h0 = op(x, c, weight=params.weights[0])
+        h0 = op(_net_input(x, params), c, weight=params.weights[0])
         if variant is Variant.FCGAN:
             def append(hid):
                 return vector_concat(hid, c)

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import atomic_write
-from .data import epoch_batches
+from .data import atomic_write, epoch_batches
 from .errors import ConfigError, ContractError, DataError
 from .models import (ModelParams, NetworkSpec, Variant, _apply_grads, approximator_forward,
                      build_discriminator, build_generator, discriminator_forward,

@@ -15,12 +15,16 @@ steps, so its mid-run `g_step*`/`d_step*` checkpoints are hashed too, a
 run's manifest. On tiny-digits-3 it also trains sbp with `--batch-size 256`,
 whose pooled inputs exceed `conditioning.POOL_BUILD_MAX`, so sbp's
 per-condition product is hashed as well as the built one that the default
-batch size takes. Every command is a fresh
-`python -m cganlab.cli` process with PYTHONPATH=TREE/src and
-OPENBLAS_NUM_THREADS=1. It prints one JSON object mapping each artifact,
-as `dataset/run/file`, to its SHA-256; `log.csv` is hashed without its
-`wall_ms` column, which records physical time. A refactor that keeps
-behaviour prints the same object for the parent tree and for the change.
+batch size takes, and then repeats the default sbp run as `train-sbp-warm`
+over whatever the earlier commands left in TMPDIR.
+
+Every command is a fresh `python -m cganlab.cli` process with
+PYTHONPATH=TREE/src, OPENBLAS_NUM_THREADS=1 and TMPDIR one fresh directory
+for the whole run, so tiny-digits-3 starts out unrendered. It prints one
+JSON object mapping each artifact, as `dataset/run/file`, to its SHA-256;
+`log.csv` is hashed without its `wall_ms` column, which records physical
+time. A refactor that keeps behaviour prints the same object for the parent
+tree and for the change.
 """
 
 import hashlib
@@ -61,6 +65,8 @@ def commands(dataset: str, steps: int):
         bs = str(SBP_BATCH_SIZES[dataset])
         runs.append((f"train-sbp-b{bs}", ["train", "--variant", "sbp", *ds, "--steps", str(steps),
                                           "--seed", "7", "--batch-size", bs]))
+    if dataset == "tiny-digits-3":
+        runs.append(("train-sbp-warm", dict(runs)["train-sbp"]))
     return runs
 
 
@@ -72,9 +78,11 @@ def digest(path: Path) -> str:
 
 
 def main(tree: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "tmpdir").mkdir()
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
+                   TMPDIR=str(Path(tmp) / "tmpdir"))
         for dataset, steps in TRAIN_STEPS.items():
             dirs = {}
             for run, args in commands(dataset, steps):

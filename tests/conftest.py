@@ -1,6 +1,11 @@
 """Shared test helpers: finite-difference gradient checks, datasets, the
 one-operand definition of leaky_relu, the weight-free definitions of the
-spatial conditioning ops and a one-glyph-at-a-time digit renderer."""
+spatial conditioning ops, a one-glyph-at-a-time digit renderer, a file on a
+full disk, and a private temporary directory for the whole session."""
+
+import errno
+import io
+import tempfile
 
 import numpy as np
 import pytest
@@ -119,8 +124,8 @@ _PIXELS = np.arange(28).reshape(-1, 1)
 def render_digit(label: int, stream: RngStream, outline=None) -> np.ndarray:
     """One noisy 28x28 uint8 glyph: stroke, box blur, additive noise.
 
-    The reference for `cganlab.data.render_digits_idx`, which renders a
-    label's glyphs in batches and must write the same bytes. The stroke mask
+    The reference for `cganlab.data.render_digits`, which renders a
+    label's glyphs in batches and must return the same bytes. The stroke mask
     takes every stroke point's squared distance to all 784 pixels. outline is
     the label's stroke as an array of (y, x) points.
     """
@@ -140,10 +145,37 @@ def render_digit(label: int, stream: RngStream, outline=None) -> np.ndarray:
     return np.clip(noisy, 0, 255).astype(np.uint8)
 
 
+@pytest.fixture(scope="session", autouse=True)
+def session_tempdir(tmp_path_factory):
+    """tempfile's directory, and TMPDIR for subprocesses, inside this session's
+    temporary tree, so that no test reads or writes the tiny-digits-3 files
+    the CLI keeps under the user's own temporary directory."""
+    tmp = tmp_path_factory.mktemp("tempdir")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tempfile, "tempdir", str(tmp))
+        mp.setenv("TMPDIR", str(tmp))
+        yield tmp
+
+
 @pytest.fixture(scope="session")
 def mixture_data():
     from cganlab.data import mixture_3x2
     return mixture_3x2()
+
+
+class FullDisk(io.FileIO):
+    """A file that takes 16 bytes of a write and then reports a full disk."""
+
+    def write(self, data):
+        super().write(bytes(data)[:16])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def assert_same_digits(got, want):
+    """Two (train, valid, test) splits hold the same arrays and metadata."""
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g.images, w.images) and np.array_equal(g.labels, w.labels)
+        assert g.meta == w.meta
 
 
 @pytest.fixture(scope="session")

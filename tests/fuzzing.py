@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cganlab.checkpoint import MAGIC, VERSION, save_model
+from cganlab.checkpoint import MAGIC, MAX_NAME_BYTES, VERSION, save_model
 from cganlab.data import CIFAR_RECORD_LEN, IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
 from cganlab.models import NetworkSpec, build_discriminator, build_generator
 from cganlab.rng import RngStream
@@ -205,7 +205,9 @@ def container_fuzz_cases():
     model("adam-steps-unknown-name", lambda m, a: m["adam_steps"].update({"l9.w": 0}))
     for label, bad in (("with-slash", "sub/dir"), ("with-backslash", "sub\\dir"),
                        ("with-nul", "a\0b"), ("dot", "."), ("dot-dot", ".."), ("empty", ""),
-                       ("int", 5), ("null", None), ("list", ["g"])):
+                       ("int", 5), ("null", None), ("list", ["g"]), ("x300", "x" * 300),
+                       ("two-byte-chars-over-the-bound", "\u00e9" * (MAX_NAME_BYTES // 2 + 1)),
+                       ("lone-surrogate", "\ud800")):
         model(f"name-{label}", lambda m, a, bad=bad: m.update(name=bad))
     model("missing-bias", lambda m, a: a[[e["name"] for e in a].index("l0.b")].update(name="l9.b"))
     model("generator-noise-dim-plus-one",

@@ -1,15 +1,18 @@
 import datetime
-import errno
-import io
 import json
+import os
+import stat
+import tempfile
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cganlab.checkpoint import load_model, read_container, write_container
+from cganlab import cli, data
+from cganlab.checkpoint import MAX_NAME_BYTES, load_model, read_container, write_container
 from cganlab.cli import main
-from cganlab.data import render_digits_idx
+from cganlab.data import render_digits, write_digits_idx
+from conftest import FullDisk, assert_same_digits
 
 
 @pytest.fixture
@@ -145,6 +148,41 @@ def test_missing_data_dir_exits_3(runner, tmp_path):
     assert "ghost" in result.stderr
 
 
+def assert_same_splits(info, splits):
+    assert_same_digits([info[part] for part in ("train", "valid", "test")], splits)
+    assert info["checksum"] == splits[0].meta["checksum"]
+
+
+def test_tiny_digits_3_is_rendered_once_per_user(tmp_path, digits_data, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert_same_splits(cli.load_dataset("tiny-digits-3"), digits_data)
+    cache = tmp_path / f"cganlab-{os.getuid()}"
+    assert stat.S_IMODE(cache.lstat().st_mode) == 0o700
+    assert sorted(p.name for p in cache.iterdir()) == sorted(data.DIGITS_IDX_NAMES)
+    monkeypatch.setattr(data, "render_digits", None)
+    assert_same_splits(cli.load_dataset("tiny-digits-3"), digits_data)
+
+
+@pytest.mark.parametrize("kind", ["symlink", "other-owner", "file"])
+def test_tiny_digits_3_keeps_nothing_in_a_directory_not_its_own(tmp_path, digits_data,
+                                                                 monkeypatch, kind):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    uid = os.getuid()
+    watched = tmp_path / "elsewhere"
+    watched.mkdir()
+    if kind == "symlink":
+        (tmp_path / f"cganlab-{uid}").symlink_to(watched)
+    elif kind == "other-owner":
+        # the directory this process makes is not that of a process of uid + 1
+        monkeypatch.setattr(os, "getuid", lambda: uid + 1)
+        watched = tmp_path / f"cganlab-{uid + 1}"
+    else:
+        (tmp_path / f"cganlab-{uid}").write_bytes(b"")
+    assert cli.digits_cache_dir() is None
+    assert_same_splits(cli.load_dataset("tiny-digits-3"), digits_data)
+    assert list(watched.iterdir()) == []
+
+
 def test_train_determinism_and_rerun(runner, tmp_path):
     args = ["train", "--variant", "sbp", "--dataset", "mixture-3x2", *TRAIN_FAST]
     run_ok(runner, args + ["--out", str(tmp_path / "r1")])
@@ -277,17 +315,9 @@ def test_failed_manifest_write_leaves_the_earlier_one(trained_dir, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
 
-class FullDisk(io.FileIO):
-    """A file that takes 16 bytes of a write and then reports a full disk."""
-
-    def write(self, data):
-        super().write(bytes(data)[:16])
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-
 def test_failed_log_and_report_writes_leave_the_earlier_files(runner, trained_dir, tmp_path,
                                                                monkeypatch):
-    from cganlab import checkpoint
+    from cganlab import data
     from cganlab.training import TrainLog
     log_path = tmp_path / "log.csv"
     log = TrainLog.read(trained_dir / "log.csv", 20)
@@ -298,7 +328,7 @@ def test_failed_log_and_report_writes_leave_the_earlier_files(runner, trained_di
     run_ok(runner, args + ["--seed", "1"])
     before = {p: p.read_bytes() for p in (log_path, ev / "report.csv", ev / "table.txt")}
     # atomic_write opens its temporary file through the module's `open`
-    monkeypatch.setattr(checkpoint, "open", FullDisk, raising=False)
+    monkeypatch.setattr(data, "open", FullDisk, raising=False)
     with pytest.raises(OSError):
         log.write(log_path)
     result = runner.invoke(main, args + ["--seed", "2"])
@@ -404,7 +434,7 @@ def test_resume_needs_the_earlier_manifest(runner, trained_dir, tmp_path):
 def test_resume_refuses_another_dataset(runner, trained_dir, tmp_path):
     # a tiny-digits-3 run continued on tiny-mnist-3, here a rendered corpus
     mnist = tmp_path / "mnist"
-    images, labels = render_digits_idx(mnist, count_per_label=800)
+    images, labels = write_digits_idx(mnist, render_digits(count_per_label=800))
     images.rename(mnist / "train-images-idx3-ubyte")
     labels.rename(mnist / "train-labels-idx1-ubyte")
     base = ["train", "--variant", "cgan", "--batch-size", "32", "--seed", "2"]
@@ -660,7 +690,7 @@ def test_eval_malformed_checkpoint_is_data_error(runner, trained_dir, tmp_path):
     assert result.stderr.startswith("data error: ") and "'spec'" in result.stderr
 
 
-@pytest.mark.parametrize("name", ["sub/dir", 5])
+@pytest.mark.parametrize("name", ["sub/dir", 5, pytest.param("x" * 300, id="x300")])
 def test_eval_refuses_a_checkpoint_name_that_is_no_file_name(runner, trained_dir, tmp_path,
                                                               name):
     meta, arrays = read_container(trained_dir / "g.ckpt")
@@ -672,6 +702,32 @@ def test_eval_refuses_a_checkpoint_name_that_is_no_file_name(runner, trained_dir
                                   "--dataset", "mixture-3x2", "--out", str(tmp_path / "o")])
     assert result.exit_code == 3, result.output
     assert result.stderr.startswith("data error: ") and "'name'" in result.stderr
+
+
+def test_eval_report_names_fit_the_file_system(runner, trained_dir, tmp_path, monkeypatch):
+    """Names of MAX_NAME_BYTES bytes of UTF-8 name report files. A longer name,
+    from a repeat's "+" or from the file of a checkpoint without one, exits 2
+    before any evaluation runs."""
+    meta, arrays = read_container(trained_dir / "g.ckpt")
+    longest = "\u00e9" * (MAX_NAME_BYTES // 2) + "x" * (MAX_NAME_BYTES % 2)
+    a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    write_container(a, dict(meta, name=longest), arrays)
+    write_container(b, dict(meta, name="y" * MAX_NAME_BYTES), arrays)
+    args = ["eval", "--dataset", "mixture-3x2", "--samples-per-condition", "40"]
+    run_ok(runner, [*args, "--g-checkpoint", str(a), "--g-checkpoint", str(b),
+                    "--out", str(tmp_path / "o")])
+    assert (tmp_path / "o" / f"report_{longest}.csv").is_file()
+    del meta["name"]
+    stem = tmp_path / ("s" * (MAX_NAME_BYTES + 1) + ".ckpt")
+    write_container(stem, meta, arrays)
+    monkeypatch.setattr(cli, "conditional_eval", None)
+    for pair in ((a, a), (b, stem)):
+        result = runner.invoke(main, [*args, "--g-checkpoint", str(pair[0]), "--g-checkpoint",
+                                      str(pair[1]), "--out", str(tmp_path / "refused")])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("config error: ")
+        assert "cannot name a report file" in result.stderr
+    assert list((tmp_path / "refused").iterdir()) == []
 
 
 def test_eval_sigma_grid_flag(runner, trained_dir, tmp_path):

@@ -4,16 +4,16 @@ import struct
 import numpy as np
 import pytest
 
-from cganlab.data import (CIFAR10_LABELS, CIFAR_RECORD_LEN, LabeledDataset,
-                          MixtureComponent, MixtureSpec, MixtureOracle, _glyph_chunk,
-                          _glyph_points, adaptive_avg_pool, load_cifar10_binary,
-                          load_idx, mixture_3x2_spec, parse_idx_image_header,
-                          parse_idx_label_header, pixels_to_bytes,
-                          render_digits_idx, scale_pixels, split, synth_mixture,
-                          tiny_digits3, write_idx_images, write_idx_labels)
+from cganlab.data import (CIFAR10_LABELS, CIFAR_RECORD_LEN, DIGITS_IDX_NAMES,
+                          TINY_DIGITS3_SHA256, LabeledDataset, MixtureComponent, MixtureSpec,
+                          MixtureOracle, _glyph_chunk, _glyph_points, adaptive_avg_pool,
+                          idx_image_bytes, idx_label_bytes, load_cifar10_binary, load_idx,
+                          mixture_3x2_spec, parse_idx_image_header, parse_idx_label_header,
+                          pixels_to_bytes, render_digits, scale_pixels, split, synth_mixture,
+                          tiny_digits3, write_digits_idx)
 from cganlab.errors import DataError, ParseError
 from cganlab.rng import RngStream
-from conftest import render_digit
+from conftest import FullDisk, assert_same_digits, render_digit
 from fuzzing import (cifar10_record_bytes, cifar_fuzz_cases, idx_fuzz_cases, valid_cifar_file,
                      valid_idx_pair)
 
@@ -47,8 +47,8 @@ def test_idx_round_trip_and_pixel_scaling(tmp_path):
     images[0, 0, 0] = 255
     images[0, 0, 1] = 0
     labels = np.array([0, 1, 2, 3, 4, 9], dtype=np.uint8)
-    write_idx_images(tmp_path / "img", images)
-    write_idx_labels(tmp_path / "lab", labels)
+    (tmp_path / "img").write_bytes(idx_image_bytes(images))
+    (tmp_path / "lab").write_bytes(idx_label_bytes(labels))
     ds = load_idx(tmp_path / "img", tmp_path / "lab")
     assert ds.count == 6 and ds.image_shape == (5, 5, 1) and ds.cond_dim == 10
     assert ds.images[0, 0, 0, 0] == 1.0 and ds.images[0, 0, 1, 0] == -1.0
@@ -328,7 +328,7 @@ def test_render_digit_matches_whole_grid_formula():
 
 
 def test_digit_corpus_written_through_idx(tmp_path):
-    img_path, lab_path = render_digits_idx(tmp_path, count_per_label=5, seed=1)
+    img_path, lab_path = write_digits_idx(tmp_path, render_digits(count_per_label=5, seed=1))
     ds = load_idx(img_path, lab_path)
     assert ds.count == 15
     assert sorted(np.unique(ds.label_indices())) == [0, 1, 2]
@@ -337,11 +337,11 @@ def test_digit_corpus_written_through_idx(tmp_path):
 def test_digit_corpus_needs_a_digit_per_label(tmp_path):
     for count in (0, -1):
         with pytest.raises(DataError, match="count_per_label"):
-            render_digits_idx(tmp_path, count_per_label=count, seed=1)
+            render_digits(count_per_label=count, seed=1)
 
 
-def reference_corpus(tmp_path, count_per_label, seed):
-    """The IDX pair render_digits_idx must write, from one render_digit per glyph."""
+def reference_corpus(count_per_label, seed):
+    """The IDX bytes render_digits must return, from one render_digit per glyph."""
     stream = RngStream(seed, ("digits",))
     glyphs = []
     for lab in (0, 1, 2):
@@ -349,22 +349,17 @@ def reference_corpus(tmp_path, count_per_label, seed):
         glyphs += [render_digit(lab, s.split(f"i-{i}")) for i in range(count_per_label)]
     labs = np.repeat(np.arange(3, dtype=np.uint8), count_per_label)
     order = stream.split("interleave").permutation(labs.size)
-    write_idx_images(tmp_path / "ref-images", np.stack(glyphs)[order])
-    write_idx_labels(tmp_path / "ref-labels", labs[order])
-    return (tmp_path / "ref-images").read_bytes(), (tmp_path / "ref-labels").read_bytes()
+    return idx_image_bytes(np.stack(glyphs)[order]), idx_label_bytes(labs[order])
 
 
-def test_digit_corpus_matches_one_glyph_at_a_time(tmp_path):
-    """Batched rendering writes the reference's bytes within one chunk and across chunk edges."""
+def test_digit_corpus_matches_one_glyph_at_a_time():
+    """Batched rendering gives the reference's bytes within one chunk and across chunk edges."""
     chunks = [_glyph_chunk(np.asarray(_glyph_points(lab))) for lab in (0, 1, 2)]
     below, above = min(chunks) - 1, max(chunks) + 1
     assert below >= 5  # every label fits one chunk at 1, 5 and `below`, none at `above`
     for seed in (1, 7, 12345):
         for count in (1, 5, below, above):
-            img_path, lab_path = render_digits_idx(tmp_path, count_per_label=count, seed=seed)
-            want_img, want_lab = reference_corpus(tmp_path, count, seed)
-            assert img_path.read_bytes() == want_img, (seed, count)
-            assert lab_path.read_bytes() == want_lab, (seed, count)
+            assert render_digits(count, seed) == reference_corpus(count, seed), (seed, count)
 
 
 TINY_DIGITS3_IMAGES_SHA256 = "c7a5fb1b4a613de655918e62c050fa05d0e88764211f9bc227e899057fed87a4"
@@ -372,9 +367,11 @@ TINY_DIGITS3_LABELS_SHA256 = "5296c3ee6265966ce9357f67314bc8586594958297a765a9f6
 
 
 def test_tiny_digits_source_files_pinned(tmp_path, digits_data):
-    img_path, lab_path = render_digits_idx(tmp_path, count_per_label=700, seed=11)
+    img_path, lab_path = write_digits_idx(tmp_path, render_digits(count_per_label=700, seed=11))
     assert file_sha256(img_path) == TINY_DIGITS3_IMAGES_SHA256
     assert file_sha256(lab_path) == TINY_DIGITS3_LABELS_SHA256
+    # the pin that lets tiny_digits3 reuse its files is this test's
+    assert TINY_DIGITS3_SHA256 == {11: (TINY_DIGITS3_IMAGES_SHA256, TINY_DIGITS3_LABELS_SHA256)}
     for part in digits_data:
         assert part.meta["checksum"] == TINY_DIGITS3_IMAGES_SHA256
         assert part.meta["label_checksum"] == TINY_DIGITS3_LABELS_SHA256
@@ -385,3 +382,78 @@ def test_tiny_digits_preset_shape(digits_data):
     assert (train_ds.count, valid_ds.count, test_ds.count) == (1500, 300, 300)
     assert train_ds.image_shape == (8, 8, 1) and train_ds.cond_dim == 3
     np.testing.assert_array_equal(train_ds.label_counts(), [500, 500, 500])
+
+
+# ----------------------------------------------------------------------
+# the tiny-digits-3 cache: whatever a directory holds, tiny_digits3 gives a
+# fresh render's data, and a usable directory is left holding the pinned files
+
+
+@pytest.fixture(scope="module")
+def pinned_files():
+    return render_digits(700, 11)
+
+
+def holds_pinned_files(cache) -> bool:
+    return tuple(file_sha256(cache / name) for name in DIGITS_IDX_NAMES) \
+        == TINY_DIGITS3_SHA256[11]
+
+
+def test_tiny_digits_cache_hit_renders_nothing(tmp_path, pinned_files, digits_data, monkeypatch):
+    from cganlab import data
+    write_digits_idx(tmp_path, pinned_files)
+    monkeypatch.setattr(data, "render_digits", None)
+    assert_same_digits(tiny_digits3(tmp_path, 11), digits_data)
+    assert holds_pinned_files(tmp_path)
+
+
+def flip_a_pixel(img, lab):
+    raw = bytearray(img)
+    raw[16 + 1000] ^= 1
+    return bytes(raw), lab
+
+
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(None, id="absent"),
+    pytest.param(flip_a_pixel, id="flipped-image-byte"),
+    pytest.param(lambda img, lab: (img[:-100], lab), id="truncated-images"),
+    pytest.param(lambda img, lab: (img, lab[:8]), id="labels-without-data"),
+    pytest.param(lambda img, lab: (img, render_digits(700, 7)[1]), id="labels-of-seed-7"),
+    pytest.param(lambda img, lab: (lab, img), id="files-swapped"),
+])
+def test_tiny_digits_cache_renders_again_what_misses_the_pin(tmp_path, pinned_files, digits_data,
+                                                            corrupt):
+    if corrupt is not None:
+        for name, raw in zip(DIGITS_IDX_NAMES, corrupt(*pinned_files)):
+            (tmp_path / name).write_bytes(raw)
+    assert_same_digits(tiny_digits3(tmp_path, 11), digits_data)
+    assert holds_pinned_files(tmp_path)
+
+
+def test_tiny_digits_cache_that_cannot_be_written(tmp_path, pinned_files, digits_data,
+                                                  monkeypatch):
+    from cganlab import data
+    # a directory that cannot be made: its parent is a file
+    (tmp_path / "file").write_bytes(b"")
+    assert_same_digits(tiny_digits3(tmp_path / "file" / "cache", 11), digits_data)
+    # a full disk, over a cache with a flipped byte
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    for name, raw in zip(DIGITS_IDX_NAMES, flip_a_pixel(*pinned_files)):
+        (cache / name).write_bytes(raw)
+    monkeypatch.setattr(data, "open", FullDisk, raising=False)
+    assert_same_digits(tiny_digits3(cache, 11), digits_data)
+    assert sorted(p.name for p in cache.iterdir()) == sorted(DIGITS_IDX_NAMES)
+    monkeypatch.undo()
+    assert_same_digits(tiny_digits3(cache, 11), digits_data)
+    assert holds_pinned_files(cache)
+
+
+def test_tiny_digits_cache_is_kept_per_seed(tmp_path, pinned_files, digits_data):
+    write_digits_idx(tmp_path, pinned_files)
+    got = tiny_digits3(tmp_path, 7)
+    assert_same_digits(got, tiny_digits3(None, 7))
+    assert got[0].meta["checksum"] != TINY_DIGITS3_SHA256[11][0]
+    # seed 7's files, written back, are not taken for seed 11's
+    assert_same_digits(tiny_digits3(tmp_path, 11), digits_data)
+    assert holds_pinned_files(tmp_path)

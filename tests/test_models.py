@@ -101,6 +101,15 @@ def test_forwards_take_only_batches(stream):
         approximator_forward(Tensor(x), build_approximator(IMG, M, SPEC, RngStream(0, ("q",))))
 
 
+def test_discriminators_check_the_image_shape(stream):
+    """A batch of another image shape is a DimensionError in every variant, also
+    where its size matches the first weight's rows (2x2x6 and 3x3x(1+3) in cgan)."""
+    x, c = stream.uniform(-1, 1, (2, 2, 2, 6)), np.vstack([onehot(0), onehot(1)])
+    for variant in Variant:
+        with pytest.raises(DimensionError, match=r"\[b, \*\[3, 3, 1\]\], got \(2, 2, 2, 6\)"):
+            discriminator_forward(Tensor(x), Tensor(c), make_d(variant))
+
+
 # ----------------------------------------------------------------------
 # discriminator variants
 
