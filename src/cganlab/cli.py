@@ -49,17 +49,17 @@ DATA_SEEDS = {"mixture-3x2": 2024, "tiny-mnist-3": 11, "tiny-digits-3": 11,
 DATASET_NAMES = tuple(DATA_SEEDS)
 
 # the two 8x8 three-class presets share one shape
-_TINY_DEFAULTS = {"steps": 3000, "batch_size": 64, "lr": 5e-4, "noise_dim": 16,
-                  "g_hidden": "128,128", "d_hidden": "128", "q_hidden": "64",
-                  "q_steps": 2000, "irgan_lam": 2.0, "samples_per_condition": 2000}
+_TINY_PRESET = {"steps": 3000, "batch_size": 64, "lr": 5e-4, "noise_dim": 16,
+                "g_hidden": "128,128", "d_hidden": "128", "q_hidden": "64",
+                "q_steps": 2000, "irgan_lam": 2.0, "samples_per_condition": 2000}
 
-# desk-scale defaults per dataset; flags and config files override
-TRAIN_DEFAULTS = {
+# desk-scale defaults per dataset, over those of SETTINGS; flags and config files override
+PRESETS = {
     "mixture-3x2": {"steps": 5000, "batch_size": 256, "lr": 1.5e-3, "noise_dim": 8,
                     "g_hidden": "64,64", "d_hidden": "64,64", "q_hidden": "32",
                     "q_steps": 1500, "irgan_lam": 2.0, "samples_per_condition": 2000},
-    "tiny-mnist-3": _TINY_DEFAULTS,
-    "tiny-digits-3": _TINY_DEFAULTS,
+    "tiny-mnist-3": _TINY_PRESET,
+    "tiny-digits-3": _TINY_PRESET,
     "mnist": {"steps": 30000, "batch_size": 64, "lr": 2e-4, "noise_dim": 64,
               "g_hidden": "512,512", "d_hidden": "512,512", "q_hidden": "256",
               "q_steps": 10000, "samples_per_condition": 10000},
@@ -68,24 +68,31 @@ TRAIN_DEFAULTS = {
                 "q_steps": 20000, "samples_per_condition": 10000},
 }
 
-BASE_DEFAULTS = {
-    "seed": 0, "lam": None, "d_steps": 1, "loss_mode": "non_saturating",
-    "checkpoint_every": 0, "sigma_mode": "per_condition", "condition_shift": 0,
-}
-
-# the settings each command reads besides the shared and per-dataset ones;
-# sample reads only its own
-COMMAND_KEYS = {"pretrain-q": (), "train": ("variant", "q_checkpoint", "resume"),
-                "eval": ("sigma_grid", "g_checkpoint"),
-                "sample": ("g_checkpoint", "condition", "count", "seed")}
-
-# the type of each setting that is not kept as given (a string, list or None)
-SETTING_TYPES = {
-    **dict.fromkeys(("seed", "steps", "batch_size", "d_steps", "checkpoint_every",
-                     "condition_shift", "noise_dim", "q_steps", "samples_per_condition",
-                     "condition", "count"), int),
-    **dict.fromkeys(("lr", "lam", "irgan_lam"), float),
-    "variant": Variant,
+# every setting a command reads: (type, default, the commands that read it).
+# The type converts the value (None: kept as given); a preset overrides the
+# default, and None is no default. --dataset and --data-dir are not settings:
+# they are flags only, and a manifest records them beside the settings.
+SETTINGS = {
+    "seed": (int, 0, ("pretrain-q", "train", "eval", "sample")),
+    "batch_size": (int, None, ("pretrain-q", "train")),
+    "lr": (float, None, ("pretrain-q", "train")),
+    "q_steps": (int, None, ("pretrain-q",)), "q_hidden": (None, None, ("pretrain-q",)),
+    "variant": (Variant, None, ("train",)),
+    "steps": (int, None, ("train",)),
+    # lam records the lam a run uses; irgan_lam only sets irgan's when none is given
+    "lam": (float, None, ("train",)), "irgan_lam": (float, 1.0, ("train",)),
+    "noise_dim": (int, None, ("train",)),
+    "g_hidden": (None, None, ("train",)), "d_hidden": (None, None, ("train",)),
+    "d_steps": (int, 1, ("train",)),
+    "loss_mode": (None, "non_saturating", ("train",)),
+    "checkpoint_every": (int, 0, ("train",)),
+    "q_checkpoint": (None, None, ("train",)), "resume": (None, None, ("train",)),
+    "g_checkpoint": (None, None, ("eval", "sample")),
+    "sigma_grid": (None, None, ("eval",)),
+    "sigma_mode": (None, "per_condition", ("eval",)),
+    "samples_per_condition": (int, None, ("eval",)),
+    "condition_shift": (int, 0, ("eval",)),
+    "condition": (int, None, ("sample",)), "count": (int, None, ("sample",)),
 }
 
 
@@ -98,38 +105,30 @@ def load_dataset(name, data_dir=None, checksum=None):
     if name not in DATA_SEEDS:
         raise ConfigError(f"unknown dataset {name!r}; expected one of {DATASET_NAMES}")
     seed = DATA_SEEDS[name]
+    if not data_dir and name in ("tiny-mnist-3", "mnist", "cifar10"):
+        raise DataError(f"{name} needs --data-dir pointing at its source files")
     if name == "mixture-3x2":
         train_ds, valid_ds, test_ds, _ = datamod.mixture_3x2(seed)
-        label_names = ["0", "1", "2"]
     elif name == "tiny-digits-3":
         cache = Path(data_dir) if data_dir else digits_cache_dir()
         train_ds, valid_ds, test_ds = datamod.tiny_digits3(cache, seed)
-        label_names = ["0", "1", "2"]
     elif name == "tiny-mnist-3":
-        if not data_dir:
-            raise DataError("tiny-mnist-3 needs --data-dir pointing at the IDX files")
         train_ds, valid_ds, test_ds = datamod.tiny_mnist3(Path(data_dir), seed)
-        label_names = ["0", "1", "2"]
-    elif name == "mnist":
-        if not data_dir:
-            raise DataError("mnist needs --data-dir pointing at the IDX files")
-        full = datamod.load_idx(Path(data_dir) / "train-images-idx3-ubyte",
-                                Path(data_dir) / "train-labels-idx1-ubyte")
+    else:
+        if name == "mnist":
+            full = datamod.load_idx(Path(data_dir) / "train-images-idx3-ubyte",
+                                    Path(data_dir) / "train-labels-idx1-ubyte")
+        else:  # cifar10
+            paths = sorted(Path(data_dir).glob("data_batch_*.bin"))
+            if not paths:
+                raise DataError(f"no data_batch_*.bin files under {data_dir}")
+            full = datamod.load_cifar10_binary(paths)
         train_ds, valid_ds, test_ds = datamod.split(full, (0.8, 0.1, 0.1), seed)
-        label_names = [str(i) for i in range(10)]
-    else:  # cifar10
-        if not data_dir:
-            raise DataError("cifar10 needs --data-dir pointing at the .bin batches")
-        paths = sorted(Path(data_dir).glob("data_batch_*.bin"))
-        if not paths:
-            raise DataError(f"no data_batch_*.bin files under {data_dir}")
-        full = datamod.load_cifar10_binary(paths)
-        train_ds, valid_ds, test_ds = datamod.split(full, (0.8, 0.1, 0.1), seed)
-        label_names = list(datamod.CIFAR10_LABELS)
     found = train_ds.meta.get("checksum", "")
     if checksum and checksum != found:
         raise DataError(f"dataset {name!r} has checksum {found!r}, "
                         f"but the manifest recorded {checksum!r}")
+    label_names = train_ds.meta.get("label_names") or [str(c) for c in range(train_ds.cond_dim)]
     return {"name": name, "train": train_ds, "valid": valid_ds, "test": test_ds,
             "label_names": label_names, "checksum": found}
 
@@ -179,10 +178,12 @@ def parse_sigma_grid(text):
 
 def load_config_file(path) -> dict:
     p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {p}")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:  # missing, a directory, unreadable or not UTF-8
+        raise ConfigError(f"cannot read config file {p}: {e}") from None
     out = {}
-    for ln, line in enumerate(p.read_text().splitlines(), 1):
+    for ln, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -197,51 +198,65 @@ def load_config_file(path) -> dict:
     return out
 
 
-def resolve(defaults: dict, config_file, flags: dict) -> dict:
-    """defaults < config file < explicit flags, each setting converted to its type once."""
-    res = dict(defaults)
-    if config_file:
-        file_values = load_config_file(config_file)
-        unknown = set(file_values) - set(res)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        res.update(file_values)
-    for key, value in flags.items():
-        if value is not None:
-            res[key] = value
-    return typed_settings(res, (), ConfigError, f"config file {config_file}")
+def resolve(command: str, config_file, flags: dict) -> dict:
+    """command_settings of the command's flags over its config file over its dataset's defaults.
 
-
-def typed_settings(values: dict, keys, error, source: str) -> dict:
-    """values with every setting of SETTING_TYPES converted to its type.
-
-    `error` names the first of `keys` that values lacks, or the first value
-    that does not convert; `source` says where the values came from.
+    --dataset and --data-dir come from the flags alone.
     """
-    missing = [key for key in keys if key not in values]
-    if missing:
-        raise error(f"{source} has no setting {missing[0]!r}")
-    out = dict(values)
-    for key, kind in SETTING_TYPES.items():
-        if out.get(key) is not None:
+    values = command_defaults(command, flags["dataset"])
+    if config_file:
+        values.update(load_config_file(config_file))
+    dataset = {key: flags.pop(key) for key in ("dataset", "data_dir") if flags[key] is not None}
+    values.update((key, value) for key, value in flags.items() if value is not None)
+    return {**command_settings(command, values, ConfigError, f"config file {config_file}"),
+            **dataset}
+
+
+def command_settings(command: str, values: dict, error, source: str) -> dict:
+    """The settings of `command` among values, each converted to its type; train's lam as used.
+
+    Other commands' settings are dropped. `error`, from `source`, names a key
+    that no command reads, a setting that values lack, or a value that does
+    not convert: an int takes only an integer, and a float no bool.
+    """
+    unknown = sorted(set(values) - set(SETTINGS))
+    if unknown:
+        raise error(f"{source} holds keys that are no command's settings: {unknown}")
+    out = {}
+    for key, (kind, default, commands) in SETTINGS.items():
+        if command not in commands:
+            continue
+        if key not in values and key != "irgan_lam":  # in a manifest, only beside a null lam
+            raise error(f"{source} has no setting {key!r}")
+        value = out[key] = values.get(key, default)
+        if kind is not None and value is not None:
             try:
-                out[key] = kind(out[key])
+                if isinstance(value, bool) or (kind is int and isinstance(value, float)):
+                    raise TypeError
+                out[key] = kind(value)
             except (TypeError, ValueError):
-                raise error(f"{source}: setting {key!r} = {out[key]!r} is not a valid "
+                raise error(f"{source}: setting {key!r} = {value!r} is not a valid "
                             f"{kind.__name__}") from None
+    if command == "train":
+        irgan_lam = out.pop("irgan_lam")
+        if out["lam"] is None:
+            out["lam"] = irgan_lam if out["variant"] is Variant.IRGAN else 0.0
     return out
 
 
 def command_defaults(command: str, dataset: str) -> dict:
     """The settings `command` reads on `dataset`, with their defaults (None: no default)."""
-    return {**BASE_DEFAULTS, **TRAIN_DEFAULTS[dataset], **dict.fromkeys(COMMAND_KEYS[command])}
+    return {key: PRESETS[dataset].get(key, default)
+            for key, (_, default, commands) in SETTINGS.items() if command in commands}
 
 
 def read_manifest(path, command=None) -> dict:
-    """The manifest at path, its `resolved` settings typed; DataError names any fault.
+    """The manifest at path, with command_settings of its `resolved` settings.
 
-    With `command`, it must record a run of that command. A manifest of any
-    command but sample must record the name and checksum of its dataset.
+    DataError names any fault. With `command`, it must record a run of
+    that command. A manifest of any command but sample must record the
+    name and checksum of its dataset, whose name its settings hold beside
+    any data_dir; a sample manifest's are dropped.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -251,26 +266,27 @@ def read_manifest(path, command=None) -> dict:
         raise DataError(f"manifest {path} is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise DataError(f"manifest {path} is not a JSON object")
-    expected = (command,) if command else tuple(COMMAND_KEYS)
+    expected = (command,) if command else ("pretrain-q", "train", "eval", "sample")
     if doc.get("command") not in expected:
         raise DataError(f"manifest {path} records command {doc.get('command')!r}; "
                         f"expected one of {expected}")
     resolved = doc.get("resolved")
     if not isinstance(resolved, dict):
         raise DataError(f"manifest {path} has no 'resolved' object")
+    resolved = dict(resolved)
+    dataset = {key: resolved.pop(key) for key in ("dataset", "data_dir") if key in resolved}
+    recorded = doc.get("dataset")
     if doc["command"] == "sample":
-        keys = COMMAND_KEYS["sample"]
-    elif resolved.get("dataset") in TRAIN_DEFAULTS:
-        keys = ("dataset", *command_defaults(doc["command"], resolved["dataset"]))
-        dataset = doc.get("dataset")
-        if not (isinstance(dataset, dict) and dataset.get("name") == resolved["dataset"]
-                and isinstance(dataset.get("checksum"), str) and dataset["checksum"]):
-            raise DataError(f"manifest {path} records no name and checksum of its dataset "
-                            f"{resolved['dataset']!r}")
-    else:
-        raise DataError(f"manifest {path} records dataset {resolved.get('dataset')!r}; "
+        dataset = {}
+    elif dataset.get("dataset") not in PRESETS:
+        raise DataError(f"manifest {path} records dataset {dataset.get('dataset')!r}; "
                         f"expected one of {DATASET_NAMES}")
-    return dict(doc, resolved=typed_settings(resolved, keys, DataError, f"manifest {path}"))
+    elif not (isinstance(recorded, dict) and recorded.get("name") == dataset["dataset"]
+              and isinstance(recorded.get("checksum"), str) and recorded["checksum"]):
+        raise DataError(f"manifest {path} records no name and checksum of its dataset "
+                        f"{dataset['dataset']!r}")
+    settings = command_settings(doc["command"], resolved, DataError, f"manifest {path}")
+    return dict(doc, resolved={**settings, **dataset})
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -372,26 +388,16 @@ def write_image_grid(path, images: np.ndarray):
     """
     images = np.asarray(images)
     n, h, w, d = images.shape
-    raw = datamod.pixels_to_bytes(images)
     cols = int(np.ceil(np.sqrt(n)))
     rows = int(np.ceil(n / cols))
-    if d == 3:
-        grid = np.zeros((rows * h, cols * w, 3), dtype=np.uint8)
-        for i in range(n):
-            r, c = divmod(i, cols)
-            grid[r * h:(r + 1) * h, c * w:(c + 1) * w] = raw[i]
-        header = f"P6\n{grid.shape[1]} {grid.shape[0]}\n255\n".encode()
-    else:
-        flatw = w * d
-        tiles = raw.transpose(0, 1, 3, 2).reshape(n, h, flatw) if d > 1 \
-            else raw.reshape(n, h, w)
-        grid = np.zeros((rows * h, cols * flatw), dtype=np.uint8)
-        for i in range(n):
-            r, c = divmod(i, cols)
-            grid[r * h:(r + 1) * h, c * flatw:(c + 1) * flatw] = tiles[i]
-        header = f"P5\n{grid.shape[1]} {grid.shape[0]}\n255\n".encode()
+    tiles = np.zeros((rows * cols, h, w, d), dtype=np.uint8)
+    tiles[:n] = datamod.pixels_to_bytes(images)
+    if d != 3:  # a gray tile per channel, the channels side by side
+        tiles = tiles.transpose(0, 1, 3, 2).reshape(rows * cols, h, d * w, 1)
+    grid = tiles.reshape(rows, cols, *tiles.shape[1:]).transpose(0, 2, 1, 3, 4)
+    header = f"{'P6' if d == 3 else 'P5'}\n{cols * tiles.shape[2]} {rows * h}\n255\n"
     with atomic_write(path) as f:
-        f.write(header)
+        f.write(header.encode())
         f.write(grid.tobytes())
 
 
@@ -424,13 +430,9 @@ def do_pretrain_q(res: dict, out_dir: Path, checksum=None) -> dict:
 
 def _train_config(res: dict) -> TrainConfig:
     """The TrainConfig a resolved train configuration describes."""
-    variant = res["variant"]
-    lam = res.get("lam")
-    if lam is None:
-        lam = res.get("irgan_lam", 1.0) if variant is Variant.IRGAN else 0.0
     return TrainConfig(
-        variant=variant, total_steps=res["steps"], batch_size=res["batch_size"],
-        d_steps_per_g_step=res["d_steps"], lam=lam, lr=res["lr"],
+        variant=res["variant"], total_steps=res["steps"], batch_size=res["batch_size"],
+        d_steps_per_g_step=res["d_steps"], lam=res["lam"], lr=res["lr"],
         seed=res["seed"], generator_loss_mode=res["loss_mode"],
         noise_dim=res["noise_dim"], g_hidden=parse_widths(res["g_hidden"]),
         d_hidden=parse_widths(res["d_hidden"]), checkpoint_every=res["checkpoint_every"])
@@ -662,11 +664,6 @@ def main():
     """Train, evaluate and sample label-conditioned GANs."""
 
 
-def _resolve_flags(command, config_file, flags: dict) -> dict:
-    """A command's flags over its config file over its dataset's defaults."""
-    return resolve(command_defaults(command, flags["dataset"]), config_file, flags)
-
-
 def _dataset_options(fn):
     fn = click.option("--dataset", type=click.Choice(DATASET_NAMES), required=True)(fn)
     fn = click.option("--data-dir", type=click.Path(), default=None,
@@ -686,7 +683,7 @@ def _dataset_options(fn):
 @friendly_errors
 def cmd_pretrain_q(config_file, out, **flags):
     """Pretrain the condition approximator Q(c|x) and freeze it."""
-    _emit(do_pretrain_q(_resolve_flags("pretrain-q", config_file, flags), _out_dir(out)))
+    _emit(do_pretrain_q(resolve("pretrain-q", config_file, flags), _out_dir(out)))
 
 
 @main.command("train")
@@ -712,7 +709,7 @@ def cmd_pretrain_q(config_file, out, **flags):
 @friendly_errors
 def cmd_train(config_file, out, **flags):
     """Train one conditioned-GAN variant."""
-    res = _resolve_flags("train", config_file, flags)
+    res = resolve("train", config_file, flags)
     _emit(do_train(res, _out_dir(out)))
 
 
@@ -732,7 +729,7 @@ def cmd_train(config_file, out, **flags):
 def cmd_eval(config_file, out, **flags):
     """Parzen-window evaluation of generator checkpoints, per condition."""
     flags["g_checkpoint"] = list(flags["g_checkpoint"])
-    res = _resolve_flags("eval", config_file, flags)
+    res = resolve("eval", config_file, flags)
     _emit(do_eval(res, _out_dir(out)))
 
 

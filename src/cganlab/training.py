@@ -91,10 +91,10 @@ class TrainLog:
     def read(cls, path, steps: int) -> "TrainLog":
         """Rows 0..steps-1 of a log written by write(); DataError if it lacks them."""
         try:
-            with open(path) as f:
+            with open(path, encoding="utf-8") as f:
                 lines = f.read().splitlines()
-        except OSError as e:
-            raise DataError(f"cannot read training log: {e}") from None
+        except (OSError, UnicodeDecodeError) as e:
+            raise DataError(f"cannot read training log {path}: {e}") from None
         if not lines or lines[0] != cls.CSV_HEADER:
             raise DataError(f"{path} does not start with the header {cls.CSV_HEADER!r}")
         rows = []

@@ -16,7 +16,10 @@ run's manifest. On tiny-digits-3 it also trains sbp with `--batch-size 256`,
 whose pooled inputs exceed `conditioning.POOL_BUILD_MAX`, so sbp's
 per-condition product is hashed as well as the built one that the default
 batch size takes, and then repeats the default sbp run as `train-sbp-warm`
-over whatever the earlier commands left in TMPDIR.
+over whatever the earlier commands left in TMPDIR. On mixture-3x2 a
+`train` of fcgan and an `eval` of its generator share one `--config` file
+(SHARED_CONFIG), which holds a train key, a pretrain-q key and an eval key,
+so a config file shared across commands is hashed too.
 
 Every command is a fresh `python -m cganlab.cli` process with
 PYTHONPATH=TREE/src, OPENBLAS_NUM_THREADS=1 and TMPDIR one fresh directory
@@ -39,6 +42,9 @@ VARIANTS = ("cgan", "fcgan", "sbp", "irgan")
 TRAIN_STEPS = {"mixture-3x2": 300, "tiny-digits-3": 150}
 # batch sizes at which sbp is trained once more, beside the dataset's default
 SBP_BATCH_SIZES = {"tiny-digits-3": 256}
+# one file for a train and an eval on mixture-3x2: d_steps is train's,
+# q_steps pretrain-q's and sigma_mode eval's
+SHARED_CONFIG = "d_steps = 2\nq_steps = 7\nsigma_mode = global\n"
 
 
 def commands(dataset: str, steps: int):
@@ -67,6 +73,12 @@ def commands(dataset: str, steps: int):
                                           "--seed", "7", "--batch-size", bs]))
     if dataset == "tiny-digits-3":
         runs.append(("train-sbp-warm", dict(runs)["train-sbp"]))
+    else:
+        shared = ["--config", "{config}"]
+        runs.append(("train-shared", ["train", "--variant", "fcgan", *ds, "--steps", str(steps),
+                                      "--seed", "7", *shared]))
+        runs.append(("eval-shared", ["eval", "--g-checkpoint", "{train-shared}/g.ckpt", *ds,
+                                     "--seed", "5", "--samples-per-condition", "400", *shared]))
     return runs
 
 
@@ -81,10 +93,12 @@ def main(tree: Path) -> dict:
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "tmpdir").mkdir()
+        config = Path(tmp) / "shared.cfg"
+        config.write_text(SHARED_CONFIG)
         env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
                    TMPDIR=str(Path(tmp) / "tmpdir"))
         for dataset, steps in TRAIN_STEPS.items():
-            dirs = {}
+            dirs = {"config": config}
             for run, args in commands(dataset, steps):
                 dirs[run] = Path(tmp) / dataset / run
                 args = [a.format(**dirs) for a in args] + ["--out", str(dirs[run])]

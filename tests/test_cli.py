@@ -11,8 +11,9 @@ from click.testing import CliRunner
 from cganlab import cli, data
 from cganlab.checkpoint import MAX_NAME_BYTES, load_model, read_container, write_container
 from cganlab.cli import main
-from cganlab.data import render_digits, write_digits_idx
+from cganlab.data import CIFAR10_LABELS, render_digits, write_digits_idx
 from conftest import FullDisk, assert_same_digits
+from fuzzing import cifar10_record_bytes
 
 
 @pytest.fixture
@@ -148,6 +149,20 @@ def test_missing_data_dir_exits_3(runner, tmp_path):
     assert "ghost" in result.stderr
 
 
+@pytest.mark.parametrize("name", ["tiny-mnist-3", "mnist", "cifar10"])
+def test_file_datasets_need_a_data_dir(name):
+    with pytest.raises(cli.DataError, match=f"^{name} needs --data-dir"):
+        cli.load_dataset(name)
+
+
+def test_label_names_come_from_the_data(tmp_path):
+    assert cli.load_dataset("mixture-3x2")["label_names"] == ["0", "1", "2"]
+    image = np.zeros((32, 32, 3), np.uint8)
+    records = b"".join(cifar10_record_bytes(image, label) for label in range(10) for _ in range(3))
+    (tmp_path / "data_batch_1.bin").write_bytes(records)
+    assert cli.load_dataset("cifar10", tmp_path)["label_names"] == list(CIFAR10_LABELS)
+
+
 def assert_same_splits(info, splits):
     assert_same_digits([info[part] for part in ("train", "valid", "test")], splits)
     assert info["checksum"] == splits[0].meta["checksum"]
@@ -219,6 +234,21 @@ def _command_fit(doc):
     return "fit"
 
 
+def _steps_fraction(doc):
+    doc["resolved"]["steps"] = 2.9
+    return "steps"
+
+
+def _batch_size_true(doc):
+    doc["resolved"]["batch_size"] = True
+    return "batch_size"
+
+
+def _lr_true(doc):
+    doc["resolved"]["lr"] = True
+    return "lr"
+
+
 def _batch_size_zero(doc):
     doc["resolved"]["batch_size"] = 0
     return None
@@ -231,7 +261,8 @@ def _without_dataset(doc):
 
 @pytest.mark.parametrize("doc", [[1, 2], {"command": "train"},
                                  {"command": "train", "resolved": "steps=3"},
-                                 _without_steps, _steps_many, _variant_wgan,
+                                 _without_steps, _steps_many, _steps_fraction,
+                                 _batch_size_true, _lr_true, _variant_wgan,
                                  _loss_mode_wasserstein, _command_fit, _batch_size_zero,
                                  _without_dataset])
 def test_rerun_bad_manifest_is_data_error(runner, trained_dir, tmp_path, doc):
@@ -371,6 +402,21 @@ def test_resume_needs_the_earlier_log(runner, trained_dir, tmp_path):
         assert result.exit_code == 3, result.output
         assert result.stderr.startswith("data error: ")
         assert not (tmp_path / "o" / "g.ckpt").exists()
+
+
+def test_resume_refuses_a_log_that_is_not_utf8(runner, trained_dir, tmp_path):
+    half = tmp_path / "half"
+    half.mkdir()
+    for name in ("g.ckpt", "d.ckpt", "manifest.json"):
+        (half / name).write_bytes((trained_dir / name).read_bytes())
+    # the byte lies past the 20 rows that the resume reads
+    (half / "log.csv").write_bytes((trained_dir / "log.csv").read_bytes() + b"\xff\n")
+    result = runner.invoke(main, ["train", "--variant", "sbp", "--dataset", "mixture-3x2",
+                                  *TRAIN_FAST, "--steps", "22", "--resume", str(half),
+                                  "--out", str(tmp_path / "o")])
+    assert result.exit_code == 3, result.output
+    assert result.stderr.startswith("data error: ") and "log.csv" in result.stderr
+    assert not (tmp_path / "o" / "g.ckpt").exists()
 
 
 def test_resume_bad_train_step_is_data_error(runner, trained_dir, tmp_path):
@@ -827,6 +873,30 @@ def test_sample_deterministic(runner, trained_dir, tmp_path):
         == (tmp_path / "s2" / "samples.bin").read_bytes()
 
 
+@pytest.mark.parametrize("shape", [(7, 2, 3, 3), (10, 4, 5, 2), (3, 5, 4, 4), (5, 3, 4, 1)])
+def test_image_grid_bytes(tmp_path, shape):
+    """Tiles in row-major order on a ceil(sqrt(n))-wide grid, zeros past the last:
+    a PPM of RGB tiles for 3 channels, else a PGM whose tiles lay their
+    channels side by side."""
+    n, h, w, d = shape
+    raw = np.random.default_rng(n).integers(0, 256, shape).astype(np.uint8)
+    cli.write_image_grid(tmp_path / "grid", raw / 127.5 - 1.0)
+    cols = int(np.ceil(np.sqrt(n)))
+    rows = -(-n // cols)
+    tile_w, depth = (w, 3) if d == 3 else (w * d, 1)
+    expected = np.zeros((rows * h, cols * tile_w, depth), np.uint8)
+    for i in range(n):
+        top, left = i // cols * h, i % cols * tile_w
+        for c in range(d):
+            if d == 3:
+                expected[top:top + h, left:left + w, c] = raw[i, :, :, c]
+            else:
+                expected[top:top + h, left + c * w:left + (c + 1) * w, 0] = raw[i, :, :, c]
+    magic = "P6" if d == 3 else "P5"
+    header = f"{magic}\n{cols * tile_w} {rows * h}\n255\n".encode()
+    assert (tmp_path / "grid").read_bytes() == header + expected.tobytes()
+
+
 # ----------------------------------------------------------------------
 # config layering
 
@@ -854,7 +924,10 @@ def test_config_file_unknown_key(runner, tmp_path):
     assert "bogus_knob" in result.stderr
 
 
-@pytest.mark.parametrize("line,key", [("steps = many", "steps"), ("lr = [1]", "lr")])
+@pytest.mark.parametrize("line,key", [("steps = many", "steps"), ("lr = [1]", "lr"),
+                                      ("steps = 2.9", "steps"), ("seed = 5.0", "seed"),
+                                      ("batch_size = true", "batch_size"),
+                                      ("lam = false", "lam")])
 def test_config_file_malformed_value(runner, tmp_path, line, key):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
@@ -862,6 +935,141 @@ def test_config_file_malformed_value(runner, tmp_path, line, key):
                                   "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert result.exit_code == 2
     assert result.stderr.startswith("config error: ") and f"'{key}'" in result.stderr
+
+
+def test_config_file_that_cannot_be_read_is_config_error(runner, tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"steps = 2\n# \xff\n")
+    args = ["train", "--variant", "sbp", "--dataset", "mixture-3x2", "--config", str(cfg),
+            "--out", str(tmp_path / "o")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("config error: ") and "run.cfg" in result.stderr
+    cfg.write_text("steps = 2\n")
+    read_text = type(cfg).read_text
+
+    def refuse(path, *a, **k):
+        if path == cfg:
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_text(path, *a, **k)
+
+    monkeypatch.setattr(type(cfg), "read_text", refuse)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("config error: ") and "Permission denied" in result.stderr
+    for missing in (tmp_path / "ghost.cfg", tmp_path):
+        result = runner.invoke(main, [*args[:-2], "--config", str(missing), *args[-2:]])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("config error: ") and str(missing) in result.stderr
+    assert not (tmp_path / "o" / "g.ckpt").exists()
+
+
+# the settings each command reads and records, with --dataset
+RECORDED = {
+    "pretrain-q": {"seed", "batch_size", "lr", "q_steps", "q_hidden", "dataset"},
+    "train": {"seed", "variant", "steps", "batch_size", "lr", "lam", "noise_dim", "g_hidden",
+              "d_hidden", "d_steps", "loss_mode", "checkpoint_every", "q_checkpoint", "resume",
+              "dataset"},
+    "eval": {"seed", "g_checkpoint", "sigma_grid", "sigma_mode", "samples_per_condition",
+             "condition_shift", "dataset"},
+    "sample": {"g_checkpoint", "condition", "count", "seed"},
+}
+
+
+def test_each_command_records_only_its_own_settings(runner, tmp_path):
+    # one file for every command: steps is train's, q_steps pretrain-q's,
+    # sigma_mode eval's and count sample's
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("steps = 3\nq_steps = 4\nsigma_mode = global\ncount = 5\n")
+    ds, shared = ["--dataset", "mixture-3x2"], ["--config", str(cfg)]
+    runs = {
+        "q": ["pretrain-q", *ds, *shared],
+        "q-digits": ["pretrain-q", "--dataset", "tiny-digits-3", "--data-dir",
+                     str(tmp_path / "digits"), "--steps", "0"],
+        "cgan": ["train", "--variant", "cgan", *ds, *shared],
+        "irgan": ["train", "--variant", "irgan", *ds, "--q-checkpoint",
+                  str(tmp_path / "q" / "q.ckpt"), *shared],
+        "eval": ["eval", "--g-checkpoint", str(tmp_path / "cgan" / "g.ckpt"), *ds,
+                 "--samples-per-condition", "30", *shared],
+        "sample": ["sample", "--g-checkpoint", str(tmp_path / "cgan" / "g.ckpt"),
+                   "--condition", "1"],
+    }
+    for run, args in runs.items():
+        run_ok(runner, [*args, "--out", str(tmp_path / run)])
+        run_ok(runner, ["rerun", str(tmp_path / run / "manifest.json"),
+                        "--out", str(tmp_path / f"{run}-again")])
+        for out in (run, f"{run}-again"):
+            doc = json.loads((tmp_path / out / "manifest.json").read_text())
+            extra = {"data_dir"} if run == "q-digits" else set()
+            assert set(doc["resolved"]) == RECORDED[doc["command"]] | extra, out
+            resolved = doc["resolved"]
+            if run == "q":
+                assert resolved["q_steps"] == 4
+            elif run == "eval":
+                assert resolved["sigma_mode"] == "global"
+            elif run in ("cgan", "irgan"):
+                assert resolved["steps"] == 3
+                assert resolved["lam"] == {"cgan": 0.0, "irgan": 2.0}[run]
+            elif run == "sample":
+                assert resolved["count"] == 16
+    for run in ("cgan", "irgan"):
+        assert (tmp_path / run / "g.ckpt").read_bytes() \
+            == (tmp_path / f"{run}-again" / "g.ckpt").read_bytes()
+
+
+def as_written_by_0_2_1(doc: dict) -> dict:
+    """A mixture-3x2 train manifest as cganlab 0.2.1 wrote it: with every command's
+    settings at their defaults, lam null and irgan_lam beside it."""
+    old = dict(doc, tool_version="0.2.1")
+    old["resolved"] = {"condition_shift": 0, "q_hidden": "32", "q_steps": 1500,
+                       "samples_per_condition": 2000, "sigma_mode": "per_condition",
+                       **doc["resolved"], "irgan_lam": 2.0, "lam": None}
+    return old
+
+
+def test_a_0_2_1_manifest_reruns_and_resumes(runner, tmp_path):
+    run_ok(runner, ["pretrain-q", "--dataset", "mixture-3x2", "--steps", "0",
+                    "--out", str(tmp_path / "q")])
+    base = ["train", "--variant", "irgan", "--dataset", "mixture-3x2", "--batch-size", "32",
+            "--seed", "4", "--q-checkpoint", str(tmp_path / "q" / "q.ckpt")]
+    run_ok(runner, base + ["--steps", "6", "--out", str(tmp_path / "full")])
+    run_ok(runner, base + ["--steps", "3", "--out", str(tmp_path / "half")])
+    for run in ("full", "half"):
+        path = tmp_path / run / "manifest.json"
+        old = as_written_by_0_2_1(json.loads(path.read_text()))
+        assert len(old["resolved"]) == 21
+        path.write_text(json.dumps(old))
+
+    def same(a, b):
+        return all((tmp_path / a / name).read_bytes() == (tmp_path / b / name).read_bytes()
+                   for name in ("g.ckpt", "d.ckpt"))
+
+    run_ok(runner, ["rerun", str(tmp_path / "full" / "manifest.json"),
+                    "--out", str(tmp_path / "again")])
+    assert same("full", "again")
+    recorded = json.loads((tmp_path / "again" / "manifest.json").read_text())["resolved"]
+    assert recorded["lam"] == 2.0 and set(recorded) == RECORDED["train"]
+    run_ok(runner, base + ["--steps", "6", "--resume", str(tmp_path / "half"),
+                           "--out", str(tmp_path / "resumed")])
+    assert same("full", "resumed")
+    # its null lam resolves through its own irgan_lam
+    old = json.loads((tmp_path / "full" / "manifest.json").read_text())
+    old["resolved"]["irgan_lam"] = 3.0
+    (tmp_path / "lam3.json").write_text(json.dumps(old))
+    run_ok(runner, ["rerun", str(tmp_path / "lam3.json"), "--out", str(tmp_path / "lam3")])
+    assert json.loads((tmp_path / "lam3" / "manifest.json").read_text())["resolved"]["lam"] == 3.0
+    run_ok(runner, base + ["--steps", "6", "--lambda", "3", "--out", str(tmp_path / "flag3")])
+    assert same("lam3", "flag3") and not same("lam3", "full")
+    # a key that no command reads is a fault of the manifest, for rerun and resume alike
+    old["resolved"]["bogus_knob"] = 1
+    for path in (tmp_path / "bogus.json", tmp_path / "half" / "manifest.json"):
+        path.write_text(json.dumps(old))
+    for args in (["rerun", str(tmp_path / "bogus.json")],
+                 base + ["--steps", "6", "--resume", str(tmp_path / "half")]):
+        result = runner.invoke(main, args + ["--out", str(tmp_path / "o")])
+        assert result.exit_code == 3, result.output
+        assert result.stderr.startswith("data error: ") and "'bogus_knob'" in result.stderr
+        assert not (tmp_path / "o" / "g.ckpt").exists()
 
 
 def test_internal_failure_exits_1(runner, trained_dir, tmp_path):
