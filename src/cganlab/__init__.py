@@ -7,15 +7,15 @@ term from a frozen pretrained classifier), plus a Gaussian Parzen-window
 evaluator and binary dataset loaders.
 """
 
-__version__ = "0.2.2"
+__version__ = "0.2.3"
 
 from .errors import (CganlabError, ConfigError, ContractError, DataError,
                      DimensionError, ParseError)
 from .rng import RngStream
-from .tensor import AdamState, Tensor, adam_step, backward
+from .tensor import AdamHyper, AdamState, Tensor, adam_step, backward
 
 __all__ = [
-    "AdamState", "CganlabError", "ConfigError", "ContractError", "DataError",
+    "AdamHyper", "AdamState", "CganlabError", "ConfigError", "ContractError", "DataError",
     "DimensionError", "ParseError", "RngStream", "Tensor", "adam_step", "backward",
     "__version__",
 ]

@@ -18,16 +18,17 @@ and sample dumps. Readers validate the header schema, so a malformed or
 inconsistent file raises ParseError (a data error), never a KeyError or
 TypeError.
 
-A model header's role fields and hidden widths fix the network's layout
-(models.layer_dims, as for the builders); its spec, in_dim, out_dim,
-model.hidden_extra, array shapes and adam_steps must state that layout
-exactly. A name, which eval gives a report file, is one path component of
-at most MAX_NAME_BYTES bytes of UTF-8.
+A model header's role fields, hidden widths and hyper build the network
+(ModelParams.build); its model, spec, in_dim and out_dim must be what
+save_model writes for that network, and its arrays and adam_steps enter it
+through ModelParams.adopt. A name, which eval gives a report file, is one
+path component of at most MAX_NAME_BYTES bytes of UTF-8.
 
 Adam moments are stored in the parameter's full layout, also where the
 network keeps them once for rows tied across pixels (models.tied_rows): save
 expands them to every pixel, and load requires the pixels' copies to be the
-same bytes before it keeps one.
+same bytes before it keeps one. Load refuses a non-finite parameter or
+moment and a negative second moment.
 """
 
 from __future__ import annotations
@@ -35,15 +36,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
 from .data import ATOMIC_NAME_EXTRA, NAME_MAX, atomic_write
-from .errors import ContractError, ParseError
-from .models import ROLE_HEADS, ModelParams, NetworkSpec, Variant, layer_dims
-from .tensor import AdamState, Tensor
+from .errors import ConfigError, ContractError, ParseError
+from .models import ROLE_HEADS, ModelParams, Variant
+from .tensor import AdamHyper
 
 MAGIC = b"CGANLABC"
 VERSION = 1
@@ -130,10 +130,6 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_num(x) -> bool:
-    return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
-
-
 def _array_entry(entry, seen) -> tuple:
     """(name, shape) of one header["arrays"] entry; ParseError when malformed."""
     if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
@@ -151,70 +147,39 @@ def _array_entry(entry, seen) -> tuple:
 # model checkpoints
 
 
+def _layout_fields(params: ModelParams) -> dict:
+    """The model header fields that follow from a network's layout."""
+    return {"model": dict(params.meta), "spec": params.spec.to_dict(),
+            "in_dim": params.in_dim, "out_dim": params.out_dim}
+
+
 def save_model(path, params: ModelParams, extra: dict | None = None):
     """Checkpoint one network: parameters, Adam state, and rebuild metadata."""
-    arrays = params.named_arrays()
-    some = next(iter(params.adam.values()))
-    meta = {
-        "kind": "model",
-        "model": dict(params.meta),
-        "spec": params.spec.to_dict(),
-        "in_dim": params.in_dim,
-        "out_dim": params.out_dim,
-        "hyper": {"lr": some.lr, "beta1": some.beta1, "beta2": some.beta2,
-                  "epsilon": some.epsilon},
-        "adam_steps": {name: st.step for name, st in params.adam.items()},
-    }
-    if extra:
-        meta.update(extra)
-    write_container(path, meta, arrays)
+    meta = {"kind": "model", **_layout_fields(params), "hyper": dict(vars(params.hyper)),
+            "adam_steps": params.steps(), **(extra or {})}
+    write_container(path, meta, params.named_arrays())
 
 
 def load_model(path):
     """Rebuild a ModelParams (with optimizer state) from a checkpoint.
 
-    Every header field and array shape that follows from the layout must
-    match it, and tied rows' Adam moments must agree across pixels; anything
-    else raises ParseError.
+    Any header, array or Adam step that does not fit the network the header
+    builds raises ParseError.
     """
     meta, arrays = read_container(path)
     if meta.get("kind") != "model":
         raise ParseError(f"container {path} holds {meta.get('kind')!r}, not a model")
     hidden, model, hyper, steps = _model_header(meta, path)
-    dims = layer_dims(model, hidden)
-    spec = NetworkSpec(hidden, ROLE_HEADS[model["role"]])
-    derived = {"spec": spec.to_dict(), "in_dim": dims[0][0], "out_dim": dims[-1][1],
-               "hidden_extra": dims[-1][0] - hidden[-1]}
-    stated = dict(meta, hidden_extra=model.get("hidden_extra", 0))
-    for key, value in derived.items():
-        # compared as JSON, so 11.0 or true do not pass for 11 or 1
-        if json.dumps(stated.get(key), sort_keys=True) != json.dumps(value, sort_keys=True):
-            raise ParseError(f"model container {path}: {key!r} is {stated.get(key)!r}, but the "
-                             f"{model['role']} its model fields describe has {value!r}")
-    expected = {}
-    for i, (fan_in, fan_out) in enumerate(dims):
-        for name, shape in ((f"l{i}.w", (fan_in, fan_out)), (f"l{i}.b", (fan_out,))):
-            expected[name] = expected[f"adam.m:{name}"] = expected[f"adam.v:{name}"] = shape
-    if set(arrays) != set(expected):
-        raise ParseError(f"model container {path} arrays {sorted(arrays)} do not match "
-                         f"its spec, which needs {sorted(expected)}")
-    for name, shape in expected.items():
-        if arrays[name].shape != shape:
-            raise ParseError(f"model container {path}: array {name!r} has shape "
-                             f"{arrays[name].shape}, its spec needs {shape}")
-    weights = [Tensor(arrays[f"l{i}.w"]) for i in range(len(dims))]
-    biases = [Tensor(arrays[f"l{i}.b"]) for i in range(len(dims))]
-    params = ModelParams(weights, biases, spec, dict(model))
-    if sorted(steps) != sorted(params.named()):
-        raise ParseError(f"model container {path}: 'adam_steps' names {sorted(steps)}, but the "
-                         f"network's parameters are {sorted(params.named())}")
-    for name in params.named():
-        try:
-            m, v = params.moments(name, arrays[f"adam.m:{name}"], arrays[f"adam.v:{name}"])
-        except ContractError as e:
-            raise ParseError(f"model container {path}: Adam moments of {name!r}: {e}") from None
-        params.adam[name] = AdamState(steps[name], m, v, hyper["lr"], hyper["beta1"],
-                                      hyper["beta2"], hyper["epsilon"])
+    try:
+        params = ModelParams.build(model, hidden, hyper)
+        for key, value in _layout_fields(params).items():
+            # compared as JSON, so 11.0 or true do not pass for 11 or 1
+            if json.dumps(meta.get(key), sort_keys=True) != json.dumps(value, sort_keys=True):
+                raise ContractError(f"{key!r} is {meta.get(key)!r}, but the {model['role']} "
+                                    f"its model fields describe has {value!r}")
+        params.adopt(arrays, steps)
+    except (ConfigError, ContractError) as e:
+        raise ParseError(f"model container {path}: {e}") from None
     return params, meta
 
 
@@ -246,12 +211,8 @@ def _model_header(meta, path):
         need(model.get("variant") in [v.value for v in Variant],
              f"discriminator 'variant' {model.get('variant')!r} is unknown")
     hyper = meta.get("hyper")
-    need(isinstance(hyper, dict)
-         and all(_is_num(hyper.get(k)) for k in ("lr", "beta1", "beta2", "epsilon")),
-         "'hyper' must hold finite numbers lr, beta1, beta2 and epsilon")
-    need(hyper["lr"] >= 0.0 and 0.0 <= hyper["beta1"] < 1.0 and 0.0 <= hyper["beta2"] < 1.0
-         and hyper["epsilon"] > 0.0,
-         f"'hyper' {hyper} needs lr >= 0, beta1 and beta2 in [0, 1) and epsilon > 0")
+    need(isinstance(hyper, dict) and sorted(hyper) == sorted(vars(AdamHyper())),
+         f"'hyper' must hold exactly the keys {sorted(vars(AdamHyper()))}, got {hyper!r}")
     steps = meta.get("adam_steps")
     need(isinstance(steps, dict) and all(_is_int(n) and n >= 0 for n in steps.values()),
          "'adam_steps' must map names to non-negative ints")

@@ -585,7 +585,7 @@ def _three_class_8x8(ds: LabeledDataset, seed, name) -> tuple:
     idx = np.nonzero(labels <= 2)[0]
     if idx.size < 2100:
         raise DataError(f"need at least 2100 samples of labels 0..2, found {idx.size}")
-    # deterministic stratified subsample down to exactly 2100, copied once
+    # deterministic stratified subsample down to exactly 2100
     stream = RngStream(seed, ("subsample",))
     keep = []
     labels = labels[idx]
@@ -593,12 +593,11 @@ def _three_class_8x8(ds: LabeledDataset, seed, name) -> tuple:
         members = np.nonzero(labels == lab)[0]
         order = members[stream.split(f"label-{lab}").permutation(members.size)]
         keep.append(order[:700])
-    keep = np.sort(np.concatenate(keep))
-    sub = ds.subset(idx[keep])
-    pooled = adaptive_avg_pool(sub.images, 8)
-    meta = dict(sub.meta)
-    meta["name"] = name
-    ds8 = LabeledDataset(pooled, sub.labels[:, :3], meta)
+    rows = idx[np.sort(np.concatenate(keep))]
+    # pooled before the rows are taken, so no full-size copy of them is made;
+    # each image pools alone, so the bits are those of pooling the copy
+    pooled = adaptive_avg_pool(ds.images, 8)[rows]
+    ds8 = LabeledDataset(pooled, ds.labels[rows, :3], dict(ds.meta, name=name))
     return split(ds8, (1500 / 2100, 300 / 2100, 300 / 2100), seed)
 
 

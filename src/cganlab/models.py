@@ -35,10 +35,10 @@ import numpy as np
 
 from .conditioning import spatial_bilinear_pool, spatial_replicate_concat, vector_concat
 from .data import epoch_batches
-from .errors import ConfigError, DataError, DimensionError
+from .errors import ConfigError, ContractError, DataError, DimensionError
 from .rng import RngStream
-from .tensor import (LEAKY_SLOPE, AdamState, Tensor, TiedRows, activation, adam_step, backward,
-                     leaky_relu, matmul, no_grad, softmax, softmax_cross_entropy)
+from .tensor import (LEAKY_SLOPE, AdamHyper, AdamState, Tensor, TiedRows, activation, adam_step,
+                     backward, leaky_relu, matmul, no_grad, softmax, softmax_cross_entropy)
 
 
 class Variant(str, Enum):
@@ -115,53 +115,70 @@ def tied_rows(meta: dict) -> dict:
 
 @dataclass
 class ModelParams:
-    """Named weight/bias tensors for one network, with Adam state alongside.
+    """One network: its layout, arrays, Adam state and Adam hyperparameters.
 
     meta carries what is needed to rebuild and drive the net from a
-    checkpoint: role, image shape, condition/noise dims, variant.
+    checkpoint: role, image shape, condition/noise dims, variant. build()
+    makes every net; init() draws its arrays, or adopt() takes them.
     """
 
-    weights: list[Tensor]
-    biases: list[Tensor]
     spec: NetworkSpec
-    meta: dict = field(default_factory=dict)
+    meta: dict
+    hyper: AdamHyper
+    layers: list  # (fan_in, fan_out) of each layer
+    weights: list = field(default_factory=list)
+    biases: list = field(default_factory=list)
     adam: dict = field(default_factory=dict)
 
     @property
     def in_dim(self) -> int:
-        return self.weights[0].shape[0]
+        return self.layers[0][0]
 
     @property
     def out_dim(self) -> int:
-        return self.weights[-1].shape[1]
+        return self.layers[-1][1]
+
+    @classmethod
+    def build(cls, meta: dict, hidden, hyper=None) -> "ModelParams":
+        """The network meta describes, with its role's head, holding no arrays yet.
+
+        hyper holds some of AdamHyper's fields, the rest keep their defaults;
+        fcgan's widened hidden fan-ins become meta's hidden_extra."""
+        spec = NetworkSpec(list(hidden), ROLE_HEADS[meta["role"]])
+        spec.validate()
+        layers = layer_dims(meta, spec.hidden)
+        meta = dict(meta, hidden_extra=layers[-1][0] - int(spec.hidden[-1]))
+        if not meta["hidden_extra"]:  # recorded only where the fan-ins widen
+            del meta["hidden_extra"]
+        return cls(spec, meta, AdamHyper(**(hyper or {})), layers)
 
     @classmethod
     def init(cls, meta: dict, hidden, stream: RngStream, hyper=None) -> "ModelParams":
-        """A net in meta's layout and its role's head: fan-in scaled weights, fresh Adam state."""
-        spec = NetworkSpec(hidden, ROLE_HEADS[meta["role"]])
-        spec.validate()
-        dims = layer_dims(meta, spec.hidden)
-        extra = dims[-1][0] - int(spec.hidden[-1])  # fcgan's widened hidden fan-ins
-        meta = dict(meta, hidden_extra=extra) if extra else dict(meta)
-        weights, biases = [], []
-        for fan_in, fan_out in dims:
+        """build()'s network with fan-in scaled weights, zero biases and fresh Adam state."""
+        mp = cls.build(meta, hidden, hyper)
+        for fan_in, fan_out in mp.layers:
             bound = 1.0 / math.sqrt(fan_in)
-            weights.append(Tensor(stream.uniform(-bound, bound, (fan_in, fan_out))))
-            biases.append(Tensor(np.zeros(fan_out)))
-        mp = cls(weights, biases, spec, meta)
-        tied = tied_rows(meta)
-        for name, t in mp.named().items():
-            st = mp.adam[name] = AdamState.fresh(t.shape, **(hyper or {}))
-            if name in tied:
-                st.m, st.v = (TiedRows.zeros(*tied[name], t.shape[1]) for _ in "mv")
+            mp.weights.append(Tensor(stream.uniform(-bound, bound, (fan_in, fan_out))))
+            mp.biases.append(Tensor(np.zeros(fan_out)))
+        tied = tied_rows(mp.meta)
+        mp.adam = {name: AdamState.fresh(shape, tied.get(name))
+                   for name, shape in mp.shapes().items()}
         return mp
+
+    def shapes(self) -> dict:
+        """{parameter name: shape} of every weight and bias, layer by layer."""
+        return {name: shape for i, (fan_in, fan_out) in enumerate(self.layers)
+                for name, shape in ((f"l{i}.w", (fan_in, fan_out)), (f"l{i}.b", (fan_out,)))}
 
     def named(self) -> dict:
         out = {}
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out[f"l{i}.w"] = w
-            out[f"l{i}.b"] = b
+            out[f"l{i}.w"], out[f"l{i}.b"] = w, b
         return out
+
+    def steps(self) -> dict:
+        """Adam's step count of every parameter, keyed by name."""
+        return {name: st.step for name, st in self.adam.items()}
 
     def named_arrays(self, copy=False) -> dict:
         """Parameter and optimizer arrays keyed by name, in the checkpoint layout.
@@ -171,8 +188,7 @@ class ModelParams:
         """
         arrays = {name: t.data for name, t in self.named().items()}
         for name, st in self.adam.items():
-            arrays[f"adam.m:{name}"] = st.m
-            arrays[f"adam.v:{name}"] = st.v
+            arrays[f"adam.m:{name}"], arrays[f"adam.v:{name}"] = st.m, st.v
         return {name: a.full() if isinstance(a, TiedRows) else a.copy() if copy else a
                 for name, a in arrays.items()}
 
@@ -180,32 +196,49 @@ class ModelParams:
         """Copies of the parameter and optimizer arrays, keyed by name, in the checkpoint layout."""
         return self.named_arrays(copy=True)
 
-    def moments(self, name: str, m: np.ndarray, v: np.ndarray) -> tuple:
-        """Adam moments of `name`, given in the checkpoint layout, as its state keeps them.
+    def adopt(self, arrays: dict, steps: dict):
+        """Make arrays in the checkpoint layout, and Adam step counts, this network's state.
 
-        The arrays themselves, or for a weight with tied rows TiedRows
-        views of them; ContractError when the pixels' copies differ.
+        The arrays (every parameter of shapes() and its `adam.m:` and
+        `adam.v:` moments) are taken with no copy; tied rows' moments become
+        TiedRows views. ContractError, before anything is taken, names a
+        missing or extra name, another shape, a non-finite value, a negative
+        second moment or tied rows whose pixels' copies differ.
         """
-        tie = tied_rows(self.meta).get(name)
-        if tie is None:
-            return m, v
-        pixels, d, _ = tie
-        return TiedRows.compress(m, pixels, d), TiedRows.compress(v, pixels, d)
-
-    def restore(self, arrays: dict):
-        """Set parameters and Adam moments from copies of arrays in the checkpoint layout."""
-        for name, t in self.named().items():
-            t.data[...] = arrays[name]
-            m, v = self.moments(name, arrays[f"adam.m:{name}"], arrays[f"adam.v:{name}"])
-            st = self.adam[name]
-            st.m, st.v = m.copy(), v.copy()
+        shapes = self.shapes()
+        want = {f"{kind}{name}": shape for name, shape in shapes.items()
+                for kind in ("", "adam.m:", "adam.v:")}
+        if set(arrays) != set(want):
+            raise ContractError(f"arrays {sorted(arrays)} do not match the network, which "
+                                f"needs {sorted(want)}")
+        if sorted(steps) != sorted(shapes):
+            raise ContractError(f"Adam steps name {sorted(steps)}, but the network's "
+                                f"parameters are {sorted(shapes)}")
+        for name, shape in want.items():
+            a = arrays[name]
+            if a.shape != shape:
+                raise ContractError(f"array {name!r} has shape {a.shape}, the network needs "
+                                    f"{shape}")
+            if not np.isfinite(a).all():
+                raise ContractError(f"array {name!r} holds a non-finite value")
+            if name.startswith("adam.v:") and (a < 0.0).any():
+                raise ContractError(f"array {name!r} holds a negative second moment")
+        adam, tied = {}, tied_rows(self.meta)
+        for name in shapes:
+            m, v = arrays[f"adam.m:{name}"], arrays[f"adam.v:{name}"]
+            if name in tied:  # views, once every pixel's copy is found the same bytes
+                m, v = (TiedRows.compress(a, *tied[name][:2]) for a in (m, v))
+            adam[name] = AdamState(steps[name], m, v)
+        self.weights = [Tensor(arrays[f"l{i}.w"]) for i in range(len(self.layers))]
+        self.biases = [Tensor(arrays[f"l{i}.b"]) for i in range(len(self.layers))]
+        self.adam = adam
 
 
 def _apply_grads(params: ModelParams):
     """One Adam step on every parameter that received a gradient; clears it."""
     for name, t in params.named().items():
         if t.grad is not None:
-            adam_step(t, t.grad, params.adam[name])
+            adam_step(t, t.grad, params.adam[name], params.hyper)
             t.grad = None
 
 
@@ -263,6 +296,11 @@ def build_approximator(image_shape, cond_dim, spec: NetworkSpec,
 
 # ----------------------------------------------------------------------
 # forward passes
+
+
+def sample_noise(stream: RngStream, count: int, noise_dim: int) -> Tensor:
+    """count draws of G's noise prior, uniform on [-1, 1]^noise_dim: a [count, noise_dim] batch."""
+    return Tensor(stream.uniform(-1.0, 1.0, (count, noise_dim)))
 
 
 def generator_forward(z, c, params: ModelParams) -> Tensor:
@@ -333,7 +371,7 @@ def pretrain_approximator(train, valid, spec: NetworkSpec, budget: int,
     params = build_approximator(train.image_shape, train.cond_dim, spec,
                                 stream.split("init-q"), hyper)
     history = {"loss": [], "val_acc": []}
-    best = params.snapshot()
+    best = params.snapshot(), params.steps()
     best_acc = classifier_accuracy(params, valid.images, valid.labels)
     history["val_acc"].append((0, best_acc))
     for i, idx in epoch_batches(train.count, batch_size, stream, 0, int(budget)):
@@ -347,7 +385,7 @@ def pretrain_approximator(train, valid, spec: NetworkSpec, budget: int,
             history["val_acc"].append((i + 1, acc))
             if acc > best_acc:
                 best_acc = acc
-                best = params.snapshot()
-    params.restore(best)
+                best = params.snapshot(), params.steps()
+    params.adopt(*best)
     history["best_val_acc"] = best_acc
     return params, history

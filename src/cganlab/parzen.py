@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError, DimensionError
-from .models import generator_forward
+from .models import generator_forward, sample_noise
 from .rng import RngStream
 from .tensor import Tensor, no_grad, one_hot
 
@@ -201,7 +201,7 @@ def generate_samples(g_params, condition: int, count: int, stream: RngStream) ->
     k = g_params.meta["noise_dim"]
     if not 0 <= condition < m:
         raise ConfigError(f"condition index {condition} out of range 0..{m - 1}")
-    z = Tensor(stream.uniform(-1.0, 1.0, (count, k)))
+    z = sample_noise(stream, count, k)
     with no_grad():
         imgs = generator_forward(z, Tensor(one_hot(np.full(count, condition), m)), g_params)
     return imgs.data.reshape(count, -1)

@@ -37,6 +37,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -242,9 +243,6 @@ class TiedRows:
         if not isinstance(other, TiedRows):
             return NotImplemented
         return TiedRows(self.free + other.free, self.tied + other.tied)
-
-    def copy(self) -> "TiedRows":
-        return TiedRows(self.free.copy(), self.tied.copy())
 
     def full(self) -> np.ndarray:
         blocks, d, t, k = self.layout
@@ -484,9 +482,28 @@ def softmax_cross_entropy(logits, target) -> Tensor:
 ADAM_BLOCK = 8192
 
 
+@dataclass(frozen=True)
+class AdamHyper:
+    """Adam's step size, moment decays and epsilon, one set per network (Kingma & Ba,
+    arXiv:1412.6980): finite numbers, not bools, with lr >= 0, beta1 and beta2
+    in [0, 1) and epsilon > 0, else ConfigError."""
+
+    lr: float = 2e-4
+    beta1: float = 0.5
+    beta2: float = 0.999
+    epsilon: float = 1e-8
+
+    def __post_init__(self):
+        if not (all(isinstance(x, Real) and not isinstance(x, bool) and -np.inf < x < np.inf
+                    for x in vars(self).values()) and self.lr >= 0.0 and 0.0 <= self.beta1 < 1.0
+                and 0.0 <= self.beta2 < 1.0 and self.epsilon > 0.0):
+            raise ConfigError(f"Adam's hyperparameters must be finite numbers with lr >= 0, "
+                              f"beta1 and beta2 in [0, 1) and epsilon > 0, got {vars(self)}")
+
+
 @dataclass
 class AdamState:
-    """Moment accumulators and hyperparameters for one parameter tensor.
+    """Step count and moment accumulators for one parameter tensor.
 
     m and v are arrays of the parameter's shape, or TiedRows when the
     parameter's gradient arrives as TiedRows.
@@ -495,26 +512,17 @@ class AdamState:
     step: int
     m: np.ndarray
     v: np.ndarray
-    lr: float
-    beta1: float
-    beta2: float
-    epsilon: float
 
     @classmethod
-    def fresh(cls, shape, lr=2e-4, beta1=0.5, beta2=0.999, epsilon=1e-8) -> "AdamState":
-        if not 0.0 <= beta1 < 1.0:
-            raise ConfigError(f"beta1 must be in [0,1), got {beta1}")
-        if not 0.0 <= beta2 < 1.0:
-            raise ConfigError(f"beta2 must be in [0,1), got {beta2}")
-        if not 0.0 <= lr < np.inf:
-            raise ConfigError(f"lr must be finite and non-negative, got {lr}")
-        if epsilon <= 0.0:
-            raise ConfigError(f"epsilon must be positive, got {epsilon}")
-        return cls(0, np.zeros(shape), np.zeros(shape), lr, beta1, beta2, epsilon)
+    def fresh(cls, shape, tie=None) -> "AdamState":
+        """Step 0 and zero moments; with tie = (P, d, t), TiedRows of that layout."""
+        if tie:
+            return cls(0, TiedRows.zeros(*tie, shape[-1]), TiedRows.zeros(*tie, shape[-1]))
+        return cls(0, np.zeros(shape), np.zeros(shape))
 
 
-def adam_step(param, grad, state: AdamState):
-    """One bias-corrected Adam update. Mutates the parameter and the state.
+def adam_step(param, grad, state: AdamState, hyper: AdamHyper):
+    """One bias-corrected Adam update under hyper. Mutates the parameter and the state.
 
     theta -= lr * m_hat / (sqrt(v_hat) + eps) with m_hat, v_hat the
     bias-corrected first and second moments.
@@ -549,30 +557,30 @@ def adam_step(param, grad, state: AdamState):
         raise DimensionError(f"tied gradient layout {grad.layout} != adam state layout "
                              f"{state.m.layout}")
     state.step += 1
-    c1 = 1.0 - state.beta1 ** state.step
-    c2 = 1.0 - state.beta2 ** state.step
+    c1 = 1.0 - hyper.beta1 ** state.step
+    c2 = 1.0 - hyper.beta2 ** state.step
     if not tied:
-        state.m, state.v = _adam_rows(data, grad, state.m, state.v, state, c1, c2)
+        state.m, state.v = _adam_rows(data, grad, state.m, state.v, hyper, c1, c2)
         return param, state
     m, v = state.m, state.v
     blocks, d, k = grad.free.shape
     w3 = data.reshape(blocks, -1, k)
-    m.free, v.free = _adam_rows(w3[:, :d], grad.free, m.free, v.free, state, c1, c2)
-    m.tied, v.tied = _moments(grad.tied, m.tied, v.tied, state)
+    m.free, v.free = _adam_rows(w3[:, :d], grad.free, m.free, v.free, hyper, c1, c2)
+    m.tied, v.tied = _moments(grad.tied, m.tied, v.tied, hyper)
     copies = w3[:, d:]
-    copies -= _adam_delta(m.tied, v.tied, state, c1, c2)
+    copies -= _adam_delta(m.tied, v.tied, hyper, c1, c2)
     _check_finite(copies)
     return param, state
 
 
-def _moments(g, m, v, st: AdamState):
+def _moments(g, m, v, h: AdamHyper):
     """Adam's new first and second moments, as fresh arrays."""
-    return st.beta1 * m + (1.0 - st.beta1) * g, st.beta2 * v + (1.0 - st.beta2) * g * g
+    return h.beta1 * m + (1.0 - h.beta1) * g, h.beta2 * v + (1.0 - h.beta2) * g * g
 
 
-def _adam_delta(m, v, st: AdamState, c1, c2):
+def _adam_delta(m, v, h: AdamHyper, c1, c2):
     """The amount Adam subtracts, from moments m, v and bias corrections c1, c2."""
-    return st.lr * (m / c1) / (np.sqrt(v / c2) + st.epsilon)
+    return h.lr * (m / c1) / (np.sqrt(v / c2) + h.epsilon)
 
 
 def _check_finite(data):
@@ -580,18 +588,18 @@ def _check_finite(data):
         raise ContractError("adam update produced non-finite parameters")
 
 
-def _adam_rows(data, g, m, v, st: AdamState, c1, c2):
+def _adam_rows(data, g, m, v, h: AdamHyper, c1, c2):
     """Update data in place from gradient g and moments m, v; returns the new m and v.
 
     Whole-array with fresh moments up to ADAM_BLOCK elements, else in blocks
     of leading-axis rows with the moments written in place (see adam_step).
     """
     if data.size <= ADAM_BLOCK:
-        m, v = _moments(g, m, v, st)
-        data -= _adam_delta(m, v, st, c1, c2)
+        m, v = _moments(g, m, v, h)
+        data -= _adam_delta(m, v, h, c1, c2)
         _check_finite(data)
         return m, v
-    b1, b2 = st.beta1, st.beta2
+    b1, b2 = h.beta1, h.beta2
     n = data.shape[0]
     rows = max(1, ADAM_BLOCK * n // data.size)
     for r in range(0, n, rows):
@@ -602,6 +610,6 @@ def _adam_rows(data, g, m, v, st: AdamState, c1, c2):
         ms += (1.0 - b1) * gs
         vs *= b2
         vs += (1.0 - b2) * gs * gs
-        ds -= _adam_delta(ms, vs, st, c1, c2)
+        ds -= _adam_delta(ms, vs, h, c1, c2)
         _check_finite(ds)
     return m, v

@@ -24,7 +24,7 @@ from .data import atomic_write, epoch_batches
 from .errors import ConfigError, ContractError, DataError
 from .models import (ModelParams, NetworkSpec, Variant, _apply_grads, approximator_forward,
                      build_discriminator, build_generator, discriminator_forward,
-                     generator_forward)
+                     generator_forward, sample_noise)
 from .rng import RngStream
 from .tensor import Tensor, backward, is_one_hot, log, one_hot, rows
 
@@ -166,8 +166,8 @@ def irgan_regularizer(q_out, c, lam: float) -> Tensor:
 # the loop
 
 
-def _sample_noise(stream, count, dim):
-    return Tensor(stream.uniform(-1.0, 1.0, (count, dim)))
+# the loop draws noise through this name, which perfbench/spans.py times
+_sample_noise = sample_noise
 
 
 def _sample_conditions(stream, count, label_probs):
@@ -221,7 +221,7 @@ def train_step(x_real, c_real, g: ModelParams, d: ModelParams, q, cfg: TrainConf
 def build_models(cfg: TrainConfig, image_shape, cond_dim, root: RngStream):
     """Fresh G and D for a dataset; G's architecture ignores the variant.
 
-    Both take the fixed hidden activation and AdamState.fresh's betas and
+    Both take the fixed hidden activation and AdamHyper's default betas and
     epsilon; only the learning rate comes from cfg.
     """
     hyper = {"lr": cfg.lr}

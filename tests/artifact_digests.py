@@ -11,12 +11,15 @@ on tiny-digits-3; irgan uses that Q), one `eval --seed 5
 `sample --condition 1 --count 16 --seed 3` of the sbp generator. It also
 runs cgan for half the steps with `--checkpoint-every` a quarter of the
 steps, so its mid-run `g_step*`/`d_step*` checkpoints are hashed too, a
-`--resume` of that run to the full step count, and a `rerun` of the sbp
-run's manifest. On tiny-digits-3 it also trains sbp with `--batch-size 256`,
-whose pooled inputs exceed `conditioning.POOL_BUILD_MAX`, so sbp's
-per-condition product is hashed as well as the built one that the default
-batch size takes, and then repeats the default sbp run as `train-sbp-warm`
-over whatever the earlier commands left in TMPDIR. On mixture-3x2 a
+`--resume` of that run to the full step count, a `--resume` of it that
+trains no step (`train-cgan-reloaded`, whose files are the half run's when
+loading and saving keep every byte, cgan's tied Adam moments included),
+and a `rerun` of the sbp run's manifest. On tiny-digits-3 it also trains
+sbp with `--batch-size 256`, whose pooled inputs exceed
+`conditioning.POOL_BUILD_MAX`, so sbp's per-condition product is hashed as
+well as the built one that the default batch size takes, and then repeats
+the default sbp run as `train-sbp-warm` over whatever the earlier commands
+left in TMPDIR. On mixture-3x2 a
 `train` of fcgan and an `eval` of its generator share one `--config` file
 (SHARED_CONFIG), which holds a train key, a pretrain-q key and an eval key,
 so a config file shared across commands is hashed too.
@@ -66,6 +69,8 @@ def commands(dataset: str, steps: int):
                                      "--checkpoint-every", str(steps // 4)]))
     runs.append(("train-cgan-resumed", [*cgan, "--steps", str(steps),
                                         "--resume", "{train-cgan-half}"]))
+    runs.append(("train-cgan-reloaded", [*cgan, "--steps", str(steps // 2),
+                                         "--resume", "{train-cgan-half}"]))
     runs.append(("rerun-sbp", ["rerun", "{train-sbp}/manifest.json"]))
     if dataset in SBP_BATCH_SIZES:
         bs = str(SBP_BATCH_SIZES[dataset])

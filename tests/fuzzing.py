@@ -155,8 +155,11 @@ def container_fuzz_cases():
     whose model header load_model must reject. The cases from
     "generator-noise-dim-plus-one" on keep every array shape their header
     states, so only a header field that disagrees with the layout the role
-    fields imply can reject them; the last keeps the whole header, and only
-    the per-pixel copies of cgan's tied Adam moments disagree.
+    fields imply can reject them; the cases from
+    "cgan-adam-m-condition-rows-differ-by-pixel" on keep the whole header,
+    and only an array's values are refused: the per-pixel copies of cgan's
+    tied Adam moments disagree, a value is not finite, or a second moment is
+    negative.
     """
     def entries(*arrays):
         return {"version": VERSION, "meta": {}, "arrays": list(arrays)}
@@ -179,6 +182,11 @@ def container_fuzz_cases():
     container("empty-with-huge-dims", entries({"name": "a", "shape": [0, 2 ** 62, 2 ** 62]}))
     container("duplicate-name", entries({"name": "a", "shape": [1]}, {"name": "a", "shape": [1]}),
               f8 * 2)
+    blob = json.dumps(entries()).encode("utf-8")
+    cases.append(("unsupported-version", "container",
+                  MAGIC + struct.pack("<IQ", VERSION + 1, len(blob)) + blob))
+    cases.append(("header-length-overruns-file", "container",
+                  MAGIC + struct.pack("<IQ", VERSION, len(blob) + 1) + blob))
     bases = {v: valid_model_container(v) for v in (None, "cgan", "fcgan")}
 
     def model(name, mutate, base=None):
@@ -198,6 +206,10 @@ def container_fuzz_cases():
     model("generator-without-noise-dim", lambda m, a: m["model"].pop("noise_dim"))
     model("hyper-without-lr", lambda m, a: m["hyper"].pop("lr"))
     model("hyper-beta1-one", lambda m, a: m["hyper"].update(beta1=1.0))
+    model("hyper-beta2-true", lambda m, a: m["hyper"].update(beta2=True))
+    model("hyper-lr-nan", lambda m, a: m["hyper"].update(lr=math.nan))
+    model("hyper-epsilon-infinity", lambda m, a: m["hyper"].update(epsilon=math.inf))
+    model("hyper-with-an-extra-key", lambda m, a: m["hyper"].update(amsgrad=0.0))
     model("adam-steps-list", lambda m, a: m.update(adam_steps=[1]))
     model("adam-steps-missing", lambda m, a: m.pop("adam_steps"))
     model("adam-steps-empty", lambda m, a: m.update(adam_steps={}))
@@ -219,21 +231,28 @@ def container_fuzz_cases():
     model("generator-softmax-head", lambda m, a: m["spec"].update(head="softmax"))
     model("cgan-with-hidden-extra", lambda m, a: m["model"].update(variant="cgan"), "fcgan")
     model("fcgan-without-hidden-extra", lambda m, a: m["model"].update(variant="fcgan"), "cgan")
-    cases.append(("cgan-adam-m-condition-rows-differ-by-pixel", "model", untied_moments()))
+    cgan = bases["cgan"][0]["meta"]["model"]
+    d = cgan["image_shape"][2]
+    row = (d + cgan["cond_dim"]) + d  # pixel 1's first condition row of cgan's D weight
+    for name, array, index, value, base in (
+            ("cgan-adam-m-condition-rows-differ-by-pixel", "adam.m:l0.w", (row, 0), 1e-3, "cgan"),
+            ("weight-nan", "l0.w", (1, 2), math.nan, None),
+            ("bias-minus-infinity", "l1.b", (0,), -math.inf, None),
+            ("adam-m-infinity", "adam.m:l0.w", (0, 0), math.inf, None),
+            ("adam-v-nan", "adam.v:l1.w", (2, 1), math.nan, None),
+            ("adam-v-negative", "adam.v:l0.b", (3,), -1e-12, None)):
+        cases.append((name, "model", with_value(*bases[base], array, index, value)))
     return cases
 
 
-def untied_moments():
-    """A cgan D checkpoint whose pixel-1 `adam.m:l0.w` condition rows differ from pixel 0's."""
-    header, payload = valid_model_container("cgan")
+def with_value(header, payload, array, index, value):
+    """The container of header and payload with `array[index]` set to value."""
     at = 0
     for entry in header["arrays"]:
-        if entry["name"] == "adam.m:l0.w":
+        if entry["name"] == array:
             break
         at += 8 * math.prod(entry["shape"])
-    model = header["meta"]["model"]
-    d, m, k = model["image_shape"][2], model["cond_dim"], entry["shape"][1]
-    row = (d + m) + d  # pixel 1's first condition row
+    at += 8 * int(np.ravel_multi_index(index, entry["shape"]))
     raw = bytearray(payload)
-    raw[at + 8 * row * k:at + 8 * row * k + 8] = struct.pack("<d", 1e-3)
+    raw[at:at + 8] = struct.pack("<d", value)
     return container_bytes(header, bytes(raw))

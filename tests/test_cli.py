@@ -118,7 +118,7 @@ def test_unknown_variant_is_usage_error(runner, tmp_path):
 @pytest.mark.parametrize("command,flags", [
     ("train", ("--noise-dim", "0")), ("train", ("--noise-dim", "-1")),
     ("train", ("--lr", "nan")), ("train", ("--lr", "inf")),
-    ("train", ("--checkpoint-every", "-3")),
+    ("train", ("--checkpoint-every", "-3")), ("train", ("--g-hidden", "64,x")),
     ("irgan", ("--lambda", "inf")),
     ("pretrain-q", ("--steps", "-5")), ("pretrain-q", ("--lr", "nan")),
     ("pretrain-q", ("--batch-size", "0")),
@@ -395,12 +395,16 @@ def test_resume_needs_the_earlier_log(runner, trained_dir, tmp_path):
     lines = (trained_dir / "log.csv").read_text().splitlines()
     args = ["train", "--variant", "sbp", "--dataset", "mixture-3x2", "--steps", "22",
             "--batch-size", "32", "--seed", "5", "--resume", str(half)]
-    for log in (None, lines[:-1], lines[:5] + lines[6:]):
+    for log, why in ((None, "cannot read training log"), (lines[:-1], "holds 19 steps"),
+                     (lines[:5] + lines[6:], ":6: expected step 4, found 5"),
+                     (lines[1:], "does not start with the header"),
+                     (lines[:4] + [lines[4].replace(",", ";")] + lines[5:],
+                      ":5: malformed log row")):
         if log is not None:
             (half / "log.csv").write_text("\n".join(log) + "\n")
         result = runner.invoke(main, args + ["--out", str(tmp_path / "o")])
         assert result.exit_code == 3, result.output
-        assert result.stderr.startswith("data error: ")
+        assert result.stderr.startswith("data error: ") and why in result.stderr
         assert not (tmp_path / "o" / "g.ckpt").exists()
 
 
@@ -787,13 +791,15 @@ def test_eval_sigma_grid_flag(runner, trained_dir, tmp_path):
 
 
 @pytest.mark.parametrize("grid", ["0.1:1:x", "a:1:3", "0:1:5", "0.1:1:-2", "1:2", "-1:1:5",
-                                  "nan,1"])
+                                  "nan,1", "0.5,0.1"])
 def test_malformed_sigma_grid_is_config_error(runner, trained_dir, tmp_path, grid):
     args = ["eval", "--g-checkpoint", str(trained_dir / "g.ckpt"), "--dataset", "mixture-3x2",
             "--seed", "1", "--samples-per-condition", "60"]
     result = runner.invoke(main, [*args, "--sigma-grid", grid, "--out", str(tmp_path / "bad")])
     assert result.exit_code == 2, result.output
     assert result.stderr.startswith("config error: ")
+    if grid == "0.5,0.1":
+        assert "sorted ascending" in result.stderr
     # recorded in a manifest, the same grid is malformed data
     run_ok(runner, [*args, "--sigma-grid", "0.05:1:3", "--out", str(tmp_path / "o")])
     doc = json.loads((tmp_path / "o" / "manifest.json").read_text())
@@ -1073,13 +1079,16 @@ def test_a_0_2_1_manifest_reruns_and_resumes(runner, tmp_path):
 
 
 def test_internal_failure_exits_1(runner, trained_dir, tmp_path):
+    # finite weights, so the checkpoint loads, whose first product overflows
     meta, arrays = read_container(trained_dir / "g.ckpt")
-    arrays["l0.w"] = np.full_like(arrays["l0.w"], np.nan)
+    arrays["l0.w"] = np.full_like(arrays["l0.w"], 1e308)
     bad = tmp_path / "bad.ckpt"
     write_container(bad, meta, arrays)
-    result = runner.invoke(main, ["eval", "--g-checkpoint", str(bad),
-                                  "--dataset", "mixture-3x2", "--out", str(tmp_path / "o")])
+    with np.errstate(over="ignore"):
+        result = runner.invoke(main, ["eval", "--g-checkpoint", str(bad),
+                                      "--dataset", "mixture-3x2", "--out", str(tmp_path / "o")])
     assert result.exit_code == 1
+    assert result.stderr.startswith("error: ") and "non-finite" in result.stderr
 
 
 def test_every_command_writes_a_manifest(runner, trained_dir, tmp_path):
@@ -1101,3 +1110,96 @@ def test_commands_do_not_mutate_inputs(runner, trained_dir, tmp_path):
                     "--dataset", "mixture-3x2", "--seed", "1",
                     "--samples-per-condition", "50", "--out", str(tmp_path / "o")])
     assert (trained_dir / "g.ckpt").read_bytes() == before
+
+
+# ----------------------------------------------------------------------
+# checkpoints whose values no run could have written
+
+
+@pytest.mark.parametrize("array,value", [("l0.w", np.nan), ("adam.m:l1.w", np.inf),
+                                         ("adam.v:l0.b", -np.inf), ("adam.v:l1.b", -1e-9)],
+                         ids=["weight-nan", "adam-m-inf", "adam-v-minus-inf", "adam-v-negative"])
+def test_eval_refuses_non_finite_or_negative_moments(runner, trained_dir, tmp_path, array, value):
+    meta, arrays = read_container(trained_dir / "g.ckpt")
+    arrays[array] = arrays[array].copy()
+    arrays[array].flat[1] = value
+    write_container(tmp_path / "g.ckpt", meta, arrays)
+    result = runner.invoke(main, ["eval", "--g-checkpoint", str(tmp_path / "g.ckpt"),
+                                  "--dataset", "mixture-3x2", "--samples-per-condition", "40",
+                                  "--out", str(tmp_path / "o")])
+    assert result.exit_code == 3, result.output
+    assert result.stderr.startswith("data error: ") and f"'{array}'" in result.stderr
+    assert not (tmp_path / "o" / "report.csv").exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, -1e-9], ids=["nan", "negative"])
+def test_resume_refuses_non_finite_or_negative_moments(runner, trained_dir, tmp_path, value):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    for name in ("g.ckpt", "d.ckpt", "log.csv", "manifest.json"):
+        (bad / name).write_bytes((trained_dir / name).read_bytes())
+    meta, arrays = read_container(bad / "d.ckpt")
+    arrays["adam.v:l0.w"] = arrays["adam.v:l0.w"].copy()
+    arrays["adam.v:l0.w"][3, 1] = value
+    write_container(bad / "d.ckpt", meta, arrays)
+    result = runner.invoke(main, ["train", "--variant", "sbp", "--dataset", "mixture-3x2",
+                                  *TRAIN_FAST, "--steps", "23", "--resume", str(bad),
+                                  "--out", str(tmp_path / "o")])
+    assert result.exit_code == 3, result.output
+    assert result.stderr.startswith("data error: ") and "'adam.v:l0.w'" in result.stderr
+    assert "d_loss=" not in result.stderr  # no training step ran
+    assert not list((tmp_path / "o").glob("*"))
+
+
+# ----------------------------------------------------------------------
+# input errors of flags, config files, manifests and data directories
+
+
+def test_config_line_without_equals_is_config_error(runner, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# settings\nsteps 2\n")
+    result = runner.invoke(main, ["train", "--variant", "sbp", "--dataset", "mixture-3x2",
+                                  "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("config error: ") and "run.cfg:2: expected 'key = value'" \
+        in result.stderr
+
+
+def test_rerun_of_a_manifest_naming_an_unknown_dataset_is_data_error(runner, trained_dir,
+                                                                     tmp_path):
+    doc = json.loads((trained_dir / "manifest.json").read_text())
+    doc["resolved"]["dataset"] = doc["dataset"]["name"] = "mnist-9"
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["rerun", str(path), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 3, result.output
+    assert result.stderr.startswith("data error: ") and "records dataset 'mnist-9'" \
+        in result.stderr
+    assert not (tmp_path / "o" / "g.ckpt").exists()
+
+
+def test_cifar10_needs_data_batch_files(runner, tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "test_batch.bin").write_bytes(b"")
+    result = runner.invoke(main, ["pretrain-q", "--dataset", "cifar10", "--data-dir",
+                                  str(tmp_path / "src"), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 3, result.output
+    assert result.stderr.startswith("data error: no data_batch_*.bin files under ")
+
+
+def test_sample_count_zero_is_config_error(runner, trained_dir, tmp_path):
+    result = runner.invoke(main, ["sample", "--g-checkpoint", str(trained_dir / "g.ckpt"),
+                                  "--condition", "0", "--count", "0",
+                                  "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("config error: count must be positive, got 0")
+    assert not (tmp_path / "o" / "samples.bin").exists()
+
+
+def test_eval_without_samples_is_config_error(runner, trained_dir, tmp_path):
+    result = runner.invoke(main, ["eval", "--g-checkpoint", str(trained_dir / "g.ckpt"),
+                                  "--dataset", "mixture-3x2", "--samples-per-condition", "0",
+                                  "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("config error: samples_per_condition must be positive")
+    assert not (tmp_path / "o" / "report.csv").exists()

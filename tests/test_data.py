@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -447,6 +448,22 @@ def test_tiny_digits_cache_that_cannot_be_written(tmp_path, pinned_files, digits
     monkeypatch.undo()
     assert_same_digits(tiny_digits3(cache, 11), digits_data)
     assert holds_pinned_files(cache)
+
+
+def test_tiny_digits_load_builds_no_full_size_subset(tmp_path, pinned_files, digits_data):
+    """On a warm cache the 2100 kept 28x28 images (13.2 MB as float64) are
+    pooled without a copy of them: the peak is about the source images
+    (13.2 MB) plus their 8x8 pools, not the 29 MB of the copy as well."""
+    from cganlab import cli
+    write_digits_idx(tmp_path, pinned_files)
+    tracemalloc.start()
+    try:
+        info = cli.load_dataset("tiny-digits-3", data_dir=tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_same_digits([info[k] for k in ("train", "valid", "test")], digits_data)
+    assert peak < 20e6, peak
 
 
 def test_tiny_digits_cache_is_kept_per_seed(tmp_path, pinned_files, digits_data):

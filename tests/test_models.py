@@ -175,19 +175,23 @@ def test_only_cgan_and_fcgan_keep_tied_moments(variant):
         assert d.adam["l0.w"].m.shape == d.weights[0].shape
 
 
-def test_restore_of_tied_moments_checks_and_compresses(rng):
+def test_adopt_of_tied_moments_checks_and_compresses(rng):
     d = make_d("cgan")
     st = d.adam["l0.w"]
     st.m = TiedRows(rng.normal(size=st.m.free.shape), rng.normal(size=st.m.tied.shape))
     snap = d.snapshot()
     assert snap["adam.m:l0.w"].shape == d.weights[0].shape
     d.adam["l0.w"].m = TiedRows.zeros(*st.m.layout)
-    d.restore(snap)
+    d.adopt(snap, d.steps())
     assert isinstance(d.adam["l0.w"].m, TiedRows)
     assert d.snapshot()["adam.m:l0.w"].tobytes() == snap["adam.m:l0.w"].tobytes()
+    # taken as they are: the compressed moments are views of the adopted array
+    assert np.shares_memory(d.adam["l0.w"].m.tied, snap["adam.m:l0.w"])
+    assert d.weights[0].data is snap["l0.w"]
+    snap = d.snapshot()
     snap["adam.m:l0.w"][(1 + M) + 1] += 1.0  # pixel 1's first condition row
     with pytest.raises(ContractError):
-        d.restore(snap)
+        d.adopt(snap, d.steps())
 
 
 def _leaves(root):
@@ -313,6 +317,27 @@ def test_pretrain_smoothed_loss_non_increasing(digits_data):
     losses = np.array(hist["loss"])
     windows = [losses[i:i + 100].mean() for i in range(0, 400, 100)]
     assert all(b <= a + 1e-9 for a, b in zip(windows, windows[1:]))
+
+
+def test_pretrain_keeps_the_adam_steps_of_its_best_snapshot(mixture_data):
+    """The best validation accuracy comes before the last step, and later ties
+    do not replace it: the network returned is the one a run stopped at that
+    step returns, with that step's Adam step counts, bit for bit."""
+    train_ds, valid_ds, _, _ = mixture_data
+    spec = NetworkSpec([8], head="softmax")
+
+    def pretrain(budget):
+        return pretrain_approximator(train_ds, valid_ds, spec, budget, RngStream(3),
+                                     batch_size=256, hyper={"lr": 1.5e-3, "beta1": 0.9})
+
+    params, hist = pretrain(500)
+    best = next(step for step, acc in hist["val_acc"] if acc == hist["best_val_acc"])
+    assert 0 < best < 500
+    assert set(params.steps().values()) == {best}
+    stopped, _ = pretrain(best)
+    assert stopped.steps() == params.steps()
+    want, got = stopped.named_arrays(), params.named_arrays()
+    assert all(want[name].tobytes() == got[name].tobytes() for name in want)
 
 
 def test_pretrain_rejects_mismatched_label_widths():

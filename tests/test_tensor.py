@@ -4,8 +4,8 @@ import pytest
 
 from cganlab.conditioning import vector_concat
 from cganlab.errors import ConfigError, ContractError, DimensionError
-from cganlab.tensor import (ADAM_BLOCK, LOG_FLOOR, AdamState, Tensor, TiedRows, activation,
-                            adam_step, backward, is_one_hot, leaky_relu, log, matmul,
+from cganlab.tensor import (ADAM_BLOCK, LOG_FLOOR, AdamHyper, AdamState, Tensor, TiedRows,
+                            activation, adam_step, backward, is_one_hot, leaky_relu, log, matmul,
                             no_grad, one_hot, rows, softmax, softmax_cross_entropy)
 from conftest import assert_grads_match, projection, reference_leaky_relu
 
@@ -357,8 +357,8 @@ def test_no_grad_is_restored_after_nesting_and_errors():
 def test_adam_zero_gradient_is_a_noop():
     p = Tensor([1.5, -2.5])
     before = p.data.copy()
-    st = AdamState.fresh((2,), lr=0.1)
-    adam_step(p, np.zeros(2), st)
+    st = AdamState.fresh((2,))
+    adam_step(p, np.zeros(2), st, AdamHyper(lr=0.1))
     np.testing.assert_array_equal(p.data, before)
     assert st.step == 1
 
@@ -367,8 +367,8 @@ def test_adam_single_step_hand_computed():
     # beta1=0.9, beta2=0.999, g=1: m_hat=1, v_hat=1 after bias correction,
     # so the step is lr / (1 + eps)
     p = Tensor([0.0])
-    st = AdamState.fresh((1,), lr=0.1, beta1=0.9, beta2=0.999, epsilon=1e-8)
-    adam_step(p, np.array([1.0]), st)
+    st = AdamState.fresh((1,))
+    adam_step(p, np.array([1.0]), st, AdamHyper(lr=0.1, beta1=0.9, beta2=0.999, epsilon=1e-8))
     expected = -0.1 * 1.0 / (1.0 + 1e-8)
     assert abs(p.data[0] - expected) < 1e-15
     assert abs(p.data[0] + 0.1) < 1e-8
@@ -376,9 +376,9 @@ def test_adam_single_step_hand_computed():
 
 def test_adam_converges_on_quadratic():
     w = Tensor([0.0])
-    st = AdamState.fresh((1,), lr=0.05, beta1=0.9, beta2=0.999)
+    st, hyper = AdamState.fresh((1,)), AdamHyper(lr=0.05, beta1=0.9, beta2=0.999)
     for _ in range(2000):
-        adam_step(w, 2.0 * (w.data - 3.0), st)
+        adam_step(w, 2.0 * (w.data - 3.0), st, hyper)
     assert abs(w.data[0] - 3.0) < 1e-3
 
 
@@ -386,38 +386,42 @@ def test_adam_shape_mismatch():
     p = Tensor([1.0, 2.0])
     st = AdamState.fresh((2,))
     with pytest.raises(DimensionError):
-        adam_step(p, np.zeros(3), st)
+        adam_step(p, np.zeros(3), st, AdamHyper())
 
 
 def test_adam_hyper_validation():
     with pytest.raises(ConfigError):
-        AdamState.fresh((1,), beta1=1.0)
+        AdamHyper(beta1=1.0)
     with pytest.raises(ConfigError):
-        AdamState.fresh((1,), epsilon=0.0)
-    for lr in (-1e-3, np.nan, np.inf):
+        AdamHyper(epsilon=0.0)
+    for lr in (-1e-3, np.nan, np.inf, True):
         with pytest.raises(ConfigError):
-            AdamState.fresh((1,), lr=lr)
+            AdamHyper(lr=lr)
+    for bad in ({"beta2": np.nan}, {"epsilon": np.inf}, {"beta1": False}, {"epsilon": "1e-8"}):
+        with pytest.raises(ConfigError):
+            AdamHyper(**bad)
+    AdamHyper(lr=0, beta1=0.0, beta2=0.0, epsilon=1e-300)  # the range's closed ends
 
 
-def reference_adam(data, grad, m, v, step, st):
+def reference_adam(data, grad, m, v, step, h):
     """The whole-array update adam_step must reproduce bit for bit."""
-    m = st.beta1 * m + (1.0 - st.beta1) * grad
-    v = st.beta2 * v + (1.0 - st.beta2) * grad * grad
-    m_hat = m / (1.0 - st.beta1 ** step)
-    v_hat = v / (1.0 - st.beta2 ** step)
-    return data - st.lr * m_hat / (np.sqrt(v_hat) + st.epsilon), m, v
+    m = h.beta1 * m + (1.0 - h.beta1) * grad
+    v = h.beta2 * v + (1.0 - h.beta2) * grad * grad
+    m_hat = m / (1.0 - h.beta1 ** step)
+    v_hat = v / (1.0 - h.beta2 ** step)
+    return data - h.lr * m_hat / (np.sqrt(v_hat) + h.epsilon), m, v
 
 
 @pytest.mark.parametrize("shape", [(2 * ADAM_BLOCK + 5,), (3000, 7), (900, 5, 4), (5, 64), ()])
 def test_adam_blocks_match_whole_array_formula(shape, rng):
     p = Tensor(rng.normal(size=shape))
-    st = AdamState.fresh(shape, lr=0.01, beta1=0.8, beta2=0.99)
+    st, hyper = AdamState.fresh(shape), AdamHyper(lr=0.01, beta1=0.8, beta2=0.99)
     m_array, v_array = st.m, st.v
     for step in range(1, 4):
         grad = rng.normal(size=shape)
         want, want_m, want_v = reference_adam(p.data.copy(), grad, st.m.copy(), st.v.copy(),
-                                              step, st)
-        adam_step(p, grad, st)
+                                              step, hyper)
+        adam_step(p, grad, st, hyper)
         assert p.data.tobytes() == want.tobytes()
         assert st.m.tobytes() == want_m.tobytes() and st.v.tobytes() == want_v.tobytes()
     if p.size > ADAM_BLOCK:  # several blocks: updated in place
@@ -429,14 +433,14 @@ def test_adam_refuses_a_gradient_of_another_form(rng):
     p = Tensor(rng.normal(size=(6, 2)))  # 2 blocks of 1 free and 2 tied rows
     tied = TiedRows(rng.normal(size=(2, 1, 2)), rng.normal(size=(2, 2)))
     with pytest.raises(DimensionError):
-        adam_step(p, tied, AdamState.fresh((6, 2)))
-    st = AdamState.fresh((6, 2))
-    st.m, st.v = TiedRows.zeros(2, 1, 2, 2), TiedRows.zeros(2, 1, 2, 2)
+        adam_step(p, tied, AdamState.fresh((6, 2)), AdamHyper())
+    st = AdamState(0, TiedRows.zeros(2, 1, 2, 2), TiedRows.zeros(2, 1, 2, 2))
     with pytest.raises(DimensionError):
-        adam_step(p, tied.full(), st)
+        adam_step(p, tied.full(), st, AdamHyper())
     with pytest.raises(DimensionError):
-        adam_step(p, TiedRows(rng.normal(size=(3, 0, 2)), rng.normal(size=(2, 2))), st)
-    adam_step(p, tied, st)
+        adam_step(p, TiedRows(rng.normal(size=(3, 0, 2)), rng.normal(size=(2, 2))), st,
+                  AdamHyper())
+    adam_step(p, tied, st, AdamHyper())
     assert st.step == 1
 
 
@@ -448,7 +452,7 @@ def test_adam_on_checkpoint_loaded_model_matches_formula(tmp_path, rng):
     # l0.w is 7 x 1200, more than one block; l1.w is 1200 x 4
     g = build_generator((2, 2, 1), 3, 4, NetworkSpec([1200]), RngStream(2, ("g",)))
     for name, t in g.named().items():
-        adam_step(t, rng.normal(size=t.shape), g.adam[name])
+        adam_step(t, rng.normal(size=t.shape), g.adam[name], g.hyper)
     save_model(tmp_path / "g.ckpt", g)
     loaded, _ = load_model(tmp_path / "g.ckpt")
     assert loaded.weights[0].size > ADAM_BLOCK
@@ -456,8 +460,8 @@ def test_adam_on_checkpoint_loaded_model_matches_formula(tmp_path, rng):
         st = loaded.adam[name]
         grad = rng.normal(size=t.shape)
         want, want_m, want_v = reference_adam(t.data.copy(), grad, st.m.copy(), st.v.copy(),
-                                              2, st)
-        adam_step(t, grad, st)
+                                              2, loaded.hyper)
+        adam_step(t, grad, st, loaded.hyper)
         assert st.step == 2
         assert t.data.tobytes() == want.tobytes()
         assert st.m.tobytes() == want_m.tobytes() and st.v.tobytes() == want_v.tobytes()

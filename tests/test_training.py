@@ -271,7 +271,7 @@ def _d_update(d, x, c, full):
         training._apply_grads(d)
         return
     for name, t in d.named().items():
-        adam_step(t, t.grad, d.adam[name])
+        adam_step(t, t.grad, d.adam[name], d.hyper)
         t.grad = None
 
 
@@ -297,9 +297,7 @@ def test_tied_rows_update_matches_full_gradient_bytes(variant, shape, m, tmp_pat
 
     # the reference: the full weight gradient and full moments for l0.w
     ref = build()
-    st = ref.adam["l0.w"]
-    ref.adam["l0.w"] = AdamState.fresh(ref.weights[0].shape, st.lr, st.beta1, st.beta2,
-                                       st.epsilon)
+    ref.adam["l0.w"] = AdamState.fresh(ref.weights[0].shape)
     with monkeypatch.context() as patch:
         patch.setattr(models, "spatial_replicate_concat", _full_dw_replicate_concat)
         for x, c in batches[:20]:
