@@ -6,10 +6,11 @@ product is flatten(input) @ W0, except in the conditioned discriminators:
 their condition-injection op takes the image batch, the condition batch and
 the first layer's weight and returns that product (the op's weight-free
 definition is the tests' reference for it). From there every net is the same
-stack, each hidden layer ending in one tensor.leaky_relu(x, bias) node. The
-generator is identical across variants
-(the condition is concatenated to the noise vector once, at the input); only
-the discriminators differ:
+stack: every layer is its product plus one tensor.activation(x, bias, kind)
+node, leaky_relu for hidden layers and for the output the head's tanh (G),
+sigmoid (D) or linear (Q, then softmax). G is identical across variants (the
+condition is concatenated to the noise once, at the input); only the
+discriminators differ:
 
 * cgan  - condition appended at the input image via replicate-concat.
 * fcgan - condition appended at the input and at every hidden activation
@@ -38,7 +39,7 @@ from .data import epoch_batches
 from .errors import ConfigError, ContractError, DataError, DimensionError
 from .rng import RngStream
 from .tensor import (LEAKY_SLOPE, AdamHyper, AdamState, Tensor, TiedRows, activation, adam_step,
-                     backward, leaky_relu, matmul, no_grad, softmax, softmax_cross_entropy)
+                     backward, matmul, no_grad, softmax, softmax_cross_entropy)
 
 
 class Variant(str, Enum):
@@ -242,16 +243,17 @@ def _apply_grads(params: ModelParams):
             t.grad = None
 
 
-def _dense_stack(h0: Tensor, params: ModelParams, append=None) -> Tensor:
-    """Logits from layer 0's product h0: each hidden layer is one leaky_relu(x, bias)
-    node, then `append(h)` if given, then the next product; the output adds its bias."""
+def _dense_stack(h0: Tensor, params: ModelParams, head: str, append=None) -> Tensor:
+    """The net's output from layer 0's product h0: each hidden layer is one
+    activation(x, bias, "leaky_relu") node, then `append(h)` if given, then the
+    next product; the output layer is one activation(x, bias, head) node."""
     h = h0
     for i in range(1, len(params.weights)):
-        h = leaky_relu(h, params.biases[i - 1])
+        h = activation(h, params.biases[i - 1], "leaky_relu")
         if append is not None:
             h = append(h)
         h = matmul(h, params.weights[i])
-    return h + params.biases[-1]
+    return activation(h, params.biases[-1], head)
 
 
 def _net_input(x, params: ModelParams) -> Tensor:
@@ -306,8 +308,8 @@ def sample_noise(stream: RngStream, count: int, noise_dim: int) -> Tensor:
 def generator_forward(z, c, params: ModelParams) -> Tensor:
     """G(z, c): noise [b, k] and conditions [b, m] concatenated, dense stack, tanh images."""
     x = vector_concat(z, c)
-    out = _dense_stack(_input_product(x, params), params)
-    return activation(out, "tanh").reshape((x.shape[0],) + tuple(params.meta["image_shape"]))
+    out = _dense_stack(_input_product(x, params), params, "tanh")
+    return out.reshape((x.shape[0],) + tuple(params.meta["image_shape"]))
 
 
 def discriminator_forward(x, c, params: ModelParams) -> Tensor:
@@ -325,13 +327,13 @@ def discriminator_forward(x, c, params: ModelParams) -> Tensor:
         if variant is Variant.FCGAN:
             def append(hid):
                 return vector_concat(hid, c)
-    logits = _dense_stack(h0, params, append)
-    return activation(logits, "sigmoid").reshape((logits.shape[0],))
+    probs = _dense_stack(h0, params, "sigmoid", append)
+    return probs.reshape((probs.shape[0],))
 
 
 def approximator_forward(x, params: ModelParams) -> Tensor:
     """Q(c|x) of images [b, h, w, d]: softmax distributions over conditions, shape [b, m]."""
-    return softmax(_dense_stack(_input_product(x, params), params))
+    return softmax(_dense_stack(_input_product(x, params), params, "linear"))
 
 
 # ----------------------------------------------------------------------
@@ -375,7 +377,7 @@ def pretrain_approximator(train, valid, spec: NetworkSpec, budget: int,
     best_acc = classifier_accuracy(params, valid.images, valid.labels)
     history["val_acc"].append((0, best_acc))
     for i, idx in epoch_batches(train.count, batch_size, stream, 0, int(budget)):
-        logits = _dense_stack(_input_product(train.images[idx], params), params)
+        logits = _dense_stack(_input_product(train.images[idx], params), params, "linear")
         loss = softmax_cross_entropy(logits, train.labels[idx])
         backward(loss, wrt=params.named().values())
         _apply_grads(params)

@@ -4,7 +4,8 @@ Define-by-run: every Tensor wraps a numpy array together with the op tag and
 parent nodes that produced it, and a closure routing an incoming gradient to
 those parents. Graphs are rebuilt each training step; backward() is one
 reverse topological sweep with accumulation at fan-in nodes. A hidden layer
-is two nodes, its product and leaky_relu(x, bias).
+is two nodes, its product and activation(x, bias, "leaky_relu"); an output
+layer is its product and one activation node of its head's kind.
 
 backward(loss, wrt=params) prunes the sweep: only nodes on a path to one of
 the requested leaves are marked `wanted`, the closures skip operand gradients
@@ -347,51 +348,47 @@ def matmul(a, b) -> Tensor:
     return Tensor(a.data @ b.data, (a, b), "matmul", back)
 
 
-def leaky_relu(x, bias) -> Tensor:
-    """leaky_relu(x + bias), slope LEAKY_SLOPE, of a [b, k] batch and a [k] bias, as one node.
+def activation(x, bias, kind: str) -> Tensor:
+    """kind(x + bias) of a [b, k] batch and a [k] bias, as one node.
 
-    As 0 < slope < 1, max(pre, slope*pre) is exactly pre for pre > 0 and
-    slope*pre otherwise, signed zeros included; g*1.0 is exactly g. The output
-    is positive where pre is, so the backward reads it and pre is not kept.
+    kind is leaky_relu (slope LEAKY_SLOPE), every hidden layer's, or an
+    output head's: tanh, sigmoid or linear. As 0 < slope < 1, max(pre,
+    slope*pre) is exactly pre for pre > 0 and slope*pre otherwise, signed
+    zeros included, and g*1.0 is exactly g. Each backward reads the output,
+    not pre; x gets that gradient and the bias, when wanted, its column sums.
     """
+    if kind not in ("leaky_relu", "tanh", "sigmoid", "linear"):
+        raise ConfigError(f"unknown activation kind {kind!r}; expected leaky_relu, tanh, "
+                          f"sigmoid or linear")
     x, bias = Tensor._coerce(x), Tensor._coerce(bias)
     if x.ndim != 2 or bias.shape != x.shape[1:]:
-        raise DimensionError(f"leaky_relu needs [b, k] and [k] operands, got {x.shape}, {bias.shape}")
-    pre = x.data + bias.data
-    y = LEAKY_SLOPE * pre
-    np.maximum(pre, y, out=y)
+        raise DimensionError(f"activation needs [b, k] and [k] operands, got {x.shape}, "
+                             f"{bias.shape}")
+    y = pre = x.data + bias.data  # linear's output
+    if kind == "leaky_relu":
+        y = LEAKY_SLOPE * pre
+        np.maximum(pre, y, out=y)
+    elif kind == "tanh":
+        np.tanh(pre, out=pre)
+    elif kind == "sigmoid":
+        e = np.exp(-np.abs(pre))
+        y = np.where(pre >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        np.clip(y, _SIG_LO, _SIG_HI, out=y)
 
     def back(g, a=x, b=bias, out=y):
-        gs = np.where(out > 0, 1.0, LEAKY_SLOPE)
-        np.multiply(g, gs, out=gs)
-        _accum(a, gs)
+        gx = g  # linear's
+        if kind == "leaky_relu":
+            gx = np.where(out > 0, 1.0, LEAKY_SLOPE)
+            np.multiply(g, gx, out=gx)
+        elif kind == "tanh":
+            gx = g * (1.0 - out * out)
+        elif kind == "sigmoid":
+            gx = g * out * (1.0 - out)
+        _accum(a, gx)
         if b.wanted:
-            _accum(b, gs.sum(axis=0))
+            _accum(b, gx.sum(axis=0))
 
-    return Tensor(y, (x, bias), "leaky_relu", back)
-
-
-def activation(x, kind: str) -> Tensor:
-    """An output head's elementwise nonlinearity: sigmoid or tanh."""
-    x = Tensor._coerce(x)
-    if kind == "sigmoid":
-        d = x.data
-        y = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                     np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-        y = np.clip(y, _SIG_LO, _SIG_HI)
-
-        def back(g, a=x, s=y):
-            _accum(a, g * s * (1.0 - s))
-
-    elif kind == "tanh":
-        y = np.tanh(x.data)
-
-        def back(g, a=x, t=y):
-            _accum(a, g * (1.0 - t * t))
-
-    else:
-        raise ConfigError(f"unknown activation kind {kind!r}; expected sigmoid or tanh")
-    return Tensor(y, (x,), kind, back)
+    return Tensor(y, (x, bias), kind, back)
 
 
 def log(x) -> Tensor:
@@ -462,12 +459,11 @@ def softmax_cross_entropy(logits, target) -> Tensor:
         raise ContractError("target rows must be one-hot")
     b = x.shape[0]
     m = x.data.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(x.data - m).sum(axis=1))
+    e = np.exp(x.data - m)
+    lse = m[:, 0] + np.log(e.sum(axis=1))
     picked = (x.data * t).sum(axis=1)
     loss = (lse - picked).mean()
-
-    shifted = np.exp(x.data - m)
-    probs = shifted / shifted.sum(axis=1, keepdims=True)
+    probs = e / e.sum(axis=1, keepdims=True)
 
     def back(g, a=x, pr=probs, tt=t, n=b):
         _accum(a, g * (pr - tt) / n)

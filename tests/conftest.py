@@ -68,8 +68,8 @@ def projection(weights):
 def reference_leaky_relu(x) -> Tensor:
     """max(x, LEAKY_SLOPE * x) elementwise, with slope 1 or LEAKY_SLOPE backward.
 
-    The definition of `cganlab.tensor.leaky_relu(x, bias)`, which computes
-    reference_leaky_relu(x + bias) as one node and must give the same bits.
+    The definition of `cganlab.tensor.activation(x, bias, "leaky_relu")`, which
+    computes reference_leaky_relu(x + bias) as one node and must give the same bits.
     """
     y = LEAKY_SLOPE * x.data
     np.maximum(x.data, y, out=y)

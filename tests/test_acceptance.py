@@ -25,7 +25,7 @@ from cganlab.models import (NetworkSpec, Variant, approximator_forward,
 from cganlab.parzen import (ParzenConfig, conditional_eval, default_sigma_grid,
                             generate_samples, parzen_log_likelihood, select_sigma)
 from cganlab.rng import RngStream
-from cganlab.tensor import Tensor, activation, leaky_relu, matmul, softmax_cross_entropy
+from cganlab.tensor import Tensor, activation, matmul, softmax_cross_entropy
 from cganlab.training import TrainConfig, train
 from conftest import assert_grads_match, bilinear_pool, projection
 from fuzzing import cifar_fuzz_cases, idx_fuzz_cases
@@ -126,9 +126,8 @@ def test_a1_gradient_suite(rng):
         # x + bias stays away from leaky_relu's kink
         x = rng.normal(size=(2, 5)) + 0.3 * np.sign(rng.normal(size=(2, 5)))
         wx = rng.normal(size=(2, 5))
-        fd(lambda t, bb: projection(wx)(leaky_relu(t, bb)), x - bias, bias)
-        for kind in ("sigmoid", "tanh"):
-            fd(lambda t, k=kind: projection(wx)(activation(t, k)), x)
+        for kind in ("leaky_relu", "sigmoid", "tanh", "linear"):
+            fd(lambda t, bb, k=kind: projection(wx)(activation(t, bb, k)), x - bias, bias)
 
         logits = rng.normal(size=(3, 4))
         target = np.zeros((3, 4))
@@ -150,7 +149,7 @@ def test_a1_gradient_suite(rng):
         fd(lambda xx, ci, ww: projection(w_out)(spatial_bilinear_pool(xx, ci, ww)),
            img, cc2, w_bp)
 
-    # two hidden layers, so a later layer's matmul -> leaky_relu, and fcgan's
+    # two hidden layers, so a later layer's matmul -> activation, and fcgan's
     # concatenation after every hidden layer, are checked too
     img_shape, m, k = (2, 2, 1), 2, 3
     spec = NetworkSpec([4, 3])

@@ -4,9 +4,9 @@ import pytest
 
 from cganlab.conditioning import vector_concat
 from cganlab.errors import ConfigError, ContractError, DimensionError
-from cganlab.tensor import (ADAM_BLOCK, LOG_FLOOR, AdamHyper, AdamState, Tensor, TiedRows,
-                            activation, adam_step, backward, is_one_hot, leaky_relu, log, matmul,
-                            no_grad, one_hot, rows, softmax, softmax_cross_entropy)
+from cganlab.tensor import (_SIG_HI, _SIG_LO, ADAM_BLOCK, LOG_FLOOR, AdamHyper, AdamState, Tensor,
+                            TiedRows, _accum, activation, adam_step, backward, is_one_hot, log,
+                            matmul, no_grad, one_hot, rows, softmax, softmax_cross_entropy)
 from conftest import assert_grads_match, projection, reference_leaky_relu
 
 mpmath.mp.dps = 50
@@ -64,35 +64,36 @@ def test_matmul_gradients(rng):
 
 
 def test_sigmoid_at_zero():
-    assert activation([0.0], "sigmoid").data.tolist() == [0.5]
+    assert activation([[0.0]], [0.0], "sigmoid").data.tolist() == [[0.5]]
 
 
 def test_leaky_relu_definition():
-    out = leaky_relu([[-5.0, 0.0, 2.0]], [1.0, 0.0, -1.0]).data
+    out = activation([[-5.0, 0.0, 2.0]], [1.0, 0.0, -1.0], "leaky_relu").data
     assert out.tolist() == [[-0.8, 0.0, 1.0]]
+    with pytest.raises(DimensionError):  # one sample, not a batch
+        activation([-5.0, 0.0, 2.0], [1.0, 0.0, -1.0], "leaky_relu")
     with pytest.raises(DimensionError):
-        leaky_relu([-5.0, 0.0, 2.0], [1.0, 0.0, -1.0])  # one sample, not a batch
-    with pytest.raises(DimensionError):
-        leaky_relu([[-5.0, 0.0, 2.0]], [1.0, 0.0])
+        activation([[-5.0, 0.0, 2.0]], [1.0, 0.0], "leaky_relu")
 
 
 def test_sigmoid_stays_strictly_inside_unit_interval():
-    out = activation([-1000.0, 1000.0], "sigmoid").data
+    out = activation([[-1000.0, 1000.0]], [0.0, 0.0], "sigmoid").data[0]
     assert 0.0 < out[0] < out[1] < 1.0
 
 
 def test_unknown_activation_kind():
     with pytest.raises(ConfigError):
-        activation([1.0], "swish")
-    with pytest.raises(ConfigError):  # a hidden layer's activation is leaky_relu(x, bias)
-        activation([1.0], "leaky_relu")
+        activation([[1.0]], [0.0], "swish")
+    with pytest.raises(ConfigError):  # D's head name, not a kind: its kind is sigmoid
+        activation([[1.0]], [0.0], "sigmoid_scalar")
 
 
-@pytest.mark.parametrize("kind", ["sigmoid", "tanh"])
+@pytest.mark.parametrize("kind", ["sigmoid", "tanh", "linear"])
 def test_activation_gradients(kind, rng):
-    x = rng.normal(size=(4, 3)) + 0.3 * np.sign(rng.normal(size=(4, 3)))
+    bias = rng.normal(size=3)
+    x = rng.normal(size=(4, 3)) + 0.3 * np.sign(rng.normal(size=(4, 3))) - bias
     w = rng.normal(size=(4, 3))
-    assert_grads_match(lambda t: projection(w)(activation(t, kind)), x)
+    assert_grads_match(lambda t, b: projection(w)(activation(t, b, kind)), x, bias)
 
 
 def test_leaky_relu_gradients(rng):
@@ -100,7 +101,7 @@ def test_leaky_relu_gradients(rng):
     # keep x + bias away from the kink
     x = rng.normal(size=(4, 3)) + 0.3 * np.sign(rng.normal(size=(4, 3))) - bias
     w = rng.normal(size=(4, 3))
-    assert_grads_match(lambda t, b: projection(w)(leaky_relu(t, b)), x, bias)
+    assert_grads_match(lambda t, b: projection(w)(activation(t, b, "leaky_relu")), x, bias)
 
 
 def _kink_operands(rng):
@@ -122,12 +123,58 @@ def test_leaky_relu_matches_its_definition_bit_for_bit(wrt, rng):
     w = rng.normal(size=x_arr.shape)
     got_x, got_b = Tensor(x_arr), Tensor(b_arr)
     want_x, want_b = Tensor(x_arr), Tensor(b_arr)
-    got = leaky_relu(got_x, got_b)
+    got = activation(got_x, got_b, "leaky_relu")
     want = reference_leaky_relu(want_x + want_b)
     assert got.data.tobytes() == want.data.tobytes()
     zero = got.data == 0.0
     assert (zero & np.signbit(got.data)).any() and (zero & ~np.signbit(got.data)).any()
     assert (got.data > 0.0).sum() > 2 and (got.data < 0.0).sum() > 2
+    leaves = {"all": lambda x, b: None, "x": lambda x, b: [x], "bias": lambda x, b: [b]}[wrt]
+    backward(projection(w)(got), wrt=leaves(got_x, got_b))
+    backward(projection(w)(want), wrt=leaves(want_x, want_b))
+    for g, r, kept in ((got_x, want_x, wrt != "bias"), (got_b, want_b, wrt != "x")):
+        if kept:
+            assert g.grad.tobytes() == r.grad.tobytes()
+        else:
+            assert g.grad is None and r.grad is None
+
+
+def two_node_head(x, bias, kind) -> Tensor:
+    """An output head as two nodes: a broadcast + of the bias, then the head's expression.
+
+    The form the output layers had before their bias add and nonlinearity
+    became one activation(x, bias, kind) node, which must give the same bits.
+    """
+    s = x + bias
+    if kind == "linear":
+        return s
+    d = s.data
+    if kind == "tanh":
+        y = np.tanh(d)
+
+        def back(g, a=s, t=y):
+            _accum(a, g * (1.0 - t * t))
+    else:
+        y = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
+                     np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+        y = np.clip(y, _SIG_LO, _SIG_HI)
+
+        def back(g, a=s, sg=y):
+            _accum(a, g * sg * (1.0 - sg))
+    return Tensor(y, (s,), kind, back)
+
+
+@pytest.mark.parametrize("wrt", ["all", "x", "bias"])
+@pytest.mark.parametrize("kind", ["tanh", "sigmoid", "linear"])
+def test_head_matches_its_two_node_form_bit_for_bit(kind, wrt, rng):
+    x_arr, b_arr = _kink_operands(rng)
+    x_arr[:, 2] = [-800.0, -40.0, -1e-17, 1e-17, 40.0, 800.0]  # both saturations and tiny pre
+    w = rng.normal(size=x_arr.shape)
+    got_x, got_b = Tensor(x_arr), Tensor(b_arr)
+    want_x, want_b = Tensor(x_arr), Tensor(b_arr)
+    got = activation(got_x, got_b, kind)
+    want = two_node_head(want_x, want_b, kind)
+    assert got.data.tobytes() == want.data.tobytes()
     leaves = {"all": lambda x, b: None, "x": lambda x, b: [x], "bias": lambda x, b: [b]}[wrt]
     backward(projection(w)(got), wrt=leaves(got_x, got_b))
     backward(projection(w)(want), wrt=leaves(want_x, want_b))
@@ -331,9 +378,9 @@ def test_non_finite_result_raises():
 
 def test_no_grad_records_no_graph_and_keeps_the_values():
     x, w, b = Tensor([[1.0, -2.0]]), Tensor([[0.5], [0.25]]), Tensor([0.125])
-    want = leaky_relu(x @ w, b)
+    want = activation(x @ w, b, "leaky_relu")
     with no_grad():
-        got = leaky_relu(x @ w, b)
+        got = activation(x @ w, b, "leaky_relu")
     assert got.parents == () and got._backward is None
     assert np.array_equal(got.data, want.data) and want.parents
 

@@ -52,3 +52,24 @@ def test_tracer_wraps_training_and_eval_and_restores():
     assert metrics["models.d_layer0_mflop_per_step"] > 0
     assert np.isfinite(list(metrics.values())).all()
     assert all(getattr(owner, attr) is orig for owner, attr, orig in patched)
+
+
+def test_every_layers_activation_is_timed():
+    spans = load_spans()
+    ds, _ = synth_mixture(mixture_3x2_spec(), 40, seed=3)
+    cfg = TrainConfig(variant="cgan", total_steps=1, batch_size=16, noise_dim=4,
+                      g_hidden=[8, 8], d_hidden=[8], lr=1e-3)
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    try:
+        training.train(cfg, ds)
+    finally:
+        tracer.remove()
+    # hidden layers and the output layer: G has three, D two
+    layers = {"training.g_forward": 3, "training.d_forward": 2}
+    forwards = [i for i, name in enumerate(tracer.name) if name in layers]
+    assert len(forwards) == 4  # G twice and D twice in one step
+    for i in forwards:
+        timed = [j for j, p in enumerate(tracer.parent)
+                 if p == i and tracer.name[j] == "tensor.activation"]
+        assert len(timed) == layers[tracer.name[i]], tracer.name[i]

@@ -379,10 +379,11 @@ def test_trainlog_csv_shape(tiny_mixture):
 
 
 # Tensor nodes one mixture-preset train_step builds (G and D 64,64, batch 256,
-# irgan's Q 32): each hidden layer is its product and one leaky_relu node.
-# The step runs G twice and D twice, and irgan's also Q once; with a bias add
-# and an activation node per hidden layer it built 8 nodes more (9 for irgan).
-PRESET_STEP_NODES = {"cgan": 61, "fcgan": 65, "sbp": 61, "irgan": 79}
+# irgan's Q 32): every layer is its product and one activation node. The
+# step runs G twice and D twice, and irgan's also Q once; when G's and D's
+# output bias add was a node of its own it built 4 nodes more, and with a
+# bias add and an activation node per hidden layer 8 more again (9 for irgan).
+PRESET_STEP_NODES = {"cgan": 57, "fcgan": 61, "sbp": 57, "irgan": 75}
 
 
 @pytest.mark.parametrize("variant", sorted(PRESET_STEP_NODES))
