@@ -2,9 +2,11 @@
 
 Subcommands: pretrain-q, train, eval, sample, rerun. Every run writes a
 manifest.json holding the fully resolved configuration, dataset checksums,
-seed and artifact paths. `read_manifest` alone reads one back: `rerun`
-repeats the run it records, and `train --resume DIR` continues the run in
-DIR, where only --steps and --checkpoint-every may differ from its settings.
+the SHA-256 of each checkpoint it read, seed and artifact paths.
+`read_manifest` alone reads one back: `rerun` repeats the run it records, and
+`train --resume DIR` continues the run in DIR, where only --steps and
+--checkpoint-every may differ from its settings. Both refuse a dataset or
+checkpoint whose digest is not the recorded one.
 
 Conventions: progress goes to stderr; the only stdout output is one final
 JSON line per command. Exit codes: 0 success, 2 configuration or usage
@@ -17,6 +19,7 @@ config file (lines of `key = value`, `#` comments), then explicit flags.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import os
 import stat
@@ -169,9 +172,12 @@ def parse_sigma_grid(text):
         if ":" not in text:
             return np.array([float(v) for v in text.split(",")])
         lo, hi, n = text.split(":")
+        count = int(n)
+        if count > np.iinfo(np.intp).max // 8:  # numpy misreads, not refuses, such counts
+            raise ValueError("the count is too large")
         with np.errstate(invalid="raise"):
-            return default_sigma_grid(int(n), float(lo), float(hi))
-    except (ValueError, FloatingPointError) as e:  # unparsable, or a count or bounds refused
+            return default_sigma_grid(count, float(lo), float(hi))
+    except (ValueError, FloatingPointError, OverflowError) as e:  # a count or bounds refused
         raise ConfigError(f"bad sigma grid {text!r} ({e}); expected 'lo:hi:count' "
                           f"or 'a,b,c'") from None
 
@@ -234,7 +240,7 @@ def command_settings(command: str, values: dict, error, source: str) -> dict:
                 if isinstance(value, bool) or (kind is int and isinstance(value, float)):
                     raise TypeError
                 out[key] = kind(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise error(f"{source}: setting {key!r} = {value!r} is not a valid "
                             f"{kind.__name__}") from None
     if command == "train":
@@ -256,7 +262,9 @@ def read_manifest(path, command=None) -> dict:
     DataError names any fault. With `command`, it must record a run of
     that command. A manifest of any command but sample must record the
     name and checksum of its dataset, whose name its settings hold beside
-    any data_dir; a sample manifest's are dropped.
+    any data_dir; a sample manifest's are dropped. Its `checkpoints`, when
+    it has them (from 0.2.4 on), map each checkpoint the run read to its
+    SHA-256.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -285,6 +293,11 @@ def read_manifest(path, command=None) -> dict:
               and isinstance(recorded.get("checksum"), str) and recorded["checksum"]):
         raise DataError(f"manifest {path} records no name and checksum of its dataset "
                         f"{dataset['dataset']!r}")
+    checkpoints = doc.get("checkpoints")
+    if checkpoints is not None and not (isinstance(checkpoints, dict) and all(
+            isinstance(v, str) and len(v) == 64 for v in checkpoints.values())):
+        raise DataError(f"manifest {path} records checkpoints that are not a map from "
+                        f"path to SHA-256")
     settings = command_settings(doc["command"], resolved, DataError, f"manifest {path}")
     return dict(doc, resolved={**settings, **dataset})
 
@@ -325,7 +338,8 @@ def build_differences(doc: dict) -> list:
 
 
 def write_manifest(out_dir: Path, command: str, resolved: dict, dataset_info,
-                   artifacts: dict, wall_ms: float):
+                   artifacts: dict, wall_ms: float, checkpoints=None):
+    """Write out_dir/manifest.json; checkpoints maps each checkpoint the run read to its SHA-256."""
     manifest = {
         "tool": "cganlab",
         "tool_version": __version__,
@@ -335,6 +349,7 @@ def write_manifest(out_dir: Path, command: str, resolved: dict, dataset_info,
         "dataset": {"name": dataset_info["name"], "checksum": dataset_info["checksum"]}
         if dataset_info else None,
         "artifacts": {k: str(v) for k, v in sorted(artifacts.items())},
+        "checkpoints": dict(sorted((checkpoints or {}).items())),
         "wall_ms": round(wall_ms, 3),
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
@@ -438,13 +453,30 @@ def _train_config(res: dict) -> TrainConfig:
         d_hidden=parse_widths(res["d_hidden"]), checkpoint_every=res["checkpoint_every"])
 
 
-def load_fitting_model(path, role: str, info=None) -> tuple:
-    """load_model of a checkpoint that a flag names as a `role` for the dataset `info`.
+def file_sha256(path) -> str:
+    """SHA-256 of the file at path, read in 64 KiB blocks."""
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(1 << 16), b""):
+            h.update(block)
+    return h.hexdigest()
 
+
+def load_fitting_model(path, role: str, info=None, records=()) -> tuple:
+    """load_model of a checkpoint that a flag names as a `role` for the dataset `info`,
+    and the file's SHA-256: (params, meta, digest).
+
+    DataError, naming the file, when one of records (manifests' `checkpoints`,
+    None where a manifest has none) holds no digest or another for it.
     ConfigError when it holds another role, or (with info) a network for
     another image shape or condition width than the dataset's.
     """
     params, meta = load_model(path)
+    digest = file_sha256(path)
+    for record in records:
+        if record is not None and record.get(str(path)) != digest:
+            raise DataError(f"{path} has SHA-256 {digest}, but the manifest of the run that "
+                            f"read it records {record.get(str(path)) or 'none'}")
     found = params.meta["role"]
     if found != role:
         raise ConfigError(f"{path} is a checkpoint of role {found}, not {role}")
@@ -455,13 +487,13 @@ def load_fitting_model(path, role: str, info=None) -> tuple:
             raise ConfigError(f"{path} holds a network for images of shape {have[0]} with "
                               f"{have[1]} conditions; dataset {info['name']} has {want[0]} "
                               f"with {want[1]}")
-    return params, meta
+    return params, meta, digest
 
 
 def _resumed_model(path, role: str, info, was: TrainConfig) -> tuple:
     """load_fitting_model of a checkpoint of the run `was`; DataError if it is not one."""
     try:
-        params, meta = load_fitting_model(path, role, info)
+        params, meta, _ = load_fitting_model(path, role, info)
     except ConfigError as e:
         raise DataError(str(e)) from None
     want = {"noise_dim": was.noise_dim} if role == "generator" else {"variant": was.variant.value}
@@ -480,7 +512,7 @@ def _resumed_model(path, role: str, info, was: TrainConfig) -> tuple:
 TRAIN_FLAGS = {"d_steps_per_g_step": "d-steps", "lam": "lambda", "generator_loss_mode": "loss-mode"}
 
 
-def do_train(res: dict, out_dir: Path, checksum=None) -> dict:
+def do_train(res: dict, out_dir: Path, checksum=None, digests=None) -> dict:
     t0 = time.perf_counter()
     cfg = _train_config(res)
     variant = cfg.variant
@@ -490,6 +522,7 @@ def do_train(res: dict, out_dir: Path, checksum=None) -> dict:
     if variant is not Variant.IRGAN and res.get("q_checkpoint"):
         raise ConfigError(f"--q-checkpoint is only meaningful for irgan, not {variant.value}")
     rdir = Path(res["resume"]) if res.get("resume") else None
+    records = [digests]
     if rdir:
         # a resume continues the recorded run; only its length and checkpointing may change
         manifest = rdir / "manifest.json"
@@ -511,10 +544,12 @@ def do_train(res: dict, out_dir: Path, checksum=None) -> dict:
             raise DataError(f"the manifest records dataset checksum {checksum!r}, but the run "
                             f"in {rdir} was trained on {recorded['dataset']['checksum']!r}")
         checksum = recorded["dataset"]["checksum"]
+        records.append(recorded.get("checkpoints"))
     info = load_dataset(res["dataset"], res.get("data_dir"), checksum)
-    q_params = None
+    q_params, read = None, {}
     if variant is Variant.IRGAN:
-        q_params, _ = load_fitting_model(res["q_checkpoint"], "approximator", info)
+        q_params, _, read[res["q_checkpoint"]] = load_fitting_model(
+            res["q_checkpoint"], "approximator", info, records)
     g = d = None
     start_step = 0
     earlier = TrainLog()
@@ -559,7 +594,8 @@ def do_train(res: dict, out_dir: Path, checksum=None) -> dict:
     save_model(d_path, d, extra=extra)
     log_.write(log_path)
     artifacts = {"g_checkpoint": g_path, "d_checkpoint": d_path, "log": log_path}
-    write_manifest(out_dir, "train", res, info, artifacts, (time.perf_counter() - t0) * 1e3)
+    write_manifest(out_dir, "train", res, info, artifacts, (time.perf_counter() - t0) * 1e3,
+                   read)
     summary = {"command": "train", "variant": variant.value, "steps": cfg.total_steps,
                "g_checkpoint": str(g_path), "d_checkpoint": str(d_path), "log": str(log_path)}
     if log_.rows:
@@ -573,7 +609,7 @@ def _ckpt_extra(res, info, step, variant):
             "seed": res["seed"]}
 
 
-def do_eval(res: dict, out_dir: Path, checksum=None) -> dict:
+def do_eval(res: dict, out_dir: Path, checksum=None, digests=None) -> dict:
     t0 = time.perf_counter()
     info = load_dataset(res["dataset"], res.get("data_dir"), checksum)
     cfg = ParzenConfig(sigma_grid=parse_sigma_grid(res.get("sigma_grid")),
@@ -586,9 +622,9 @@ def do_eval(res: dict, out_dir: Path, checksum=None) -> dict:
         paths = [paths]
     # every name is settled before any evaluation runs, so that a name no
     # report file can take fails at once
-    models = {}
+    models, read = {}, {}
     for path in paths:
-        params, meta = load_fitting_model(path, "generator", info)
+        params, meta, read[path] = load_fitting_model(path, "generator", info, [digests])
         name = meta.get("name") or Path(path).stem
         while name in models:
             name += "+"
@@ -623,7 +659,8 @@ def do_eval(res: dict, out_dir: Path, checksum=None) -> dict:
     with atomic_write(out_dir / "table.txt") as f:
         f.write(table.encode())
     artifacts["table"] = out_dir / "table.txt"
-    write_manifest(out_dir, "eval", res, info, artifacts, (time.perf_counter() - t0) * 1e3)
+    write_manifest(out_dir, "eval", res, info, artifacts, (time.perf_counter() - t0) * 1e3,
+                   read)
     _progress(table.rstrip("\n"))
     summary = {"command": "eval", "models": sorted(model_rows),
                "table": str(out_dir / "table.txt"),
@@ -632,9 +669,10 @@ def do_eval(res: dict, out_dir: Path, checksum=None) -> dict:
     return summary
 
 
-def do_sample(res: dict, out_dir: Path) -> dict:
+def do_sample(res: dict, out_dir: Path, digests=None) -> dict:
     t0 = time.perf_counter()
-    params, meta = load_fitting_model(res["g_checkpoint"], "generator")
+    path = res["g_checkpoint"]
+    params, meta, digest = load_fitting_model(path, "generator", records=[digests])
     condition, count = res["condition"], res["count"]
     if count < 1:
         raise ConfigError(f"count must be positive, got {count}")
@@ -648,8 +686,8 @@ def do_sample(res: dict, out_dir: Path) -> dict:
                                 "image_shape": [h, w, d]}, {"samples": images})
     grid = out_dir / ("grid.ppm" if d == 3 else "grid.pgm")
     write_image_grid(grid, images)
-    write_manifest(out_dir, "sample", res, None,
-                   {"samples": container, "grid": grid}, (time.perf_counter() - t0) * 1e3)
+    write_manifest(out_dir, "sample", res, None, {"samples": container, "grid": grid},
+                   (time.perf_counter() - t0) * 1e3, {path: digest})
     return {"command": "sample", "condition": condition, "count": count,
             "samples": str(container), "grid": str(grid)}
 
@@ -754,16 +792,19 @@ def cmd_rerun(manifest, out):
 
     Any fault of the manifest, a setting the command refuses included, is a
     data error, and the dataset must still have the checksum the manifest
-    recorded. A tool version or build that differs from it is a warning.
+    recorded, and each checkpoint the SHA-256 it recorded, when it recorded
+    them. A tool version or build that differs from it is a warning.
     """
     doc = read_manifest(manifest)
     for line in build_differences(doc):
         _progress(f"warning: {line}; the results may differ in their bits")
     impl = {"pretrain-q": do_pretrain_q, "train": do_train, "eval": do_eval,
             "sample": do_sample}[doc["command"]]
-    checksum = () if impl is do_sample else (doc["dataset"]["checksum"],)
+    recorded = {} if impl is do_pretrain_q else {"digests": doc.get("checkpoints")}
+    if impl is not do_sample:
+        recorded["checksum"] = doc["dataset"]["checksum"]
     try:
-        summary = impl(doc["resolved"], _out_dir(out), *checksum)
+        summary = impl(doc["resolved"], _out_dir(out), **recorded)
     except ConfigError as e:
         raise DataError(f"manifest {manifest}: {e}") from None
     _emit(summary)

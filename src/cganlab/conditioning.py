@@ -14,7 +14,8 @@ conditions c of shape [b, m]:
 The two spatial ops feed D's first layer, and take its weight of shape
 [h*w*C, k], C being their output channel count. They return flatten(op(x,
 c)) @ weight, shape [b, k], computed from the factored algebra without
-building the op's channels, and are differentiable in x, c and the weight.
+building the op's channels (except sbp's on single-pixel images, where they
+are just x (x) c), and are differentiable in x, c and the weight.
 The weight-free definitions above are the tests' references
 (tests/conftest.py), which these products must match. Replicate-concat's
 weight gradient is a tensor.TiedRows, which holds the condition rows'
@@ -27,13 +28,6 @@ import numpy as np
 
 from .errors import DimensionError
 from .tensor import Tensor, TiedRows, _accum
-
-# Pooled inputs up to this many elements are built and multiplied: below it
-# the per-condition loop's fixed cost per condition (row selection, a small
-# product, a scatter) outweighs the m-fold saving in multiplications; on the
-# mixture preset's 256-row batches the loop took twice as long.
-POOL_BUILD_MAX = 1 << 15
-
 
 def vector_concat(z, c) -> Tensor:
     """[z, c] row by row, for a [b, k] and a [b, m] batch."""
@@ -108,13 +102,15 @@ def spatial_bilinear_pool(x, c, weight) -> Tensor:
     block a and zeroes the others. The product is sum_a c[:, a] * (x @ W_a),
     W_a being the rows of condition block a, multiplied only on the rows
     where c[:, a] is non-zero: a one-hot c costs one image-width product per
-    row instead of m. A pooled input of at most POOL_BUILD_MAX elements is
-    built and multiplied instead.
+    row instead of m. A single-pixel image's pooled input is just the outer
+    product x (x) c, so it is built and multiplied instead: there the loop's
+    fixed cost per condition (row selection, a small product, a scatter)
+    outweighs the m-fold saving in multiplications.
     """
-    xb, cb, wt, w4 = _spatial_operands(x, c, weight, lambda d, m: (m, d))
-    if xb.size * cb.shape[1] > POOL_BUILD_MAX:
-        return _bilinear_pool_product(xb, cb, wt, w4)
-    return _built_pool_product(xb, cb, wt)
+    xb, cb, wt, _ = _spatial_operands(x, c, weight, lambda d, m: (m, d))
+    _, h, w, _ = xb.shape
+    product = _built_pool_product if h * w == 1 else _bilinear_pool_product
+    return product(xb, cb, wt)
 
 
 def _built_pool_product(xb, cb, wt):
@@ -137,10 +133,11 @@ def _built_pool_product(xb, cb, wt):
     return Tensor(pooled @ wt.data, (xb, cb, wt), "bilinear_pool", back)
 
 
-def _bilinear_pool_product(xb, cb, wt, w4):
-    """The product condition by condition, with W viewed as w4 [h*w, m, d, k]."""
+def _bilinear_pool_product(xb, cb, wt):
+    """The product condition by condition, with W viewed as [h*w, m, d, k]."""
     b, h, w, d = xb.shape
-    pixels, m, k = h * w, cb.shape[1], w4.shape[3]
+    pixels, m, k = h * w, cb.shape[1], wt.shape[1]
+    w4 = wt.data.reshape(pixels, m, d, k)
     xs = xb.data.reshape(b, pixels * d)
     c = cb.data
 

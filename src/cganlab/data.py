@@ -594,9 +594,15 @@ def _three_class_8x8(ds: LabeledDataset, seed, name) -> tuple:
         order = members[stream.split(f"label-{lab}").permutation(members.size)]
         keep.append(order[:700])
     rows = idx[np.sort(np.concatenate(keep))]
-    # pooled before the rows are taken, so no full-size copy of them is made;
-    # each image pools alone, so the bits are those of pooling the copy
-    pooled = adaptive_avg_pool(ds.images, 8)[rows]
+    # only the kept rows are pooled, and 256 at a time when some are dropped,
+    # so neither the dropped images nor a full-size copy of the kept ones is
+    # pooled or made; each image pools alone, so the bits are those of
+    # pooling every image
+    if rows.size == ds.count:  # every image is kept, as in tiny-digits-3's corpus
+        pooled = adaptive_avg_pool(ds.images, 8)
+    else:
+        pooled = np.concatenate([adaptive_avg_pool(ds.images[rows[i:i + 256]], 8)
+                                 for i in range(0, rows.size, 256)])
     ds8 = LabeledDataset(pooled, ds.labels[rows, :3], dict(ds.meta, name=name))
     return split(ds8, (1500 / 2100, 300 / 2100, 300 / 2100), seed)
 

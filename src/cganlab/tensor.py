@@ -3,9 +3,9 @@
 Define-by-run: every Tensor wraps a numpy array together with the op tag and
 parent nodes that produced it, and a closure routing an incoming gradient to
 those parents. Graphs are rebuilt each training step; backward() is one
-reverse topological sweep with accumulation at fan-in nodes. A hidden layer
-is two nodes, its product and activation(x, bias, "leaky_relu"); an output
-layer is its product and one activation node of its head's kind.
+reverse topological sweep with accumulation at fan-in nodes. Every layer is
+two nodes, its product and activation(x, bias, kind), which adds the bias
+and applies leaky_relu (hidden layers) or the output head's nonlinearity.
 
 backward(loss, wrt=params) prunes the sweep: only nodes on a path to one of
 the requested leaves are marked `wanted`, the closures skip operand gradients

@@ -15,9 +15,11 @@ steps, so its mid-run `g_step*`/`d_step*` checkpoints are hashed too, a
 trains no step (`train-cgan-reloaded`, whose files are the half run's when
 loading and saving keep every byte, cgan's tied Adam moments included),
 and a `rerun` of the sbp run's manifest. On tiny-digits-3 it also trains
-sbp with `--batch-size 256`, whose pooled inputs exceed
-`conditioning.POOL_BUILD_MAX`, so sbp's per-condition product is hashed as
-well as the built one that the default batch size takes, and then repeats
+sbp with `--batch-size 256`, which hashes sbp's per-condition product at a
+second batch size. That run also took the loop under the earlier rule,
+which built pooled inputs of up to 2^15 elements, so its digests are the
+same before and after the rule became "single-pixel images only", and tie
+the loop's bits across that change. It then repeats
 the default sbp run as `train-sbp-warm` over whatever the earlier commands
 left in TMPDIR. On mixture-3x2 a
 `train` of fcgan and an `eval` of its generator share one `--config` file

@@ -259,12 +259,17 @@ def _without_dataset(doc):
     return "mixture-3x2"
 
 
+def _checkpoints_list(doc):
+    doc["checkpoints"] = ["q.ckpt"]
+    return None
+
+
 @pytest.mark.parametrize("doc", [[1, 2], {"command": "train"},
                                  {"command": "train", "resolved": "steps=3"},
                                  _without_steps, _steps_many, _steps_fraction,
                                  _batch_size_true, _lr_true, _variant_wgan,
                                  _loss_mode_wasserstein, _command_fit, _batch_size_zero,
-                                 _without_dataset])
+                                 _without_dataset, _checkpoints_list])
 def test_rerun_bad_manifest_is_data_error(runner, trained_dir, tmp_path, doc):
     key = None
     if callable(doc):  # a change to a manifest that train wrote
@@ -290,6 +295,56 @@ def test_rerun_checks_the_dataset_checksum(runner, trained_dir, tmp_path):
     assert result.exit_code == 3
     assert result.stderr.startswith("data error: ") and "0" * 64 in result.stderr
     assert not (tmp_path / "o" / "g.ckpt").exists()
+
+
+def _sha256(path):
+    import hashlib
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_rerun_and_resume_refuse_a_changed_approximator(runner, tmp_path):
+    q = tmp_path / "q" / "q.ckpt"
+    pretrain = ["pretrain-q", "--dataset", "mixture-3x2", "--steps", "0", "--out", str(q.parent)]
+    run_ok(runner, pretrain)
+    base = ["train", "--variant", "irgan", "--dataset", "mixture-3x2", "--batch-size", "32",
+            "--q-checkpoint", str(q)]
+    run_ok(runner, base + ["--steps", "2", "--out", str(tmp_path / "half")])
+    manifest = tmp_path / "half" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    assert doc["checkpoints"] == {str(q): _sha256(q)}
+    run_ok(runner, pretrain + ["--seed", "6"])  # another Q at the same path
+    assert doc["checkpoints"] != {str(q): _sha256(q)}
+    for args in (["rerun", str(manifest)], base + ["--steps", "4", "--resume", str(manifest.parent)]):
+        result = runner.invoke(main, args + ["--out", str(tmp_path / "o")])
+        assert result.exit_code == 3, result.output
+        assert result.stderr.startswith(f"data error: {q} has SHA-256 {_sha256(q)}")
+        assert not (tmp_path / "o").exists() or list((tmp_path / "o").iterdir()) == []
+    # a manifest that records no checkpoints, as before 0.2.4, reruns and resumes as it did
+    del doc["checkpoints"]
+    manifest.write_text(json.dumps(doc))
+    run_ok(runner, ["rerun", str(manifest), "--out", str(tmp_path / "again")])
+    run_ok(runner, base + ["--steps", "4", "--resume", str(manifest.parent),
+                           "--out", str(tmp_path / "resumed")])
+
+
+def test_rerun_of_eval_and_sample_refuses_a_changed_generator(runner, trained_dir, tmp_path):
+    g = tmp_path / "g.ckpt"
+    g.write_bytes((trained_dir / "g.ckpt").read_bytes())
+    run_ok(runner, ["eval", "--g-checkpoint", str(g), "--g-checkpoint", str(g), "--dataset",
+                    "mixture-3x2", "--samples-per-condition", "30", "--out", str(tmp_path / "e")])
+    run_ok(runner, ["sample", "--g-checkpoint", str(g), "--condition", "0", "--count", "2",
+                    "--out", str(tmp_path / "s")])
+    for run in ("e", "s"):
+        doc = json.loads((tmp_path / run / "manifest.json").read_text())
+        assert doc["checkpoints"] == {str(g): _sha256(g)}, run
+    run_ok(runner, ["train", "--variant", "sbp", "--dataset", "mixture-3x2", *TRAIN_FAST,
+                    "--steps", "1", "--out", str(tmp_path)])  # another G at the same path
+    for run in ("e", "s"):
+        result = runner.invoke(main, ["rerun", str(tmp_path / run / "manifest.json"),
+                                      "--out", str(tmp_path / f"{run}-again")])
+        assert result.exit_code == 3, result.output
+        assert result.stderr.startswith(f"data error: {g} has SHA-256 {_sha256(g)}")
+        assert list((tmp_path / f"{run}-again").iterdir()) == []
 
 
 def test_manifest_records_the_build(trained_dir):
@@ -790,8 +845,11 @@ def test_eval_sigma_grid_flag(runner, trained_dir, tmp_path):
         assert float(line.split(",")[1]) in (0.05, 0.1, 0.2)
 
 
+# the last two counts fail before numpy allocates anything, not as a grid too large to hold
 @pytest.mark.parametrize("grid", ["0.1:1:x", "a:1:3", "0:1:5", "0.1:1:-2", "1:2", "-1:1:5",
-                                  "nan,1", "0.5,0.1"])
+                                  "nan,1", "0.5,0.1",
+                                  pytest.param("0.01:1:" + "9" * 401, id="count-401-digits"),
+                                  pytest.param(f"0.01:1:{2 ** 63}", id="count-2**63")])
 def test_malformed_sigma_grid_is_config_error(runner, trained_dir, tmp_path, grid):
     args = ["eval", "--g-checkpoint", str(trained_dir / "g.ckpt"), "--dataset", "mixture-3x2",
             "--seed", "1", "--samples-per-condition", "60"]
@@ -809,6 +867,25 @@ def test_malformed_sigma_grid_is_config_error(runner, trained_dir, tmp_path, gri
                                   "--out", str(tmp_path / "re")])
     assert result.exit_code == 3, result.output
     assert result.stderr.startswith("data error: ")
+
+
+@pytest.mark.parametrize("source", ["config", "manifest"])
+def test_a_number_too_large_for_a_float_is_a_config_or_data_error(runner, trained_dir, tmp_path,
+                                                                  source):
+    if source == "config":
+        (tmp_path / "run.cfg").write_text("lr = 1" + "0" * 400 + "\n")
+        args = ["train", "--variant", "sbp", "--dataset", "mixture-3x2", "--steps", "1",
+                "--config", str(tmp_path / "run.cfg")]
+    else:
+        doc = json.loads((trained_dir / "manifest.json").read_text())
+        doc["resolved"]["lr"] = 10 ** 400
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        args = ["rerun", str(tmp_path / "manifest.json")]
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "o")])
+    code, kind = {"config": (2, "config"), "manifest": (3, "data")}[source]
+    assert result.exit_code == code, result.output
+    assert result.stderr.startswith(f"{kind} error: ") and "'lr'" in result.stderr
+    assert not (tmp_path / "o" / "g.ckpt").exists()
 
 
 def test_eval_warns_when_sigma_is_on_the_grid_edge(runner, trained_dir, tmp_path):
@@ -1026,7 +1103,8 @@ def test_each_command_records_only_its_own_settings(runner, tmp_path):
 def as_written_by_0_2_1(doc: dict) -> dict:
     """A mixture-3x2 train manifest as cganlab 0.2.1 wrote it: with every command's
     settings at their defaults, lam null and irgan_lam beside it."""
-    old = dict(doc, tool_version="0.2.1")
+    old = {key: value for key, value in doc.items() if key != "checkpoints"}
+    old["tool_version"] = "0.2.1"
     old["resolved"] = {"condition_shift": 0, "q_hidden": "32", "q_steps": 1500,
                        "samples_per_condition": 2000, "sigma_mode": "per_condition",
                        **doc["resolved"], "irgan_lam": 2.0, "lam": None}

@@ -218,18 +218,25 @@ def _rel_err(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
-@pytest.fixture(params=["loop", "default"])
-def pool_build_max(request, monkeypatch):
-    """With "loop", sbp takes its per-condition loop at every size; "default" builds small inputs."""
-    if request.param == "loop":
-        monkeypatch.setattr(conditioning, "POOL_BUILD_MAX", 0)
-    return conditioning.POOL_BUILD_MAX
+# sbp's product at every shape: "loop" and "built" force the per-condition
+# loop or the built pooled input, "default" takes the one its rule picks
+POOL_PRODUCTS = {"loop": "_bilinear_pool_product", "default": None,
+                 "built": "_built_pool_product"}
+
+
+@pytest.fixture(params=list(POOL_PRODUCTS))
+def pool_product(request, monkeypatch):
+    if POOL_PRODUCTS[request.param]:
+        forced = getattr(conditioning, POOL_PRODUCTS[request.param])
+        for name in ("_bilinear_pool_product", "_built_pool_product"):
+            monkeypatch.setattr(conditioning, name, forced)
+    return request.param
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["one_hot", "dense"])
 @pytest.mark.parametrize("shape", FACTORED_SHAPES, ids=lambda s: "x".join(map(str, s)))
 @pytest.mark.parametrize("name", sorted(FACTORED_OPS))
-def test_factored_product_matches_reference(name, shape, dense, pool_build_max, rng):
+def test_factored_product_matches_reference(name, shape, dense, pool_product, rng):
     op, reference, channels = FACTORED_OPS[name]
     h, w, d, m = shape
     b, k = 6, 5
@@ -249,24 +256,24 @@ def test_factored_product_matches_reference(name, shape, dense, pool_build_max, 
         assert _rel_err(g_.grad, w_.grad) < 1e-12
 
 
-def test_pooled_input_is_built_only_when_small(rng, monkeypatch):
+def test_pooled_input_is_built_only_for_single_pixel_images(rng, monkeypatch):
     ran = []
     for product in ("_built_pool_product", "_bilinear_pool_product"):
         def spy(*args, product=product, inner=getattr(conditioning, product)):
             ran.append(product)
             return inner(*args)
         monkeypatch.setattr(conditioning, product, spy)
-    spatial_bilinear_pool(Tensor(rng.normal(size=(256, 1, 1, 2))),
-                          Tensor(np.eye(3)[np.arange(256) % 3]),
-                          weight=Tensor(rng.normal(size=(6, 4))))
-    spatial_bilinear_pool(Tensor(rng.normal(size=(128, 28, 28, 1))),
-                          Tensor(np.eye(10)[np.arange(128) % 10]),
-                          weight=Tensor(rng.normal(size=(7840, 4))))
-    assert ran == ["_built_pool_product", "_bilinear_pool_product"]
+    # D's stacked batches at the mixture, tiny-digits and mnist presets: the
+    # tiny-digits pooled input has only 24,576 elements, but its images are 8x8
+    for b, h, d, m in ((512, 1, 2, 3), (128, 8, 1, 3), (128, 28, 1, 10)):
+        spatial_bilinear_pool(Tensor(rng.normal(size=(b, h, h, d))),
+                              Tensor(np.eye(m)[np.arange(b) % m]),
+                              weight=Tensor(rng.normal(size=(h * h * m * d, 4))))
+    assert ran == ["_built_pool_product", "_bilinear_pool_product", "_bilinear_pool_product"]
 
 
 @pytest.mark.parametrize("name", sorted(FACTORED_OPS))
-def test_factored_product_weight_gradient_only(name, pool_build_max, rng):
+def test_factored_product_weight_gradient_only(name, pool_product, rng):
     op, _, channels = FACTORED_OPS[name]
     x = Tensor(rng.normal(size=(4, 3, 2, 2)))
     c = Tensor(_conditions(rng, 4, 4, dense=False))

@@ -5,13 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cganlab import data
 from cganlab.data import (CIFAR10_LABELS, CIFAR_RECORD_LEN, DIGITS_IDX_NAMES,
                           TINY_DIGITS3_SHA256, LabeledDataset, MixtureComponent, MixtureSpec,
                           MixtureOracle, _glyph_chunk, _glyph_points, adaptive_avg_pool,
                           idx_image_bytes, idx_label_bytes, load_cifar10_binary, load_idx,
                           mixture_3x2_spec, parse_idx_image_header, parse_idx_label_header,
                           pixels_to_bytes, render_digits, scale_pixels, split, synth_mixture,
-                          tiny_digits3, write_digits_idx)
+                          tiny_digits3, tiny_mnist3, write_digits_idx)
 from cganlab.errors import DataError, ParseError
 from cganlab.rng import RngStream
 from conftest import FullDisk, assert_same_digits, render_digit
@@ -464,6 +465,28 @@ def test_tiny_digits_load_builds_no_full_size_subset(tmp_path, pinned_files, dig
         tracemalloc.stop()
     assert_same_digits([info[k] for k in ("train", "valid", "test")], digits_data)
     assert peak < 20e6, peak
+
+
+def test_tiny_mnist_pools_only_the_rows_it_keeps(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    images = rng.integers(0, 256, (6000, 28, 28), dtype=np.uint8)
+    labels = (np.arange(6000) % 5).astype(np.uint8)  # 1200 of each of 0..2
+    (tmp_path / "train-images-idx3-ubyte").write_bytes(idx_image_bytes(images))
+    (tmp_path / "train-labels-idx1-ubyte").write_bytes(idx_label_bytes(labels))
+    # every image pooled, then the rows taken: pooling the 8x8 pools again
+    # keeps their bits, as each of its 1x1 blocks averages one value
+    full = load_idx(tmp_path / "train-images-idx3-ubyte", tmp_path / "train-labels-idx1-ubyte")
+    want = data._three_class_8x8(
+        LabeledDataset(adaptive_avg_pool(full.images, 8), full.labels, full.meta), 11,
+        "tiny-mnist-3")
+    pooled, pool = [], data.adaptive_avg_pool
+    monkeypatch.setattr(data, "adaptive_avg_pool",
+                        lambda images, out_hw: pooled.append(len(images)) or pool(images, out_hw))
+    got = tiny_mnist3(tmp_path, 11)
+    assert sum(pooled) == 2100
+    for g, w in zip(got, want, strict=True):
+        assert g.images.tobytes() == w.images.tobytes()
+        assert g.labels.tobytes() == w.labels.tobytes() and g.meta == w.meta
 
 
 def test_tiny_digits_cache_is_kept_per_seed(tmp_path, pinned_files, digits_data):
