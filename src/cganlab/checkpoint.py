@@ -71,8 +71,12 @@ def write_container(path, meta: dict, arrays: dict):
             f.write(np.ascontiguousarray(arrays[n], dtype="<f8").data)
 
 
-def read_container(path):
-    """Read back (meta, arrays); malformed input raises ParseError."""
+def read_container(path, sha256=None):
+    """Read back (meta, arrays); malformed input raises ParseError.
+
+    A hashlib sha256 object, when given, is fed every byte read, so once the
+    container loads its digest is that of the bytes loaded.
+    """
     p = Path(path)
     if not p.is_file():
         raise ParseError(f"container file not found: {p}")
@@ -95,6 +99,9 @@ def read_container(path):
         payload = np.empty((size - 20 - hlen) // 8, dtype="<f8")
         if f.readinto(payload.view(np.uint8)) != payload.nbytes:
             raise ParseError(f"container {p} changed size while being read", offset=20 + hlen)
+    if sha256 is not None:
+        for part in (raw, blob, payload.view(np.uint8)):
+            sha256.update(part)
     payload = payload.astype(np.float64, copy=False)
     try:
         header = json.loads(blob.decode("utf-8"))
@@ -160,13 +167,13 @@ def save_model(path, params: ModelParams, extra: dict | None = None):
     write_container(path, meta, params.named_arrays())
 
 
-def load_model(path):
+def load_model(path, sha256=None):
     """Rebuild a ModelParams (with optimizer state) from a checkpoint.
 
     Any header, array or Adam step that does not fit the network the header
-    builds raises ParseError.
+    builds raises ParseError. sha256 is passed to read_container.
     """
-    meta, arrays = read_container(path)
+    meta, arrays = read_container(path, sha256)
     if meta.get("kind") != "model":
         raise ParseError(f"container {path} holds {meta.get('kind')!r}, not a model")
     hidden, model, hyper, steps = _model_header(meta, path)

@@ -163,6 +163,13 @@ def parse_widths(text) -> list:
         raise ConfigError(f"bad width list {text!r}; expected e.g. '128,128'") from None
 
 
+# The most bandwidths a 'lo:hi:count' grid may ask for. A list's size is
+# bounded by its text, a count's is not; the default grid has 20, and each
+# bandwidth costs a pass of every validation point over every sample, so a
+# million is past any useful sweep while its grid takes only 8 MB to build.
+MAX_SIGMA_COUNT = 10 ** 6
+
+
 def parse_sigma_grid(text):
     """'lo:hi:count' (log-spaced) or 'a,b,c' as an array; ConfigError when malformed."""
     if text is None:
@@ -173,11 +180,11 @@ def parse_sigma_grid(text):
             return np.array([float(v) for v in text.split(",")])
         lo, hi, n = text.split(":")
         count = int(n)
-        if count > np.iinfo(np.intp).max // 8:  # numpy misreads, not refuses, such counts
-            raise ValueError("the count is too large")
+        if count > MAX_SIGMA_COUNT:  # refused before numpy allocates the grid
+            raise ValueError(f"a count above {MAX_SIGMA_COUNT} bandwidths")
         with np.errstate(invalid="raise"):
             return default_sigma_grid(count, float(lo), float(hi))
-    except (ValueError, FloatingPointError, OverflowError) as e:  # a count or bounds refused
+    except (ValueError, FloatingPointError) as e:  # a count or bounds refused
         raise ConfigError(f"bad sigma grid {text!r} ({e}); expected 'lo:hi:count' "
                           f"or 'a,b,c'") from None
 
@@ -453,26 +460,18 @@ def _train_config(res: dict) -> TrainConfig:
         d_hidden=parse_widths(res["d_hidden"]), checkpoint_every=res["checkpoint_every"])
 
 
-def file_sha256(path) -> str:
-    """SHA-256 of the file at path, read in 64 KiB blocks."""
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for block in iter(lambda: f.read(1 << 16), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
 def load_fitting_model(path, role: str, info=None, records=()) -> tuple:
     """load_model of a checkpoint that a flag names as a `role` for the dataset `info`,
-    and the file's SHA-256: (params, meta, digest).
+    and the SHA-256 of the bytes loaded: (params, meta, digest).
 
     DataError, naming the file, when one of records (manifests' `checkpoints`,
     None where a manifest has none) holds no digest or another for it.
     ConfigError when it holds another role, or (with info) a network for
     another image shape or condition width than the dataset's.
     """
-    params, meta = load_model(path)
-    digest = file_sha256(path)
+    h = hashlib.sha256()
+    params, meta = load_model(path, h)
+    digest = h.hexdigest()
     for record in records:
         if record is not None and record.get(str(path)) != digest:
             raise DataError(f"{path} has SHA-256 {digest}, but the manifest of the run that "

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 from cganlab import cli, data
 from cganlab.checkpoint import MAX_NAME_BYTES, load_model, read_container, write_container
-from cganlab.cli import main
+from cganlab.cli import MAX_SIGMA_COUNT, main, parse_sigma_grid
 from cganlab.data import CIFAR10_LABELS, render_digits, write_digits_idx
 from conftest import FullDisk, assert_same_digits
 from fuzzing import cifar10_record_bytes
@@ -345,6 +345,27 @@ def test_rerun_of_eval_and_sample_refuses_a_changed_generator(runner, trained_di
         assert result.exit_code == 3, result.output
         assert result.stderr.startswith(f"data error: {g} has SHA-256 {_sha256(g)}")
         assert list((tmp_path / f"{run}-again").iterdir()) == []
+
+
+def test_a_checkpoints_digest_is_that_of_the_bytes_loaded(trained_dir, tmp_path, monkeypatch):
+    """A G replaced at its path while it loads, as by another run's atomic
+    write, is recorded with the digest of the G the run loaded."""
+    from cganlab import checkpoint
+    g, other = tmp_path / "g.ckpt", tmp_path / "other.ckpt"
+    g.write_bytes((trained_dir / "g.ckpt").read_bytes())
+    meta, arrays = read_container(g)
+    write_container(other, meta, {name: a + 1.0 for name, a in arrays.items()})
+    loaded = _sha256(g)
+
+    def open_then_replace(path, mode):
+        f = open(path, mode)
+        os.replace(other, g)
+        return f
+
+    monkeypatch.setattr(checkpoint, "open", open_then_replace, raising=False)
+    params, _, digest = cli.load_fitting_model(g, "generator")
+    assert digest == loaded != _sha256(g)
+    assert all(np.array_equal(a, arrays[name]) for name, a in params.named_arrays().items())
 
 
 def test_manifest_records_the_build(trained_dir):
@@ -845,11 +866,13 @@ def test_eval_sigma_grid_flag(runner, trained_dir, tmp_path):
         assert float(line.split(",")[1]) in (0.05, 0.1, 0.2)
 
 
-# the last two counts fail before numpy allocates anything, not as a grid too large to hold
+# the last four counts are refused before numpy allocates anything
 @pytest.mark.parametrize("grid", ["0.1:1:x", "a:1:3", "0:1:5", "0.1:1:-2", "1:2", "-1:1:5",
                                   "nan,1", "0.5,0.1",
                                   pytest.param("0.01:1:" + "9" * 401, id="count-401-digits"),
-                                  pytest.param(f"0.01:1:{2 ** 63}", id="count-2**63")])
+                                  pytest.param(f"0.01:1:{2 ** 63}", id="count-2**63"),
+                                  pytest.param(f"0.01:1:{10 ** 15}", id="count-10**15"),
+                                  pytest.param(f"0.01:1:{10 ** 6 + 1}", id="count-10**6+1")])
 def test_malformed_sigma_grid_is_config_error(runner, trained_dir, tmp_path, grid):
     args = ["eval", "--g-checkpoint", str(trained_dir / "g.ckpt"), "--dataset", "mixture-3x2",
             "--seed", "1", "--samples-per-condition", "60"]
@@ -867,6 +890,12 @@ def test_malformed_sigma_grid_is_config_error(runner, trained_dir, tmp_path, gri
                                   "--out", str(tmp_path / "re")])
     assert result.exit_code == 3, result.output
     assert result.stderr.startswith("data error: ")
+
+
+def test_sigma_grid_count_may_reach_its_bound():
+    # one more is refused (test_malformed_sigma_grid_is_config_error)
+    assert MAX_SIGMA_COUNT == 10 ** 6
+    assert parse_sigma_grid(f"0.01:1:{MAX_SIGMA_COUNT}").size == MAX_SIGMA_COUNT
 
 
 @pytest.mark.parametrize("source", ["config", "manifest"])
