@@ -215,12 +215,18 @@ class ModelParams:
         if sorted(steps) != sorted(shapes):
             raise ContractError(f"Adam steps name {sorted(steps)}, but the network's "
                                 f"parameters are {sorted(shapes)}")
+        leaves = {}
         for name, shape in want.items():
             a = arrays[name]
             if a.shape != shape:
                 raise ContractError(f"array {name!r} has shape {a.shape}, the network needs "
                                     f"{shape}")
-            if not np.isfinite(a).all():
+            if name in shapes:
+                try:
+                    leaves[name] = Tensor(a)  # the parameter's one finiteness check
+                except ContractError:
+                    raise ContractError(f"array {name!r} holds a non-finite value") from None
+            elif not np.isfinite(a).all():
                 raise ContractError(f"array {name!r} holds a non-finite value")
             if name.startswith("adam.v:") and (a < 0.0).any():
                 raise ContractError(f"array {name!r} holds a negative second moment")
@@ -230,8 +236,8 @@ class ModelParams:
             if name in tied:  # views, once every pixel's copy is found the same bytes
                 m, v = (TiedRows.compress(a, *tied[name][:2]) for a in (m, v))
             adam[name] = AdamState(steps[name], m, v)
-        self.weights = [Tensor(arrays[f"l{i}.w"]) for i in range(len(self.layers))]
-        self.biases = [Tensor(arrays[f"l{i}.b"]) for i in range(len(self.layers))]
+        self.weights = [leaves[f"l{i}.w"] for i in range(len(self.layers))]
+        self.biases = [leaves[f"l{i}.b"] for i in range(len(self.layers))]
         self.adam = adam
 
 

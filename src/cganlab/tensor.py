@@ -25,6 +25,14 @@ blocks of rows share their gradient: spatial replicate-concat's weight gets a
 TiedRows, which stores those rows once. adam_step takes it with moments of
 the same form and gives the weight the bits the full gradient would.
 
+adam_step updates a parameter of more than ADAM_WHOLE_MAX elements in
+place, one block of leading-axis rows at a time through reused scratch, and
+splits a parameter of at least two blocks per worker into one row range per
+CPU of the process's affinity. The other ranges run on a thread pool that
+starts on first use; numpy's ufunc loops release the GIL, so the ranges run
+at once. Every element sees the whole-array expressions' operations in
+their order, so the bits do not depend on the blocks, ranges or CPUs.
+
 Inside `with no_grad():` nodes record no parents and no closure, so each
 intermediate array is freed as soon as nothing else holds it. The forward
 arithmetic is unchanged, so the values are the same bits as with a graph.
@@ -37,6 +45,8 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import os
+import threading
 from dataclasses import dataclass
 from numbers import Real
 
@@ -474,8 +484,32 @@ def softmax_cross_entropy(logits, target) -> Tensor:
 # ----------------------------------------------------------------------
 # Adam
 
-# elements per Adam update block: a block's slices and temporaries fit in L2
-ADAM_BLOCK = 8192
+# largest parameter, in elements, that Adam updates as one array with fresh
+# moments (see adam_step)
+ADAM_WHOLE_MAX = 8192
+
+# elements per Adam update block: a block's slices and scratch fit in L2, and
+# its ufunc loops, which run without the GIL, outlast the Python between them
+ADAM_BLOCK = 32768
+
+# threads a large parameter's update is split over: one per CPU this process
+# may run on, worked out from its affinity, not a setting
+ADAM_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
+    os.cpu_count() or 1)
+
+# the threads beside the caller's that run the other workers' row ranges;
+# started on first use, and dropped in a child made by os.fork, which would
+# otherwise wait forever on threads that it does not have
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool():
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 @dataclass(frozen=True)
@@ -523,21 +557,28 @@ def adam_step(param, grad, state: AdamState, hyper: AdamHyper):
     theta -= lr * m_hat / (sqrt(v_hat) + eps) with m_hat, v_hat the
     bias-corrected first and second moments.
 
-    A parameter larger than ADAM_BLOCK elements is updated in blocks of whole
-    leading-axis rows, with m and v written in place, so the temporaries stay
-    in cache instead of costing several full-size arrays. Every element gets
-    exactly the value of the whole-array expressions. A parameter that fits
-    in one block gains nothing from blocking and keeps the whole-array update
-    with fresh m and v arrays: updating those in place left a small-array
-    training step with no allocation that outlives it, and glibc then trimmed
-    and re-faulted the heap top every step.
+    A parameter larger than ADAM_WHOLE_MAX elements is updated in blocks of
+    whole leading-axis rows, of at most ADAM_BLOCK elements each. m and v are
+    written in place, and every temporary goes into two float scratch blocks
+    and one bool block reused from block to block, so no full-size array is
+    allocated. With at least two blocks per worker, the rows are cut into one
+    contiguous range of whole blocks per worker (ADAM_WORKERS, one per CPU
+    this process may run on), and the ranges run at once on a thread pool
+    that starts on first use; with one CPU no thread starts. A non-finite
+    result in any range raises ContractError here. Every element gets exactly
+    the value of the whole-array expressions, however the rows are cut.
+
+    A parameter of at most ADAM_WHOLE_MAX elements keeps the whole-array
+    update with fresh m and v arrays: updating those in place left a
+    small-array training step with no allocation that outlives it, and glibc
+    then trimmed and re-faulted the heap top every step.
 
     A TiedRows gradient needs TiedRows moments of the same layout. Its free
     rows are updated as above, through their strided view of the parameter;
     its tied rows' moments and update are computed once, and the update is
-    subtracted from every block's copy. Each element sees the same operations
-    as with the full gradient and full moments, so the parameter gets the
-    same bits.
+    subtracted from every block's copy, over the same row ranges. Each
+    element sees the same operations as with the full gradient and full
+    moments, so the parameter gets the same bits.
     """
     data = param.data if isinstance(param, Tensor) else param
     tied = isinstance(grad, TiedRows)
@@ -564,8 +605,7 @@ def adam_step(param, grad, state: AdamState, hyper: AdamHyper):
     m.free, v.free = _adam_rows(w3[:, :d], grad.free, m.free, v.free, hyper, c1, c2)
     m.tied, v.tied = _moments(grad.tied, m.tied, v.tied, hyper)
     copies = w3[:, d:]
-    copies -= _adam_delta(m.tied, v.tied, hyper, c1, c2)
-    _check_finite(copies)
+    _split(_subtract_span, copies, copies, _adam_delta(m.tied, v.tied, hyper, c1, c2))
     return param, state
 
 
@@ -579,33 +619,99 @@ def _adam_delta(m, v, h: AdamHyper, c1, c2):
     return h.lr * (m / c1) / (np.sqrt(v / c2) + h.epsilon)
 
 
-def _check_finite(data):
-    if not np.isfinite(data).all():
+def _check_finite(data, ok=None):
+    """ContractError unless data is finite; ok, when given, is a bool array of data's shape."""
+    if not np.isfinite(data, out=ok).all():
         raise ContractError("adam update produced non-finite parameters")
 
 
 def _adam_rows(data, g, m, v, h: AdamHyper, c1, c2):
     """Update data in place from gradient g and moments m, v; returns the new m and v.
 
-    Whole-array with fresh moments up to ADAM_BLOCK elements, else in blocks
+    Whole-array with fresh moments up to ADAM_WHOLE_MAX elements, else in blocks
     of leading-axis rows with the moments written in place (see adam_step).
     """
-    if data.size <= ADAM_BLOCK:
+    if data.size <= ADAM_WHOLE_MAX:
         m, v = _moments(g, m, v, h)
         data -= _adam_delta(m, v, h, c1, c2)
         _check_finite(data)
         return m, v
+    _split(_adam_span, data, data, g, m, v, h, c1, c2)
+    return m, v
+
+
+def _adam_span(rows, lo, hi, data, g, m, v, h: AdamHyper, c1, c2):
+    """_adam_rows's update of rows lo..hi-1, `rows` of them at a time.
+
+    Each block runs the whole-array expressions' operations in their order,
+    through two float scratch blocks and one bool block reused with out=.
+    """
+    shape = (min(rows, hi - lo),) + data.shape[1:]
+    a, b, ok = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
     b1, b2 = h.beta1, h.beta2
+    for r in range(lo, hi, rows):
+        s = slice(r, min(r + rows, hi))
+        gs, ms, vs, ds = g[s], m[s], v[s], data[s]
+        n = ds.shape[0]
+        ta, tb = a[:n], b[:n]
+        # m = beta1 * m + (1 - beta1) * g, and v = beta2 * v + (1 - beta2) * g * g
+        ms *= b1
+        ms += np.multiply(1.0 - b1, gs, out=ta)
+        vs *= b2
+        np.multiply(1.0 - b2, gs, out=tb)
+        vs += np.multiply(tb, gs, out=tb)
+        # data -= lr * (m / c1) / (sqrt(v / c2) + eps)
+        np.multiply(h.lr, np.divide(ms, c1, out=ta), out=ta)
+        np.sqrt(np.divide(vs, c2, out=tb), out=tb)
+        tb += h.epsilon
+        ds -= np.divide(ta, tb, out=ta)
+        _check_finite(ds, ok[:n])
+
+
+def _subtract_span(rows, lo, hi, copies, delta):
+    """Subtract delta from copies[lo:hi], `rows` of them at a time, checking each block."""
+    ok = np.empty((min(rows, hi - lo),) + copies.shape[1:], dtype=bool)
+    for r in range(lo, hi, rows):
+        cs = copies[r:min(r + rows, hi)]
+        cs -= delta
+        _check_finite(cs, ok[:cs.shape[0]])
+
+
+def _split(span, data, *args):
+    """Run span(rows, lo, hi, *args) over every leading-axis row of data.
+
+    rows is the number of data's rows in ADAM_BLOCK elements. A parameter of
+    at least two blocks per worker is cut into one contiguous range of whole
+    blocks per worker, up to ADAM_WORKERS of them: the caller runs the first
+    and the pool the rest. numpy releases the GIL inside each ufunc loop, so
+    the ranges run at once. A ContractError in any range is raised here, once
+    every range has ended.
+    """
     n = data.shape[0]
     rows = max(1, ADAM_BLOCK * n // data.size)
-    for r in range(0, n, rows):
-        s = slice(r, r + rows)
-        gs, ms, vs, ds = g[s], m[s], v[s], data[s]
-        # m = beta1 * m + (1 - beta1) * g, and v likewise, in place
-        ms *= b1
-        ms += (1.0 - b1) * gs
-        vs *= b2
-        vs += (1.0 - b2) * gs * gs
-        ds -= _adam_delta(ms, vs, h, c1, c2)
-        _check_finite(ds)
-    return m, v
+    blocks = -(-n // rows)
+    workers = min(ADAM_WORKERS, blocks // 2)
+    if workers < 2:
+        span(rows, 0, n, *args)
+        return
+    cuts = [rows * (blocks * i // workers) for i in range(workers)] + [n]
+    pool = _executor()
+    futures = [pool.submit(span, rows, lo, hi, *args) for lo, hi in zip(cuts[1:], cuts[2:])]
+    try:
+        span(rows, cuts[0], cuts[1], *args)
+    finally:
+        for f in futures:
+            f.exception()  # waits for the range to end
+    for f in futures:
+        f.result()
+
+
+def _executor():
+    """The thread pool, made on first use; concurrent.futures is imported only then."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(max(1, ADAM_WORKERS - 1), "cganlab-adam")
+        return _pool

@@ -21,7 +21,9 @@ which built pooled inputs of up to 2^15 elements, so its digests are the
 same before and after the rule became "single-pixel images only", and tie
 the loop's bits across that change. It then repeats
 the default sbp run as `train-sbp-warm` over whatever the earlier commands
-left in TMPDIR. On mixture-3x2 a
+left in TMPDIR, and trains sbp and cgan for WIDE_STEPS steps with
+`--d-hidden` WIDE_D_HIDDEN, whose first D weight is wide enough that Adam
+splits its update over two or more CPUs (see WIDE_D_HIDDEN). On mixture-3x2 a
 `train` of fcgan and an `eval` of its generator share one `--config` file
 (SHARED_CONFIG), which holds a train key, a pretrain-q key and an eval key,
 so a config file shared across commands is hashed too.
@@ -47,6 +49,10 @@ VARIANTS = ("cgan", "fcgan", "sbp", "irgan")
 TRAIN_STEPS = {"mixture-3x2": 300, "tiny-digits-3": 150}
 # batch sizes at which sbp is trained once more, beside the dataset's default
 SBP_BATCH_SIZES = {"tiny-digits-3": 256}
+# tiny-digits-3 runs whose D layer 0 has 2048 units: sbp's 192 x 2048 weight
+# is 12 blocks of tensor.ADAM_BLOCK and cgan's free rows, 64 x 2048, are 4,
+# so with two or more CPUs both take Adam's split update
+WIDE_D_HIDDEN, WIDE_STEPS = "2048", 40
 # one file for a train and an eval on mixture-3x2: d_steps is train's,
 # q_steps pretrain-q's and sigma_mode eval's
 SHARED_CONFIG = "d_steps = 2\nq_steps = 7\nsigma_mode = global\n"
@@ -80,6 +86,10 @@ def commands(dataset: str, steps: int):
                                           "--seed", "7", "--batch-size", bs]))
     if dataset == "tiny-digits-3":
         runs.append(("train-sbp-warm", dict(runs)["train-sbp"]))
+        for v in ("sbp", "cgan"):
+            runs.append((f"train-{v}-wide", ["train", "--variant", v, *ds, "--steps",
+                                             str(WIDE_STEPS), "--seed", "7", "--d-hidden",
+                                             WIDE_D_HIDDEN]))
     else:
         shared = ["--config", "{config}"]
         runs.append(("train-shared", ["train", "--variant", "fcgan", *ds, "--steps", str(steps),

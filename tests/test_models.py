@@ -194,6 +194,17 @@ def test_adopt_of_tied_moments_checks_and_compresses(rng):
         d.adopt(snap, d.steps())
 
 
+
+@pytest.mark.parametrize("name", ["l0.w", "l1.b", "adam.m:l0.w", "adam.v:l1.b"])
+def test_adopt_names_a_non_finite_array_and_takes_nothing(name):
+    g = make_g()
+    before = (g.named(), g.adam)
+    snap = g.snapshot()
+    snap[name].flat[-1] = np.inf
+    with pytest.raises(ContractError, match=f"array '{name}' holds a non-finite value"):
+        g.adopt(snap, g.steps())
+    assert g.named() == before[0] and g.adam is before[1]
+
 def _leaves(root):
     out, seen, stack = [], set(), [root]
     while stack:

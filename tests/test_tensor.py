@@ -1,11 +1,18 @@
+import os
+import signal
+import sys
+import threading
+import time
+
 import mpmath
 import numpy as np
 import pytest
 
+from cganlab import tensor
 from cganlab.conditioning import vector_concat
 from cganlab.errors import ConfigError, ContractError, DimensionError
-from cganlab.tensor import (_SIG_HI, _SIG_LO, ADAM_BLOCK, LOG_FLOOR, AdamHyper, AdamState, Tensor,
-                            TiedRows, _accum, activation, adam_step, backward, is_one_hot, log,
+from cganlab.tensor import (_SIG_HI, _SIG_LO, ADAM_BLOCK, ADAM_WHOLE_MAX, LOG_FLOOR, AdamHyper,
+                            AdamState, Tensor, TiedRows, _accum, activation, adam_step, backward, is_one_hot, log,
                             matmul, no_grad, one_hot, rows, softmax, softmax_cross_entropy)
 from conftest import assert_grads_match, projection, reference_leaky_relu
 
@@ -459,21 +466,150 @@ def reference_adam(data, grad, m, v, step, h):
     return data - h.lr * m_hat / (np.sqrt(v_hat) + h.epsilon), m, v
 
 
-@pytest.mark.parametrize("shape", [(2 * ADAM_BLOCK + 5,), (3000, 7), (900, 5, 4), (5, 64), ()])
-def test_adam_blocks_match_whole_array_formula(shape, rng):
-    p = Tensor(rng.normal(size=shape))
-    st, hyper = AdamState.fresh(shape), AdamHyper(lr=0.01, beta1=0.8, beta2=0.99)
-    m_array, v_array = st.m, st.v
-    for step in range(1, 4):
-        grad = rng.normal(size=shape)
-        want, want_m, want_v = reference_adam(p.data.copy(), grad, st.m.copy(), st.v.copy(),
-                                              step, hyper)
-        adam_step(p, grad, st, hyper)
-        assert p.data.tobytes() == want.tobytes()
-        assert st.m.tobytes() == want_m.tobytes() and st.v.tobytes() == want_v.tobytes()
-    if p.size > ADAM_BLOCK:  # several blocks: updated in place
-        assert st.m is m_array and st.v is v_array
-    assert st.step == 3
+# shapes whose update takes several row ranges with two workers
+SPLIT_SHAPES = [(300, 512), (1001, 197), (257, 16, 33)]
+
+
+def record_spans(monkeypatch) -> list:
+    """Make the Adam span functions record (name, lo, hi) of each row range they run."""
+    calls = []
+    for name in ("_adam_span", "_subtract_span"):
+        def recorded(rows, lo, hi, *args, span=getattr(tensor, name), name=name):
+            calls.append((name, lo, hi))
+            span(rows, lo, hi, *args)
+
+        monkeypatch.setattr(tensor, name, recorded)
+    return calls
+
+
+def assert_ranges_tile(calls, name, n, count):
+    """The ranges `name` ran are `count` contiguous ones covering rows 0..n-1."""
+    ranges = sorted((lo, hi) for fn, lo, hi in calls if fn == name)
+    assert len(ranges) == count
+    assert ranges[0][0] == 0 and ranges[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+
+
+@pytest.mark.parametrize("shape", [(2 * ADAM_BLOCK + 5,), (3000, 7), (900, 5, 4), (5, 64), (),
+                                   *SPLIT_SHAPES])
+def test_adam_blocks_match_whole_array_formula(shape, rng, monkeypatch):
+    calls = record_spans(monkeypatch)
+    for workers in (1, 2):
+        monkeypatch.setattr(tensor, "ADAM_WORKERS", workers)
+        p = Tensor(rng.normal(size=shape))
+        st, hyper = AdamState.fresh(shape), AdamHyper(lr=0.01, beta1=0.8, beta2=0.99)
+        m_array, v_array = st.m, st.v
+        for step in range(1, 4):
+            grad = rng.normal(size=shape)
+            want, want_m, want_v = reference_adam(p.data.copy(), grad, st.m.copy(),
+                                                  st.v.copy(), step, hyper)
+            calls.clear()
+            adam_step(p, grad, st, hyper)
+            assert p.data.tobytes() == want.tobytes()
+            assert st.m.tobytes() == want_m.tobytes() and st.v.tobytes() == want_v.tobytes()
+        if p.size > ADAM_WHOLE_MAX:  # updated in place
+            assert st.m is m_array and st.v is v_array
+            spans = workers if shape in SPLIT_SHAPES else 1
+            assert_ranges_tile(calls, "_adam_span", shape[0], spans)
+        else:
+            assert not calls
+        assert st.step == 3
+
+
+def test_adam_tied_rows_split_match_whole_array_formula(rng, monkeypatch):
+    # 200 blocks of 3 free and 2 tied rows of 256: the free rows are 5 blocks
+    # of ADAM_BLOCK elements and the tied rows' copies 4
+    calls = record_spans(monkeypatch)
+    blocks, d, t, k = 200, 3, 2, 256
+    hyper = AdamHyper(lr=0.01, beta1=0.8, beta2=0.99)
+    for workers in (1, 2):
+        monkeypatch.setattr(tensor, "ADAM_WORKERS", workers)
+        p = Tensor(rng.normal(size=(blocks * (d + t), k)))
+        w3 = p.data.reshape(blocks, d + t, k)
+        w3[:, d:] = w3[0, d:]
+        st = AdamState.fresh(p.shape, (blocks, d, t))
+        want_m, want_v = np.zeros(p.shape), np.zeros(p.shape)
+        for step in range(1, 4):
+            grad = TiedRows(rng.normal(size=(blocks, d, k)), rng.normal(size=(t, k)))
+            want, want_m, want_v = reference_adam(p.data.copy(), grad.full(), want_m, want_v,
+                                                  step, hyper)
+            calls.clear()
+            adam_step(p, grad, st, hyper)
+            assert p.data.tobytes() == want.tobytes()
+            assert st.m.full().tobytes() == want_m.tobytes()
+            assert st.v.full().tobytes() == want_v.tobytes()
+        assert_ranges_tile(calls, "_adam_span", blocks, workers)
+        assert_ranges_tile(calls, "_subtract_span", blocks, workers)
+
+
+def test_adam_split_over_more_workers_than_cpus_keeps_the_bits(rng, monkeypatch):
+    # 1000 x 300 is 10 blocks, so 4 workers each take a range; a short switch
+    # interval makes the threads interleave as often as they can
+    monkeypatch.setattr(tensor, "ADAM_WORKERS", 4)
+    monkeypatch.setattr(tensor, "_pool", None)  # a pool of 3 threads
+    calls = record_spans(monkeypatch)
+    shape, hyper = (1000, 300), AdamHyper(lr=0.01, beta1=0.8, beta2=0.99)
+    p, st = Tensor(rng.normal(size=shape)), AdamState.fresh(shape)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for step in range(1, 4):
+            grad = rng.normal(size=shape)
+            want, want_m, want_v = reference_adam(p.data.copy(), grad, st.m.copy(),
+                                                  st.v.copy(), step, hyper)
+            calls.clear()
+            adam_step(p, grad, st, hyper)
+            assert p.data.tobytes() == want.tobytes()
+            assert st.m.tobytes() == want_m.tobytes() and st.v.tobytes() == want_v.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+        if tensor._pool is not None:
+            tensor._pool.shutdown()
+    assert_ranges_tile(calls, "_adam_span", shape[0], 4)
+
+
+def test_adam_with_one_worker_starts_no_thread(rng, monkeypatch):
+    monkeypatch.setattr(tensor, "ADAM_WORKERS", 1)
+    monkeypatch.setattr(tensor, "_pool", None)
+    threads = threading.enumerate()
+    p = Tensor(rng.normal(size=SPLIT_SHAPES[0]))
+    adam_step(p, rng.normal(size=p.shape), AdamState.fresh(p.shape), AdamHyper())
+    assert tensor._pool is None and threading.enumerate() == threads
+
+
+@pytest.mark.parametrize("row", [0, -1])  # in the caller's range and in the pool's
+def test_adam_non_finite_update_in_any_range_is_a_contract_error(row, rng, monkeypatch):
+    monkeypatch.setattr(tensor, "ADAM_WORKERS", 2)
+    p = Tensor(rng.normal(size=SPLIT_SHAPES[0]))
+    grad = rng.normal(size=p.shape)
+    grad[row, 3] = np.nan
+    with pytest.raises(ContractError, match="non-finite"):
+        adam_step(p, grad, AdamState.fresh(p.shape), AdamHyper())
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_adam_split_update_runs_in_a_forked_child(rng, monkeypatch):
+    monkeypatch.setattr(tensor, "ADAM_WORKERS", 2)
+    p = Tensor(rng.normal(size=SPLIT_SHAPES[0]))
+    st, grad = AdamState.fresh(p.shape), rng.normal(size=p.shape)
+    adam_step(p, grad, st, AdamHyper())  # the pool now has a thread, which a child lacks
+    assert tensor._pool is not None
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            adam_step(p, grad, st, AdamHyper())
+            code = 0
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("a forked child's split Adam update did not end within 30 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_adam_refuses_a_gradient_of_another_form(rng):
@@ -496,13 +632,13 @@ def test_adam_on_checkpoint_loaded_model_matches_formula(tmp_path, rng):
     from cganlab.models import NetworkSpec, build_generator
     from cganlab.rng import RngStream
 
-    # l0.w is 7 x 1200, more than one block; l1.w is 1200 x 4
+    # l0.w is 7 x 1200, updated in place; l1.w is 1200 x 4
     g = build_generator((2, 2, 1), 3, 4, NetworkSpec([1200]), RngStream(2, ("g",)))
     for name, t in g.named().items():
         adam_step(t, rng.normal(size=t.shape), g.adam[name], g.hyper)
     save_model(tmp_path / "g.ckpt", g)
     loaded, _ = load_model(tmp_path / "g.ckpt")
-    assert loaded.weights[0].size > ADAM_BLOCK
+    assert loaded.weights[0].size > ADAM_WHOLE_MAX
     for name, t in loaded.named().items():
         st = loaded.adam[name]
         grad = rng.normal(size=t.shape)
