@@ -16,6 +16,17 @@ Samples are gathered in blocks of bounded size, so memory is bounded by the
 distance matrix itself, never by a (queries, samples, dimension) difference
 tensor.
 
+Every bandwidth is scored by one kernel, _grid_lls, which sweeps the sorted
+distances in blocks of query rows, each block through every grid sigma in
+one reused buffer, in the formula's order of operations. Along a sorted row
+k - m ascends, so the leading columns where every row of a block is below
+UNDERFLOW, whose exp is exactly +0.0, are written as 0.0 without calling
+exp; the sum still runs over the whole row. The distance blocks, the row
+sorts and the sweep's row blocks are split over the CPUs with
+tensor.split_rows. Each piece of work sees the same operands whichever
+thread runs it, so every LL has the bits of the whole-matrix formula,
+whatever the blocks, threads or CPUs.
+
 The evaluation protocol mirrors the usual conditional setup: per condition,
 fit the window to generator samples, pick sigma on validation data by grid
 search, report the mean log-likelihood of the test data with its standard
@@ -32,12 +43,23 @@ import numpy as np
 from .errors import ConfigError, ContractError, DataError, DimensionError
 from .models import generator_forward, sample_noise
 from .rng import RngStream
-from .tensor import Tensor, no_grad, one_hot
+from .tensor import Tensor, no_grad, one_hot, split_rows
 
 
 def default_sigma_grid(n=20, lo=0.01, hi=1.0) -> np.ndarray:
     """Log-spaced bandwidths bracketing the [-1, 1] data scale."""
     return np.geomspace(lo, hi, n)
+
+
+def check_sigma_grid(grid, error) -> np.ndarray:
+    """grid as a float64 array; `error` unless it is non-empty, finite, strictly
+    positive and strictly ascending. The one check of every bandwidth scored."""
+    grid = np.asarray(grid, dtype=np.float64)
+    if grid.size == 0 or not np.all((grid > 0) & np.isfinite(grid)):
+        raise error(f"sigma grid must be non-empty, finite and strictly positive, got {grid}")
+    if np.any(np.diff(grid) <= 0):
+        raise error(f"sigma grid must be sorted ascending without duplicates, got {grid}")
+    return grid
 
 
 @dataclass
@@ -47,11 +69,7 @@ class ParzenConfig:
     sigma_mode: str = "per_condition"  # or "global"
 
     def validate(self):
-        grid = np.asarray(self.sigma_grid, dtype=np.float64)
-        if grid.size == 0 or not np.all((grid > 0) & np.isfinite(grid)):
-            raise ConfigError("sigma grid must be non-empty, finite and strictly positive")
-        if np.any(np.diff(grid) <= 0):
-            raise ConfigError("sigma grid must be sorted ascending without duplicates")
+        check_sigma_grid(self.sigma_grid, ConfigError)
         if self.samples_per_condition < 1:
             raise ConfigError("samples_per_condition must be positive")
         if self.sigma_mode not in ("per_condition", "global"):
@@ -71,11 +89,22 @@ class ParzenRow:
     note: str = ""
 
 
-# Bytes of the samples gathered for one GEMM in _sq_dists. On one BLAS
-# thread, 1 MiB read 6.8 ms against 8.1 ms for 256 KiB at 30 queries x 2,000
-# samples x 784 dimensions, and 0.38-0.46 s against 0.58-0.60 s at
-# 600 x 10,000 x 784.
+# Bytes of the samples gathered for one GEMM in _sq_dists, and of the
+# distances in one block of query rows that the sigma sweep and the row sort
+# take at a time. On one BLAS thread, 1 MiB of samples read 6.8 ms against
+# 8.1 ms for 256 KiB at 30 queries x 2,000 samples x 784 dimensions, and
+# 0.38-0.46 s against 0.58-0.60 s at 600 x 10,000 x 784; the sweep at the
+# latter shape read 100 ms with 1 MiB blocks against 118 ms with 256 KiB on
+# two CPUs.
 DIST_BLOCK = 1024 * 1024
+
+# Below this, k - m is left out of exp and taken as 0.0: numpy's exp of any
+# float64 below -745.1332191019412 is exactly +0.0 (-745.1332191019411 is the
+# first to give 5e-324), so a margin of about 5 keeps every bit. The skip
+# leaves out 27-38% of the sweep's exp calls at the default grid; at 600
+# queries x 10,000 samples x 784 dimensions (one BLAS thread, two CPUs) an
+# eval read 0.54 s per condition with it against 0.66 s without.
+UNDERFLOW = -750.0
 
 
 def _canonical_order(samples: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
@@ -108,7 +137,12 @@ def _sq_dists(queries: np.ndarray, samples: np.ndarray) -> np.ndarray:
     C-contiguous blocks of at most DIST_BLOCK bytes (one sample when a single
     row is larger): the same set of samples in any order, or in any array
     layout, gives the same bits. Memory beyond the [t, n] result is one
-    gathered block.
+    gathered block per worker, and one block of sorted rows being reversed.
+
+    The sample blocks, and then the rows' sorts, are cut into contiguous
+    ranges on tensor.split_rows's threads. Each block is the same gather and
+    GEMM call whichever thread makes it, writing its own columns of d2, and
+    each row is sorted on its own, so the bits do not depend on the threads.
     """
     queries = np.ascontiguousarray(queries)
     samples = np.ascontiguousarray(samples)
@@ -117,33 +151,126 @@ def _sq_dists(queries: np.ndarray, samples: np.ndarray) -> np.ndarray:
     q_norms = np.einsum("td,td->t", queries, queries)[:, None]
     s_norms = np.einsum("nd,nd->n", samples, samples)
     order = _canonical_order(samples, s_norms)
-    ns = max(1, min(n, DIST_BLOCK // (8 * max(dim, 1))))
     d2 = np.empty((t, n))
-    for b in range(0, n, ns):
-        at = order[b:b + ns]
+    split_rows(_dist_span, n, max(1, min(n, DIST_BLOCK // (8 * max(dim, 1)))),
+               queries, samples, order, q_norms, s_norms, d2)
+    split_rows(_sort_span, t, _query_rows(n), d2)
+    return d2
+
+
+def _dist_span(ns, lo, hi, queries, samples, order, q_norms, s_norms, d2):
+    """Fill d2's columns lo..hi-1 from the samples at order[lo:hi], ns samples per GEMM."""
+    for b in range(lo, hi, ns):
+        at = order[b:min(b + ns, hi)]
         out = d2[:, b:b + at.size]
         np.matmul(queries, samples[at].T, out=out)
         out *= -2.0
         out += q_norms
         out += s_norms[at]
         np.maximum(out, 0.0, out=out)
-    d2.sort(axis=1)
-    return d2[:, ::-1].copy()
 
 
-def _ll_from_d2(d2: np.ndarray, sigma: float, n: int, dim: int) -> np.ndarray:
-    k = -d2 / (2.0 * sigma * sigma)  # ascending per row, because d2 rows descend
-    m = k[:, -1]
-    body = m + np.log(np.exp(k - m[:, None]).sum(axis=1))
-    return body - math.log(n) - 0.5 * dim * math.log(2.0 * math.pi * sigma * sigma)
+def _sort_span(rows, lo, hi, d2):
+    """Sort d2's rows lo..hi-1 descending, in place, `rows` of them at a time."""
+    for r in range(lo, hi, rows):
+        block = d2[r:min(r + rows, hi)]
+        block.sort(axis=1)
+        block[:] = block[:, ::-1]  # numpy copies an overlapping source first
+
+
+def _query_rows(n: int) -> int:
+    """Query rows of n distances in DIST_BLOCK bytes (one row when a single row is larger)."""
+    return max(1, DIST_BLOCK // (8 * max(n, 1)))
+
+
+def _grid_lls(d2: np.ndarray, grid, dim: int) -> np.ndarray:
+    """LL of each query at each grid sigma, [len(grid), t], from _sq_dists's distances.
+
+    For each sigma and each row, in this order:
+
+        k = -d2 / (2 sigma^2)             ascending, because d2's rows descend
+        m = k[-1]                         the row's largest k
+        LL = (m + log(sum(exp(k - m)))) - log(n) - (dim / 2) log(2 pi sigma^2)
+
+    The rows are swept in blocks of DIST_BLOCK bytes, every sigma through
+    one reused buffer per block, and the blocks are cut into contiguous
+    ranges on tensor.split_rows's threads. The leading columns where every
+    row of a block has k - m < UNDERFLOW hold exactly 0.0 without a call to
+    exp, which returns +0.0 there too. The sum still runs over the whole
+    row, so pairwise summation groups the same elements, and every LL has
+    the bits of the formula applied to the whole [t, n] matrix at once.
+    """
+    grid = [float(sigma) for sigma in grid]
+    lls = np.empty((len(grid), d2.shape[0]))
+    split_rows(_sweep_span, d2.shape[0], _query_rows(d2.shape[1]), d2, grid, dim, lls)
+    return lls
+
+
+def _sweep_span(rows, lo, hi, d2, grid, dim, lls):
+    """_grid_lls for query rows lo..hi-1, `rows` of them at a time.
+
+    Per block, each row's m and the underflow cut are found for every sigma
+    at once. The buffer's head is zeroed only where an earlier sigma's exp
+    left values, and the division, subtraction and exp run only over the
+    columns after the cut. The log, the addition of m and the constants run
+    over several sigmas at once; they are elementwise, so each LL gets the
+    bits of the row-by-row formula.
+    """
+    n = d2.shape[1]
+    buf = np.empty((min(rows, hi - lo), n))
+    neg = -np.array([2.0 * sigma * sigma for sigma in grid])  # -d2 / (2 sigma^2) = d2 / neg
+    for r in range(lo, hi, rows):
+        block = d2[r:min(r + rows, hi)]
+        k = buf[:block.shape[0]]
+        m = block[:, -1] / neg[:, None]  # [sigma, row]: each row's largest k
+        sums = lls[:, r:r + block.shape[0]]
+        zeroed = 0  # leading columns of k known to hold 0.0
+        for i, cut in enumerate(_underflow_cuts(block, neg, m)):
+            if cut > zeroed:
+                k[:, zeroed:cut] = 0.0
+            zeroed = cut
+            tail = k[:, cut:]
+            np.divide(block[:, cut:], neg[i], out=tail)
+            tail -= m[i][:, None]
+            np.exp(tail, out=tail)
+            k.sum(axis=1, out=sums[i])
+        np.log(sums, out=sums)
+        sums += m
+    out = lls[:, lo:hi]
+    out -= math.log(n)
+    out -= np.array([0.5 * dim * math.log(2.0 * math.pi * sigma * sigma) for sigma in grid])[:, None]
+
+
+def _underflow_cuts(block: np.ndarray, neg: np.ndarray, m: np.ndarray) -> list:
+    """Per sigma, leading columns of block where every row's k - m is below UNDERFLOW.
+
+    k = block / neg[i] ascends along each row, and in exact arithmetic
+    k - m < UNDERFLOW where d2 exceeds the row's last, smallest, d2 by more
+    than -UNDERFLOW * 2 sigma^2. One binary search per row finds that column
+    for every sigma, with a margin of 1 against rounding. The computed k - m
+    at each cut's last column is then checked, which covers the whole head,
+    and a cut that fails the check becomes 0. A block with a NaN distance,
+    which sorts to the front of its row, gets no cut.
+    """
+    n = block.shape[1]
+    if n == 1 or np.isnan(block[:, 0]).any():
+        return [0] * neg.size
+    ascending = np.arange(n - 1, -1, -1)
+    spans = (UNDERFLOW - 1.0) * neg
+    within = np.max([np.searchsorted(row, row[-1] + spans, side="right", sorter=ascending)
+                     for row in block], axis=0)
+    cuts = n - within
+    below = (block[:, np.maximum(cuts - 1, 0)] / neg - m.T < UNDERFLOW).all(axis=0)
+    return np.where(below, cuts, 0).tolist()
 
 
 def parzen_log_likelihood(samples, queries, sigma: float) -> np.ndarray:
     """Per-query log-likelihood under the sample-centered Gaussian window.
 
-    All queries' distances are formed at once. The CLI's splits never give a
-    condition more test than validation rows, so the [t, n] matrix is no
-    larger than the one select_sigma builds.
+    The blocked sweep of _grid_lls with a one-sigma grid. All queries'
+    distances are formed at once. The CLI's splits never give a condition
+    more test than validation rows, so the [t, n] matrix is no larger than
+    the one select_sigma builds.
     """
     samples = np.asarray(samples, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
@@ -153,17 +280,8 @@ def parzen_log_likelihood(samples, queries, sigma: float) -> np.ndarray:
         raise DataError("need at least one sample")
     if samples.shape[1] != queries.shape[1]:
         raise DimensionError(f"dimension mismatch: samples {samples.shape} vs queries {queries.shape}")
-    if not sigma > 0:
-        raise DataError(f"sigma must be positive, got {sigma}")
-    n, dim = samples.shape
-    return _ll_from_d2(_sq_dists(queries, samples), sigma, n, dim)
-
-
-def _grid_lls(queries, samples, grid) -> list:
-    """Per-query LL of `queries` at every grid sigma; distances computed once."""
-    d2 = _sq_dists(queries, samples)
-    n, dim = samples.shape
-    return [_ll_from_d2(d2, float(sigma), n, dim) for sigma in grid]
+    grid = check_sigma_grid([sigma], DataError)
+    return _grid_lls(_sq_dists(queries, samples), grid, samples.shape[1])[0]
 
 
 def _sweep(lls) -> tuple:
@@ -184,14 +302,13 @@ def _sweep(lls) -> tuple:
 
 def select_sigma(samples, validation_queries, grid) -> tuple:
     """Grid sigma maximizing mean validation LL; ties go to the smaller sigma."""
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.size == 0 or np.any(grid <= 0):
-        raise DataError("sigma grid must be non-empty and strictly positive")
+    grid = check_sigma_grid(grid, DataError)
     validation_queries = np.asarray(validation_queries, dtype=np.float64)
     if validation_queries.shape[0] < 1:
         raise DataError("validation set is empty")
     samples = np.asarray(samples, dtype=np.float64)
-    at, best_ll = _sweep(_grid_lls(validation_queries, samples, grid))
+    at, best_ll = _sweep(_grid_lls(_sq_dists(validation_queries, samples), grid,
+                                   samples.shape[1]))
     return float(grid[at]), best_ll
 
 
@@ -243,7 +360,9 @@ def conditional_eval(g_params, valid, test, cfg: ParzenConfig, seed,
         gen_cond = condition_map[cond] if condition_map is not None else cond
         samples = generate_samples(g_params, gen_cond, n_samples, root.split(f"cond-{cond}"))
         if cfg.sigma_mode == "global":
-            pooled[cond] = (_grid_lls(vq, samples, grid), _grid_lls(tq, samples, grid))
+            dim = samples.shape[1]
+            pooled[cond] = (_grid_lls(_sq_dists(vq, samples), grid, dim),
+                            _grid_lls(_sq_dists(tq, samples), grid, dim))
         else:
             sigma, _ = select_sigma(samples, vq, grid)
             rows[cond] = _scored_row(cond, sigma, parzen_log_likelihood(samples, tq, sigma),

@@ -28,10 +28,11 @@ the same form and gives the weight the bits the full gradient would.
 adam_step updates a parameter of more than ADAM_WHOLE_MAX elements in
 place, one block of leading-axis rows at a time through reused scratch, and
 splits a parameter of at least two blocks per worker into one row range per
-CPU of the process's affinity. The other ranges run on a thread pool that
-starts on first use; numpy's ufunc loops release the GIL, so the ranges run
-at once. Every element sees the whole-array expressions' operations in
-their order, so the bits do not depend on the blocks, ranges or CPUs.
+CPU of the process's affinity (split_rows, which Parzen scoring shares). The
+other ranges run on the package's one thread pool, which starts on first
+use; numpy's ufunc loops release the GIL, so the ranges run at once. Every
+element sees the whole-array expressions' operations in their order, so the
+bits do not depend on the blocks, ranges or CPUs.
 
 Inside `with no_grad():` nodes record no parents and no closure, so each
 intermediate array is freed as soon as nothing else holds it. The forward
@@ -492,9 +493,10 @@ ADAM_WHOLE_MAX = 8192
 # its ufunc loops, which run without the GIL, outlast the Python between them
 ADAM_BLOCK = 32768
 
-# threads a large parameter's update is split over: one per CPU this process
-# may run on, worked out from its affinity, not a setting
-ADAM_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
+# threads that split_rows cuts a large piece of work over (Adam's update of a
+# large parameter; Parzen's distance blocks, row sorts and sigma sweep): one
+# per CPU this process may run on, worked out from its affinity, not a setting
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
     os.cpu_count() or 1)
 
 # the threads beside the caller's that run the other workers' row ranges;
@@ -562,11 +564,11 @@ def adam_step(param, grad, state: AdamState, hyper: AdamHyper):
     written in place, and every temporary goes into two float scratch blocks
     and one bool block reused from block to block, so no full-size array is
     allocated. With at least two blocks per worker, the rows are cut into one
-    contiguous range of whole blocks per worker (ADAM_WORKERS, one per CPU
-    this process may run on), and the ranges run at once on a thread pool
-    that starts on first use; with one CPU no thread starts. A non-finite
-    result in any range raises ContractError here. Every element gets exactly
-    the value of the whole-array expressions, however the rows are cut.
+    contiguous range of whole blocks per worker (split_rows), and the ranges
+    run at once on a thread pool that starts on first use; with one CPU no
+    thread starts. A non-finite result in any range raises ContractError
+    here. Every element gets exactly the value of the whole-array
+    expressions, however the rows are cut.
 
     A parameter of at most ADAM_WHOLE_MAX elements keeps the whole-array
     update with fresh m and v arrays: updating those in place left a
@@ -678,19 +680,23 @@ def _subtract_span(rows, lo, hi, copies, delta):
 
 
 def _split(span, data, *args):
-    """Run span(rows, lo, hi, *args) over every leading-axis row of data.
-
-    rows is the number of data's rows in ADAM_BLOCK elements. A parameter of
-    at least two blocks per worker is cut into one contiguous range of whole
-    blocks per worker, up to ADAM_WORKERS of them: the caller runs the first
-    and the pool the rest. numpy releases the GIL inside each ufunc loop, so
-    the ranges run at once. A ContractError in any range is raised here, once
-    every range has ended.
-    """
+    """split_rows over data's leading-axis rows, in blocks of ADAM_BLOCK elements."""
     n = data.shape[0]
-    rows = max(1, ADAM_BLOCK * n // data.size)
+    split_rows(span, n, max(1, ADAM_BLOCK * n // data.size), *args)
+
+
+def split_rows(span, n, rows, *args):
+    """Run span(rows, lo, hi, *args) over rows 0..n-1, which span takes `rows` at a time.
+
+    Work of at least two blocks of `rows` rows per worker is cut into one
+    contiguous range of whole blocks per worker, up to WORKERS of them: the
+    caller runs the first and the pool the rest. numpy releases the GIL
+    inside its ufunc loops, sorts and BLAS calls, so the ranges run at once.
+    With fewer blocks, or one CPU, span runs inline and no thread starts. An
+    error in any range is raised here, once every range has ended.
+    """
     blocks = -(-n // rows)
-    workers = min(ADAM_WORKERS, blocks // 2)
+    workers = min(WORKERS, blocks // 2)
     if workers < 2:
         span(rows, 0, n, *args)
         return
@@ -713,5 +719,5 @@ def _executor():
         if _pool is None:
             from concurrent.futures import ThreadPoolExecutor
 
-            _pool = ThreadPoolExecutor(max(1, ADAM_WORKERS - 1), "cganlab-adam")
+            _pool = ThreadPoolExecutor(max(1, WORKERS - 1), "cganlab")
         return _pool

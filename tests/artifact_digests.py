@@ -23,10 +23,12 @@ the loop's bits across that change. It then repeats
 the default sbp run as `train-sbp-warm` over whatever the earlier commands
 left in TMPDIR, and trains sbp and cgan for WIDE_STEPS steps with
 `--d-hidden` WIDE_D_HIDDEN, whose first D weight is wide enough that Adam
-splits its update over two or more CPUs (see WIDE_D_HIDDEN). On mixture-3x2 a
-`train` of fcgan and an `eval` of its generator share one `--config` file
-(SHARED_CONFIG), which holds a train key, a pretrain-q key and an eval key,
-so a config file shared across commands is hashed too.
+splits its update over two or more CPUs (see WIDE_D_HIDDEN), and evaluates
+the four generators with WIDE_SAMPLES samples per condition, enough for the
+Parzen distances to take two sample blocks per worker (see WIDE_SAMPLES).
+On mixture-3x2 a `train` of fcgan and an `eval` of its generator share one
+`--config` file (SHARED_CONFIG), which holds a train key, a pretrain-q key
+and an eval key, so a config file shared across commands is hashed too.
 
 Every command is a fresh `python -m cganlab.cli` process with
 PYTHONPATH=TREE/src, OPENBLAS_NUM_THREADS=1 and TMPDIR one fresh directory
@@ -53,6 +55,11 @@ SBP_BATCH_SIZES = {"tiny-digits-3": 256}
 # is 12 blocks of tensor.ADAM_BLOCK and cgan's free rows, 64 x 2048, are 4,
 # so with two or more CPUs both take Adam's split update
 WIDE_D_HIDDEN, WIDE_STEPS = "2048", 40
+# samples per condition of a tiny-digits-3 eval whose Parzen work splits over
+# two CPUs: at 64 dimensions one distance block holds parzen.DIST_BLOCK / 512
+# = 2048 samples, so 8200 are five blocks; the 100 validation rows of a
+# condition are seven blocks of the sweep's 15 rows of 8200 distances
+WIDE_SAMPLES = "8200"
 # one file for a train and an eval on mixture-3x2: d_steps is train's,
 # q_steps pretrain-q's and sigma_mode eval's
 SHARED_CONFIG = "d_steps = 2\nq_steps = 7\nsigma_mode = global\n"
@@ -90,6 +97,8 @@ def commands(dataset: str, steps: int):
             runs.append((f"train-{v}-wide", ["train", "--variant", v, *ds, "--steps",
                                              str(WIDE_STEPS), "--seed", "7", "--d-hidden",
                                              WIDE_D_HIDDEN]))
+        runs.append(("eval-wide", ["eval", *gens, *ds, "--seed", "5",
+                                   "--samples-per-condition", WIDE_SAMPLES]))
     else:
         shared = ["--config", "{config}"]
         runs.append(("train-shared", ["train", "--variant", "fcgan", *ds, "--steps", str(steps),

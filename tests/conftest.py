@@ -1,10 +1,12 @@
 """Shared test helpers: finite-difference gradient checks, datasets, the
 one-operand definition of leaky_relu, the weight-free definitions of the
-spatial conditioning ops, a one-glyph-at-a-time digit renderer, a file on a
-full disk, and a private temporary directory for the whole session."""
+spatial conditioning ops, the whole-matrix Parzen log-likelihood, a
+one-glyph-at-a-time digit renderer, a file on a full disk, and a private
+temporary directory for the whole session."""
 
 import errno
 import io
+import math
 import tempfile
 
 import numpy as np
@@ -116,6 +118,20 @@ def bilinear_pool(x, c) -> Tensor:
         _accum(ca, np.einsum("...hwmd,...hwd->...m", g5, xa.data))
 
     return Tensor(prod.reshape(*lead, h, w, m * d), (x, c), "bilinear_pool", back)
+
+
+def parzen_ll(d2, sigma, dim) -> np.ndarray:
+    """Each query's Parzen LL at sigma from its sorted distances, the whole matrix at once.
+
+    The formula that `cganlab.parzen._grid_lls` sweeps block by block and
+    must reproduce bit for bit. d2 is [t, n] with each row descending, as
+    `cganlab.parzen._sq_dists` returns it.
+    """
+    n = d2.shape[1]
+    k = -d2 / (2.0 * sigma * sigma)  # ascending per row, because d2 rows descend
+    m = k[:, -1]
+    body = m + np.log(np.exp(k - m[:, None]).sum(axis=1))
+    return body - math.log(n) - 0.5 * dim * math.log(2.0 * math.pi * sigma * sigma)
 
 
 _PIXELS = np.arange(28).reshape(-1, 1)

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import mpmath
@@ -7,15 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cganlab import parzen
+from cganlab import parzen, tensor
 from cganlab.data import mixture_3x2_spec, synth_mixture, split
-from cganlab.errors import ContractError, DataError, DimensionError
+from cganlab.errors import ConfigError, ContractError, DataError, DimensionError
 from cganlab.models import NetworkSpec, build_generator, generator_forward
 from cganlab.parzen import (ParzenConfig, conditional_eval, default_sigma_grid,
                             format_table, generate_samples, parzen_log_likelihood,
                             report_csv, select_sigma)
 from cganlab.rng import RngStream
 from cganlab.tensor import Tensor, one_hot
+from conftest import parzen_ll
 
 mpmath.mp.dps = 50
 
@@ -102,6 +104,103 @@ def test_density_normalizes_in_one_dimension(rng):
     ll = parzen_log_likelihood(samples, xs, 0.4)
     integral = np.trapezoid(np.exp(ll), xs[:, 0])
     assert abs(integral - 1.0) < 1e-3
+
+
+# ----------------------------------------------------------------------
+# the blocked sigma sweep
+
+
+def descending(d2):
+    return np.sort(d2, axis=1)[:, ::-1].copy()
+
+
+def sweep_cases(rng):
+    """name -> [t, n] distances with descending rows, as _sq_dists returns them."""
+    last = rng.uniform(0.0, 1.0, (11, 1))
+    ties = rng.integers(0, 4, (13, 70)) * 600.0
+    ties[0] = 0.0
+    ties[1, -5:] = 0.0
+    huge = 1e300 * rng.uniform(0.5, 1.0, (6, 30))
+    huge[3:, -1] = 1.0  # a finite m beside k of -inf
+    return {
+        "one row": descending(rng.uniform(0.0, 50.0, (1, 40))),
+        "rows not a multiple of the block": descending(rng.uniform(0.0, 50.0, (37, 53))),
+        "one sample": rng.uniform(0.0, 50.0, (9, 1)),
+        "wide rows": descending(rng.uniform(0.0, 3000.0, (5, 300))),
+        # every column but the last is over 750 * 2 sigma^2 beyond it, even at sigma 1
+        "only the last column survives": descending(
+            np.hstack([last + rng.uniform(2000.0, 4000.0, (11, 60)), last])),
+        "exact zeros and ties": descending(ties),
+        "near 1e300, where k overflows": descending(huge),
+    }
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (got, want)
+
+
+# the budget in rows' bytes: half a row makes every row larger than the
+# budget, and None keeps the module's own
+@pytest.mark.parametrize("case", list(sweep_cases(np.random.default_rng(0))))
+@pytest.mark.parametrize("rows", [0.5, 1, 4, None])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_blocked_sweep_matches_whole_matrix_formula(case, rows, workers, monkeypatch):
+    d2 = sweep_cases(np.random.default_rng(0))[case]
+    if rows is not None:
+        monkeypatch.setattr(parzen, "DIST_BLOCK", int(rows * 8 * d2.shape[1]))
+    monkeypatch.setattr(tensor, "WORKERS", workers)
+    grid = default_sigma_grid()
+    got = parzen._grid_lls(d2, grid, 7)
+    assert got.shape == (grid.size, d2.shape[0])
+    for i, sigma in enumerate(grid):
+        assert_same_bits(got[i], parzen_ll(d2, sigma, 7))
+
+
+def test_underflow_cut_leaves_exp_every_column_at_or_above_the_constant():
+    """Whatever the data, no skipped column has a computed k - m at or above
+    UNDERFLOW. Near 4e15, k's rounding outgrows the search's margin: d2 of
+    4e15 + 0.5 is cut at sigma 0.01, yet its k - m rounds to 0."""
+    cases = sweep_cases(np.random.default_rng(0))
+    cases["k rounds past the margin"] = 4e15 + 0.5 * np.tile(np.arange(6.0)[::-1], (3, 1))
+    neg = -2.0 * default_sigma_grid() ** 2
+    for name, d2 in cases.items():
+        m = d2[:, -1] / neg[:, None]
+        for i, cut in enumerate(parzen._underflow_cuts(d2, neg, m)):
+            assert (d2[:, :cut] / neg[i] - m[i][:, None] < parzen.UNDERFLOW).all(), (name, i)
+
+
+def test_underflow_cut_takes_every_column_but_the_last():
+    d2 = sweep_cases(np.random.default_rng(0))["only the last column survives"]
+    neg = -2.0 * default_sigma_grid() ** 2
+    m = d2[:, -1] / neg[:, None]
+    assert parzen._underflow_cuts(d2, neg, m) == [d2.shape[1] - 1] * neg.size
+
+
+def test_underflow_cut_is_zero_for_a_block_with_nan():
+    d2 = descending(np.random.default_rng(1).uniform(0.0, 5000.0, (4, 30)))
+    d2[2, :3] = np.nan  # where the sort puts NaN
+    neg = -2.0 * default_sigma_grid() ** 2
+    assert parzen._underflow_cuts(d2, neg, d2[:, -1] / neg[:, None]) == [0] * neg.size
+    got = parzen._grid_lls(d2, default_sigma_grid(), 3)
+    for i, sigma in enumerate(default_sigma_grid()):
+        want = parzen_ll(d2, sigma, 3)
+        assert np.isnan(got[i, 2]) and np.array_equal(got[i], want, equal_nan=True)
+
+
+def test_exp_below_the_underflow_constant_is_exactly_zero():
+    """The sweep writes 0.0 where exp would get an argument below UNDERFLOW;
+    exp must give exactly +0.0 there, contiguous or strided."""
+    edge = -745.1332191019412  # the largest argument whose exp is +0.0
+    assert parzen.UNDERFLOW < edge and np.exp(edge) == 0.0
+    x = np.array([parzen.UNDERFLOW, np.nextafter(parzen.UNDERFLOW, -np.inf), -751.5, -1e4,
+                  -1e300, -np.inf] * 7)
+    block = np.tile(x, (3, 1))
+    for view in (x, x[::2], x[1::3], x[::-1], block[:, 1:], block.T):
+        out = np.exp(view)
+        assert (out == 0.0).all() and not np.signbit(out).any()
+    tail = block[:, 2:]
+    np.exp(tail, out=tail)  # in place over a row slice, as the sweep does
+    assert (block[:, 2:] == 0.0).all() and not np.signbit(block[:, 2:]).any()
 
 
 def whole_tensor_sq_dists(queries, samples):
@@ -209,6 +308,22 @@ def test_input_contracts():
         parzen_log_likelihood(np.zeros((1, 2)), np.zeros((1, 2)), 0.0)
     with pytest.raises(DimensionError):
         parzen_log_likelihood(np.zeros((1, 2)), np.zeros((1, 3)), 1.0)
+
+
+@pytest.mark.parametrize("sigma", [np.inf, np.nan, -np.inf, -1.0])
+def test_likelihood_refuses_a_sigma_the_grid_check_refuses(sigma):
+    with pytest.raises(DataError, match="sigma"):
+        parzen_log_likelihood(np.zeros((1, 2)), np.zeros((1, 2)), sigma)
+
+
+@pytest.mark.parametrize("grid", [[np.nan, 0.5], [0.5, np.inf], [0.5, 0.5, 0.2], [0.2, 0.5, 0.5],
+                                  [0.5, 0.2], [0.0, 0.5], [-0.5], []])
+def test_one_sigma_grid_check_for_selection_and_config(grid):
+    """select_sigma refuses what ParzenConfig.validate refuses, each with its own error."""
+    with pytest.raises(DataError, match="sigma grid"):
+        select_sigma(np.zeros((2, 1)), np.zeros((1, 1)), grid)
+    with pytest.raises(ConfigError, match="sigma grid"):
+        ParzenConfig(sigma_grid=np.array(grid, dtype=np.float64)).validate()
 
 
 # ----------------------------------------------------------------------
@@ -396,6 +511,47 @@ def test_global_mode_matches_pooled_selection(tiny_setup):
         tq = test_ds.images[tl == r.condition].reshape(-1, 2)
         lls = parzen_log_likelihood(samples[r.condition], tq, want)
         assert r.mean_ll == float(lls.mean())
+
+
+def record_parzen_spans(monkeypatch) -> dict:
+    """Make the Parzen span functions record (lo, hi) of each row range they run, by name."""
+    calls = {}
+    for name in ("_dist_span", "_sort_span", "_sweep_span"):
+        def recorded(rows, lo, hi, *args, span=getattr(parzen, name), name=name):
+            calls.setdefault(name, []).append((lo, hi))
+            span(rows, lo, hi, *args)
+
+        monkeypatch.setattr(parzen, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["per_condition", "global"])
+def test_conditional_eval_rows_do_not_depend_on_the_workers(tiny_setup, monkeypatch, mode):
+    """With 4 samples per distance block and one query row per sweep block,
+    the distances, sorts and sweeps all split over 2 and 4 workers, yet
+    every row keeps the bits of one worker's. A short switch interval makes
+    the threads interleave as often as they can."""
+    _, valid_ds, test_ds, g = tiny_setup
+    monkeypatch.setattr(parzen, "DIST_BLOCK", 4 * 2 * 8)
+    calls = record_parzen_spans(monkeypatch)
+    cfg = ParzenConfig(samples_per_condition=30, sigma_mode=mode)
+    rows = {}
+    interval = sys.getswitchinterval()
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(tensor, "WORKERS", workers)
+        monkeypatch.setattr(tensor, "_pool", None)  # a pool of workers - 1 threads
+        calls.clear()
+        sys.setswitchinterval(1e-6)
+        try:
+            rows[workers] = conditional_eval(g, valid_ds, test_ds, cfg, seed=4)
+        finally:
+            sys.setswitchinterval(interval)
+            if tensor._pool is not None:
+                tensor._pool.shutdown()
+        assert sorted(calls) == ["_dist_span", "_sort_span", "_sweep_span"]
+        for ranges in calls.values():  # each call's ranges start at row 0
+            assert len(ranges) == workers * sum(lo == 0 for lo, _ in ranges)
+    assert rows[2] == rows[1] and rows[4] == rows[1]
 
 
 def test_condition_map_changes_samples_not_rows(tiny_setup):

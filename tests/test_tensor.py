@@ -495,7 +495,7 @@ def assert_ranges_tile(calls, name, n, count):
 def test_adam_blocks_match_whole_array_formula(shape, rng, monkeypatch):
     calls = record_spans(monkeypatch)
     for workers in (1, 2):
-        monkeypatch.setattr(tensor, "ADAM_WORKERS", workers)
+        monkeypatch.setattr(tensor, "WORKERS", workers)
         p = Tensor(rng.normal(size=shape))
         st, hyper = AdamState.fresh(shape), AdamHyper(lr=0.01, beta1=0.8, beta2=0.99)
         m_array, v_array = st.m, st.v
@@ -523,7 +523,7 @@ def test_adam_tied_rows_split_match_whole_array_formula(rng, monkeypatch):
     blocks, d, t, k = 200, 3, 2, 256
     hyper = AdamHyper(lr=0.01, beta1=0.8, beta2=0.99)
     for workers in (1, 2):
-        monkeypatch.setattr(tensor, "ADAM_WORKERS", workers)
+        monkeypatch.setattr(tensor, "WORKERS", workers)
         p = Tensor(rng.normal(size=(blocks * (d + t), k)))
         w3 = p.data.reshape(blocks, d + t, k)
         w3[:, d:] = w3[0, d:]
@@ -545,7 +545,7 @@ def test_adam_tied_rows_split_match_whole_array_formula(rng, monkeypatch):
 def test_adam_split_over_more_workers_than_cpus_keeps_the_bits(rng, monkeypatch):
     # 1000 x 300 is 10 blocks, so 4 workers each take a range; a short switch
     # interval makes the threads interleave as often as they can
-    monkeypatch.setattr(tensor, "ADAM_WORKERS", 4)
+    monkeypatch.setattr(tensor, "WORKERS", 4)
     monkeypatch.setattr(tensor, "_pool", None)  # a pool of 3 threads
     calls = record_spans(monkeypatch)
     shape, hyper = (1000, 300), AdamHyper(lr=0.01, beta1=0.8, beta2=0.99)
@@ -569,7 +569,7 @@ def test_adam_split_over_more_workers_than_cpus_keeps_the_bits(rng, monkeypatch)
 
 
 def test_adam_with_one_worker_starts_no_thread(rng, monkeypatch):
-    monkeypatch.setattr(tensor, "ADAM_WORKERS", 1)
+    monkeypatch.setattr(tensor, "WORKERS", 1)
     monkeypatch.setattr(tensor, "_pool", None)
     threads = threading.enumerate()
     p = Tensor(rng.normal(size=SPLIT_SHAPES[0]))
@@ -579,7 +579,7 @@ def test_adam_with_one_worker_starts_no_thread(rng, monkeypatch):
 
 @pytest.mark.parametrize("row", [0, -1])  # in the caller's range and in the pool's
 def test_adam_non_finite_update_in_any_range_is_a_contract_error(row, rng, monkeypatch):
-    monkeypatch.setattr(tensor, "ADAM_WORKERS", 2)
+    monkeypatch.setattr(tensor, "WORKERS", 2)
     p = Tensor(rng.normal(size=SPLIT_SHAPES[0]))
     grad = rng.normal(size=p.shape)
     grad[row, 3] = np.nan
@@ -589,7 +589,18 @@ def test_adam_non_finite_update_in_any_range_is_a_contract_error(row, rng, monke
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_adam_split_update_runs_in_a_forked_child(rng, monkeypatch):
-    monkeypatch.setattr(tensor, "ADAM_WORKERS", 2)
+    """A child forked after the pool started splits an Adam update, and then a
+    Parzen bandwidth selection whose distances, sorts and sweep split too,
+    getting the parent's answer."""
+    from cganlab import parzen
+
+    monkeypatch.setattr(tensor, "WORKERS", 2)
+    # 16 samples of 64 dimensions per distance block: 100 samples are 7 blocks,
+    # and the 50 rows of 100 distances are 5 sweep blocks of 10 rows
+    monkeypatch.setattr(parzen, "DIST_BLOCK", 16 * 64 * 8)
+    samples, queries = rng.normal(size=(100, 64)), rng.normal(size=(50, 64))
+    grid = parzen.default_sigma_grid()
+    want = parzen.select_sigma(samples, queries, grid)
     p = Tensor(rng.normal(size=SPLIT_SHAPES[0]))
     st, grad = AdamState.fresh(p.shape), rng.normal(size=p.shape)
     adam_step(p, grad, st, AdamHyper())  # the pool now has a thread, which a child lacks
@@ -599,7 +610,7 @@ def test_adam_split_update_runs_in_a_forked_child(rng, monkeypatch):
         code = 1
         try:
             adam_step(p, grad, st, AdamHyper())
-            code = 0
+            code = 0 if parzen.select_sigma(samples, queries, grid) == want else 2
         finally:
             os._exit(code)
     deadline = time.monotonic() + 30
@@ -607,7 +618,7 @@ def test_adam_split_update_runs_in_a_forked_child(rng, monkeypatch):
         if time.monotonic() > deadline:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            pytest.fail("a forked child's split Adam update did not end within 30 s")
+            pytest.fail("a forked child's split update and selection did not end within 30 s")
         time.sleep(0.01)
     assert os.waitstatus_to_exitcode(done[1]) == 0
 
