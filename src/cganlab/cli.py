@@ -40,6 +40,7 @@ from .models import NetworkSpec, Variant, classifier_accuracy, pretrain_approxim
 from .parzen import (ParzenConfig, conditional_eval, default_sigma_grid, format_table,
                      generate_samples, report_csv)
 from .rng import RngStream
+from .tensor import BLAS_THREAD_VARS
 from .training import TrainConfig, TrainLog, train
 
 # ----------------------------------------------------------------------
@@ -307,9 +308,6 @@ def read_manifest(path, command=None) -> dict:
                         f"path to SHA-256")
     settings = command_settings(doc["command"], resolved, DataError, f"manifest {path}")
     return dict(doc, resolved={**settings, **dataset})
-
-
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def build_info() -> dict:

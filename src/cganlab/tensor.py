@@ -28,11 +28,18 @@ the same form and gives the weight the bits the full gradient would.
 adam_step updates a parameter of more than ADAM_WHOLE_MAX elements in
 place, one block of leading-axis rows at a time through reused scratch, and
 splits a parameter of at least two blocks per worker into one row range per
-CPU of the process's affinity (split_rows, which Parzen scoring shares). The
-other ranges run on the package's one thread pool, which starts on first
-use; numpy's ufunc loops release the GIL, so the ranges run at once. Every
-element sees the whole-array expressions' operations in their order, so the
-bits do not depend on the blocks, ranges or CPUs.
+CPU of the process's affinity (split_rows, which Parzen scoring and sample
+generation share). The other ranges run on the package's one thread pool,
+which starts on first use; numpy's ufunc loops release the GIL, so the
+ranges run at once. Every element sees the whole-array expressions'
+operations in their order, so the bits do not depend on the blocks, ranges
+or CPUs.
+
+Work made of BLAS products is split only when BLAS_SERIAL: BLAS runs each
+call on one thread, because OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, is
+1, or the process has one CPU. It is read once, at import, as BLAS reads
+those variables. Otherwise BLAS threads its own products and the pool
+leaves the cores to it.
 
 Inside `with no_grad():` nodes record no parents and no closure, so each
 intermediate array is freed as soon as nothing else holds it. The forward
@@ -498,6 +505,39 @@ ADAM_BLOCK = 32768
 # per CPU this process may run on, worked out from its affinity, not a setting
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
     os.cpu_count() or 1)
+
+# the environment variables that set BLAS's thread count; cli.build_info
+# records them with every run
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_is_serial(environ, cpus: int) -> bool:
+    """True when BLAS runs every call on one thread: there is one CPU, or
+    OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, asks for one thread.
+
+    OpenBLAS takes the first of those two that holds a positive count and
+    passes over one that is unset, empty or not a positive count; with
+    neither, it takes one thread per CPU. MKL_NUM_THREADS does not reach
+    OpenBLAS, so it is not read.
+    """
+    if cpus == 1:
+        return True
+    for var in BLAS_THREAD_VARS[:2]:
+        try:
+            threads = int(environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads == 1
+    return False
+
+
+# who owns the cores, read once at import as BLAS reads its variables: work
+# made of BLAS products (Parzen's distance blocks, the generator's forward
+# in generate_samples) is split over split_rows's threads only when BLAS is
+# serial; otherwise BLAS's own threads take the cores, and a second layer of
+# threads would oversubscribe them
+BLAS_SERIAL = blas_is_serial(os.environ, WORKERS)
 
 # the threads beside the caller's that run the other workers' row ranges;
 # started on first use, and dropped in a child made by os.fork, which would

@@ -25,17 +25,22 @@ left in TMPDIR, and trains sbp and cgan for WIDE_STEPS steps with
 `--d-hidden` WIDE_D_HIDDEN, whose first D weight is wide enough that Adam
 splits its update over two or more CPUs (see WIDE_D_HIDDEN), and evaluates
 the four generators with WIDE_SAMPLES samples per condition, enough for the
-Parzen distances to take two sample blocks per worker (see WIDE_SAMPLES).
+Parzen distances to take two sample blocks per worker (see WIDE_SAMPLES),
+and generate_samples 32 blocks of 256 rows or more per condition. It runs
+that eval twice: once as every other command, and once, `eval-wide-unpinned`,
+without the BLAS thread variables, so that with two or more CPUs one run of
+the tool hashes both of the package's paths: the pool's when BLAS is serial,
+BLAS's own threads when it is not (cganlab.tensor.BLAS_SERIAL).
 On mixture-3x2 a `train` of fcgan and an `eval` of its generator share one
 `--config` file (SHARED_CONFIG), which holds a train key, a pretrain-q key
 and an eval key, so a config file shared across commands is hashed too.
 
 Every command is a fresh `python -m cganlab.cli` process with
-PYTHONPATH=TREE/src, OPENBLAS_NUM_THREADS=1 and TMPDIR one fresh directory
-for the whole run, so tiny-digits-3 starts out unrendered. It prints one
-JSON object mapping each artifact, as `dataset/run/file`, to its SHA-256;
-`log.csv` is hashed without its `wall_ms` column, which records physical
-time. A refactor that keeps behaviour prints the same object for the parent
+PYTHONPATH=TREE/src, OPENBLAS_NUM_THREADS=1 (but `eval-wide-unpinned`) and
+TMPDIR one fresh directory for the whole run, so tiny-digits-3 starts out
+unrendered. It prints one JSON object mapping each artifact, as
+`dataset/run/file`, to its SHA-256; `log.csv` is hashed without its
+`wall_ms` column, which records physical time. A refactor that keeps behaviour prints the same object for the parent
 tree and for the change.
 """
 
@@ -48,6 +53,9 @@ import tempfile
 from pathlib import Path
 
 VARIANTS = ("cgan", "fcgan", "sbp", "irgan")
+# the variables that set BLAS's threads, as cganlab.tensor.BLAS_THREAD_VARS
+# (not imported: the tool runs the named tree's sources, not its own)
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 TRAIN_STEPS = {"mixture-3x2": 300, "tiny-digits-3": 150}
 # batch sizes at which sbp is trained once more, beside the dataset's default
 SBP_BATCH_SIZES = {"tiny-digits-3": 256}
@@ -60,6 +68,12 @@ WIDE_D_HIDDEN, WIDE_STEPS = "2048", 40
 # = 2048 samples, so 8200 are five blocks; the 100 validation rows of a
 # condition are seven blocks of the sweep's 15 rows of 8200 distances
 WIDE_SAMPLES = "8200"
+# the run that repeats eval-wide with the BLAS thread variables taken out of
+# the child's environment, so that with two or more CPUs BLAS threads its own
+# products and generate_samples and the Parzen distances keep to one block
+# and the caller's thread, while every other command's BLAS is serial and
+# they take the pool; its files are the same bytes as eval-wide's
+UNPINNED_RUN = "eval-wide-unpinned"
 # one file for a train and an eval on mixture-3x2: d_steps is train's,
 # q_steps pretrain-q's and sigma_mode eval's
 SHARED_CONFIG = "d_steps = 2\nq_steps = 7\nsigma_mode = global\n"
@@ -97,8 +111,9 @@ def commands(dataset: str, steps: int):
             runs.append((f"train-{v}-wide", ["train", "--variant", v, *ds, "--steps",
                                              str(WIDE_STEPS), "--seed", "7", "--d-hidden",
                                              WIDE_D_HIDDEN]))
-        runs.append(("eval-wide", ["eval", *gens, *ds, "--seed", "5",
-                                   "--samples-per-condition", WIDE_SAMPLES]))
+        wide = ["eval", *gens, *ds, "--seed", "5", "--samples-per-condition", WIDE_SAMPLES]
+        runs.append(("eval-wide", wide))
+        runs.append((UNPINNED_RUN, wide))
     else:
         shared = ["--config", "{config}"]
         runs.append(("train-shared", ["train", "--variant", "fcgan", *ds, "--steps", str(steps),
@@ -128,7 +143,10 @@ def main(tree: Path) -> dict:
             for run, args in commands(dataset, steps):
                 dirs[run] = Path(tmp) / dataset / run
                 args = [a.format(**dirs) for a in args] + ["--out", str(dirs[run])]
-                r = subprocess.run([sys.executable, "-m", "cganlab.cli", *args], env=env,
+                child = env
+                if run == UNPINNED_RUN:
+                    child = {k: v for k, v in env.items() if k not in BLAS_THREAD_VARS}
+                r = subprocess.run([sys.executable, "-m", "cganlab.cli", *args], env=child,
                                    capture_output=True, text=True)
                 if r.returncode != 0:
                     sys.exit(f"cganlab {' '.join(args)} exited {r.returncode}:\n{r.stderr}")

@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 import tracemalloc
 
 import mpmath
@@ -395,16 +396,85 @@ def test_generate_samples_match_a_graph_building_forward():
     assert want.parents and np.array_equal(got, want.data.reshape(500, -1))
 
 
-def test_generate_samples_memory_is_bounded():
-    """Without a graph, each layer's activations are freed once the next
-    layer has used them."""
+# counts around multiples of GEN_BLOCK (256): a tail of 1-255 rows, which
+# joins the block before it, none, and counts under two blocks
+POOLED_COUNTS = [1, 3, 4, 255, 256, 511, 512, 513, 1023, 1024, 1025, 2000, 2001]
+
+
+def record_generate_calls(monkeypatch) -> list:
+    """Make parzen's generator_forward record, per call, (rows, thread, whether
+    a graph is built, the output's array)."""
+    calls = []
+
+    def recorded(z, c, params, forward=generator_forward):
+        out = forward(z, c, params)
+        calls.append((z.shape[0], threading.get_ident(), tensor._recording.get(), out.data))
+        return out
+
+    monkeypatch.setattr(parzen, "generator_forward", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("count", POOLED_COUNTS)
+def test_pooled_generate_samples_match_a_graph_building_forward(count, monkeypatch):
+    """With BLAS serial and two workers, blocks of GEN_BLOCK rows, a short tail
+    joined to the block before it, run on both threads without a graph and
+    give the bytes of one whole-batch forward that builds one."""
+    monkeypatch.setattr(tensor, "BLAS_SERIAL", True)
+    monkeypatch.setattr(tensor, "WORKERS", 2)
+    calls = record_generate_calls(monkeypatch)
+    g = build_generator((28, 28, 1), 10, 16, NetworkSpec([64, 64]), RngStream(5, ("g",)))
+    got = generate_samples(g, 3, count, RngStream(9, ("s",)))
+    z = Tensor(RngStream(9, ("s",)).uniform(-1.0, 1.0, (count, 16)))
+    want = generator_forward(z, Tensor(one_hot(np.full(count, 3), 10)), g)
+    assert want.parents and got.tobytes() == want.data.reshape(count, -1).tobytes()
+    blocks = [call[0] for call in calls]
+    assert sum(blocks) == count and not any(call[2] for call in calls)
+    assert blocks == [count] if count < 2 * parzen.GEN_BLOCK else (
+        min(blocks) >= parzen.GEN_BLOCK and max(blocks) < 2 * parzen.GEN_BLOCK)
+    if count > 3 * parzen.GEN_BLOCK:  # four blocks or more: one range per worker
+        assert len({call[1] for call in calls}) == 2
+
+
+def test_generate_samples_with_threaded_blas_is_one_forward(monkeypatch):
+    """When BLAS has threads of its own, the whole count is one forward, whose
+    array is returned as it is, and the distance GEMMs take no pool range."""
+    monkeypatch.setattr(tensor, "BLAS_SERIAL", False)
+    monkeypatch.setattr(tensor, "WORKERS", 2)
+    monkeypatch.setattr(parzen, "DIST_BLOCK", 4 * 2 * 8)
+    calls = record_generate_calls(monkeypatch)
+    spans = record_parzen_spans(monkeypatch)
+    g = build_generator((1, 1, 2), 3, 4, NetworkSpec([8]), RngStream(5, ("g",)))
+    samples = generate_samples(g, 1, 2001, RngStream(9, ("s",)))
+    assert len(calls) == 1 and calls[0][0] == 2001 and np.shares_memory(samples, calls[0][3])
+    parzen._sq_dists(samples[:30], samples)
+    assert spans["_dist_span"] == [(0, 2001)] and len(spans["_sort_span"]) == 2
+
+
+def generate_peak_and_output(pooled, monkeypatch) -> tuple:
+    """Traced peak bytes of 2000 samples of a mnist-preset-sized G, and the samples,
+    with BLAS taken as serial (the pooled blocks on two workers) or not (one forward)."""
+    monkeypatch.setattr(tensor, "BLAS_SERIAL", pooled)
+    monkeypatch.setattr(tensor, "WORKERS", 2)
     g = build_generator((28, 28, 1), 10, 64, NetworkSpec([512, 512]), RngStream(5, ("g",)))
     tracemalloc.start()
     try:
         out = generate_samples(g, 0, 2000, RngStream(9, ("s",)))
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1], out
     finally:
         tracemalloc.stop()
+
+
+def test_generate_samples_memory_is_bounded(monkeypatch):
+    """Without a graph, each layer's activations are freed once the next
+    layer has used them."""
+    peak, out = generate_peak_and_output(False, monkeypatch)
+    assert peak < 4 * out.nbytes, (peak, out.nbytes)
+
+
+def test_pooled_generate_samples_memory_is_bounded(monkeypatch):
+    """The same bound when the blocks run on two threads."""
+    peak, out = generate_peak_and_output(True, monkeypatch)
     assert peak < 4 * out.nbytes, (peak, out.nbytes)
 
 
@@ -533,6 +603,7 @@ def test_conditional_eval_rows_do_not_depend_on_the_workers(tiny_setup, monkeypa
     the threads interleave as often as they can."""
     _, valid_ds, test_ds, g = tiny_setup
     monkeypatch.setattr(parzen, "DIST_BLOCK", 4 * 2 * 8)
+    monkeypatch.setattr(tensor, "BLAS_SERIAL", True)
     calls = record_parzen_spans(monkeypatch)
     cfg = ParzenConfig(samples_per_condition=30, sigma_mode=mode)
     rows = {}
