@@ -21,14 +21,16 @@ distances in blocks of query rows, each block through every grid sigma in
 one reused buffer, in the formula's order of operations. Along a sorted row
 k - m ascends, so the leading columns where every row of a block is below
 UNDERFLOW, whose exp is exactly +0.0, are written as 0.0 without calling
-exp; the sum still runs over the whole row. The row sorts and the sweep's
-row blocks are split over the CPUs with tensor.split_rows. So are the
-distance blocks and, in blocks of GEN_BLOCK rows, the generator's no-grad
-forward that draws the samples, but only when BLAS is serial
-(tensor.BLAS_SERIAL): otherwise BLAS's own threads take the cores. Each
-piece of work sees the same operands whichever thread runs it, so the
-samples, and every LL, have the bits of the whole-batch forward and the
-whole-matrix formula, whatever the blocks, threads or CPUs.
+exp; the sum still runs over the whole row. The distance blocks, the row
+sorts and the sweep's row blocks are split over the CPUs with
+tensor.split_rows. So is the generator's no-grad forward that draws the
+samples, in blocks of GEN_BLOCK rows, but only when BLAS is serial
+(tensor.BLAS_SERIAL) and there are two or more CPUs: otherwise BLAS's own
+threads take the cores, or blocks would only cost time. Each piece of work
+sees the same operands whichever thread runs it, so every LL has the bits
+of the whole-matrix formula, whatever the blocks, threads or CPUs; the
+samples have the bits of the whole-batch forward where BLAS gives a block's
+rows the whole product's bits (see generate_samples).
 
 The evaluation protocol mirrors the usual conditional setup: per condition,
 fit the window to generator samples, pick sigma on validation data by grid
@@ -103,11 +105,12 @@ class ParzenRow:
 DIST_BLOCK = 1024 * 1024
 
 # Rows of generator output per no-grad forward in generate_samples when BLAS
-# is serial. On OpenBLAS a GEMM of 4 or more rows gives each row the bits of
-# the whole product at G's shapes; 1-3 rows do not, so a tail never stands
-# alone. On two CPUs the mnist-eval benchmark (2000 samples, G 512,512)
-# peaked at 114.7 MB RSS with one forward per thread's whole range, and at
-# 101.7 MB with 256-row blocks, at the same 28.5 ms per condition.
+# is serial and there are two or more CPUs. On OpenBLAS a GEMM of 4 or more
+# rows gives each row the bits of the whole product at G's shapes; 1-3 rows
+# do not, so a tail never stands alone. On two CPUs the mnist-eval benchmark
+# (2000 samples, G 512,512) peaked at 114.7 MB RSS with one forward per
+# thread's whole range, and at 101.7 MB with 256-row blocks, at the same
+# 28.5 ms per condition.
 GEN_BLOCK = 256
 
 # Below this, k - m is left out of exp and taken as 0.0: numpy's exp of any
@@ -151,11 +154,10 @@ def _sq_dists(queries: np.ndarray, samples: np.ndarray) -> np.ndarray:
     layout, gives the same bits. Memory beyond the [t, n] result is one
     gathered block per worker, and one block of sorted rows being reversed.
 
-    The sample blocks, when BLAS is serial (tensor.BLAS_SERIAL), and then
-    the rows' sorts are cut into contiguous ranges on tensor.split_rows's
-    threads. Each block is the same gather and GEMM call whichever thread
-    makes it, writing its own columns of d2, and each row is sorted on its
-    own, so the bits do not depend on the threads.
+    The sample blocks, and then the rows' sorts, are cut into contiguous
+    ranges on tensor.split_rows's threads. Each block is the same gather and
+    GEMM call whichever thread makes it, writing its own columns of d2, and
+    each row is sorted on its own, so the bits do not depend on the threads.
     """
     queries = np.ascontiguousarray(queries)
     samples = np.ascontiguousarray(samples)
@@ -165,12 +167,8 @@ def _sq_dists(queries: np.ndarray, samples: np.ndarray) -> np.ndarray:
     s_norms = np.einsum("nd,nd->n", samples, samples)
     order = _canonical_order(samples, s_norms)
     d2 = np.empty((t, n))
-    ns = max(1, min(n, DIST_BLOCK // (8 * max(dim, 1))))
-    operands = queries, samples, order, q_norms, s_norms, d2
-    if tensor.BLAS_SERIAL:
-        split_rows(_dist_span, n, ns, *operands)
-    else:  # BLAS threads each GEMM itself
-        _dist_span(ns, 0, n, *operands)
+    split_rows(_dist_span, n, max(1, min(n, DIST_BLOCK // (8 * max(dim, 1)))),
+               queries, samples, order, q_norms, s_norms, d2)
     split_rows(_sort_span, t, _query_rows(n), d2)
     return d2
 
@@ -333,14 +331,16 @@ def generate_samples(g_params, condition: int, count: int, stream: RngStream) ->
     """Draw `count` generator outputs for a fixed condition, flattened to rows.
 
     Each block of rows is one no-grad generator_forward. When BLAS is serial
-    (tensor.BLAS_SERIAL) the blocks hold GEN_BLOCK rows, a shorter tail
-    joining the block before it, and are cut into ranges on
-    tensor.split_rows's threads, each writing its rows of one [count, dim]
-    array. Otherwise, or when the count is under two blocks, the whole count
-    is one forward and its own array is returned. A block's products are
-    its rows of the whole batch's products (the first of them a GEMM of at
-    least 4 rows, which on OpenBLAS gives each row's bits whatever rows
-    surround it), so the output is the same bits however it is cut.
+    (tensor.BLAS_SERIAL) and there are two or more workers, the blocks hold
+    GEN_BLOCK rows, a shorter tail joining the block before it, and are cut
+    into ranges on tensor.split_rows's threads, each writing its rows of one
+    [count, dim] array. Otherwise, or when the count is under two blocks,
+    the whole count is one forward and its own array is returned. A block's
+    products are its rows of the whole batch's products, the first of them
+    a GEMM of at least 4 rows. The OpenBLAS build this was tested on gives
+    such a GEMM's rows the bits of the whole product's at G's shapes, so
+    there the output is the same bits however it is cut; another BLAS may
+    round a block otherwise.
     """
     m = g_params.meta["cond_dim"]
     k = g_params.meta["noise_dim"]
@@ -348,7 +348,7 @@ def generate_samples(g_params, condition: int, count: int, stream: RngStream) ->
         raise ConfigError(f"condition index {condition} out of range 0..{m - 1}")
     z = sample_noise(stream, count, k).data
     c = one_hot(np.full(count, condition), m)
-    rows = GEN_BLOCK if tensor.BLAS_SERIAL else count
+    rows = GEN_BLOCK if tensor.BLAS_SERIAL and tensor.WORKERS > 1 else count
     if count < 2 * rows:
         return _generate(z, c, g_params).reshape(count, -1)
     out = np.empty((count, int(np.prod(g_params.meta["image_shape"]))))

@@ -35,11 +35,10 @@ ranges run at once. Every element sees the whole-array expressions'
 operations in their order, so the bits do not depend on the blocks, ranges
 or CPUs.
 
-Work made of BLAS products is split only when BLAS_SERIAL: BLAS runs each
-call on one thread, because OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, is
-1, or the process has one CPU. It is read once, at import, as BLAS reads
-those variables. Otherwise BLAS threads its own products and the pool
-leaves the cores to it.
+Parzen's generate_samples splits the generator's forward only with two or
+more workers and BLAS_SERIAL: OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS,
+is 1, read once, at import, as BLAS reads those variables. Otherwise BLAS
+threads that forward's products itself and the pool leaves the cores to it.
 
 Inside `with no_grad():` nodes record no parents and no closure, so each
 intermediate array is freed as soon as nothing else holds it. The forward
@@ -511,17 +510,15 @@ WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def blas_is_serial(environ, cpus: int) -> bool:
-    """True when BLAS runs every call on one thread: there is one CPU, or
-    OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, asks for one thread.
+def blas_is_serial(environ) -> bool:
+    """True when OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, asks BLAS for
+    one thread.
 
     OpenBLAS takes the first of those two that holds a positive count and
     passes over one that is unset, empty or not a positive count; with
     neither, it takes one thread per CPU. MKL_NUM_THREADS does not reach
     OpenBLAS, so it is not read.
     """
-    if cpus == 1:
-        return True
     for var in BLAS_THREAD_VARS[:2]:
         try:
             threads = int(environ.get(var, ""))
@@ -532,12 +529,13 @@ def blas_is_serial(environ, cpus: int) -> bool:
     return False
 
 
-# who owns the cores, read once at import as BLAS reads its variables: work
-# made of BLAS products (Parzen's distance blocks, the generator's forward
-# in generate_samples) is split over split_rows's threads only when BLAS is
-# serial; otherwise BLAS's own threads take the cores, and a second layer of
-# threads would oversubscribe them
-BLAS_SERIAL = blas_is_serial(os.environ, WORKERS)
+# who owns the cores, read once at import as BLAS reads its variables: the
+# generator's forward in generate_samples is split over split_rows's threads
+# only when BLAS runs each product on one thread; otherwise BLAS's own
+# threads take the cores, and a second layer of threads would oversubscribe
+# them (unpinned on two CPUs, mnist-eval read 33.5 ms per condition with one
+# forward and 38.9 ms with the split)
+BLAS_SERIAL = blas_is_serial(os.environ)
 
 # the threads beside the caller's that run the other workers' row ranges;
 # started on first use, and dropped in a child made by os.fork, which would

@@ -29,8 +29,9 @@ Parzen distances to take two sample blocks per worker (see WIDE_SAMPLES),
 and generate_samples 32 blocks of 256 rows or more per condition. It runs
 that eval twice: once as every other command, and once, `eval-wide-unpinned`,
 without the BLAS thread variables, so that with two or more CPUs one run of
-the tool hashes both of the package's paths: the pool's when BLAS is serial,
-BLAS's own threads when it is not (cganlab.tensor.BLAS_SERIAL).
+the tool hashes both of generate_samples's paths: blocks on the pool when
+BLAS is serial, one forward on BLAS's own threads when it is not
+(cganlab.tensor.BLAS_SERIAL).
 On mixture-3x2 a `train` of fcgan and an `eval` of its generator share one
 `--config` file (SHARED_CONFIG), which holds a train key, a pretrain-q key
 and an eval key, so a config file shared across commands is hashed too.
@@ -40,8 +41,8 @@ PYTHONPATH=TREE/src, OPENBLAS_NUM_THREADS=1 (but `eval-wide-unpinned`) and
 TMPDIR one fresh directory for the whole run, so tiny-digits-3 starts out
 unrendered. It prints one JSON object mapping each artifact, as
 `dataset/run/file`, to its SHA-256; `log.csv` is hashed without its
-`wall_ms` column, which records physical time. A refactor that keeps behaviour prints the same object for the parent
-tree and for the change.
+`wall_ms` column, which records physical time. A refactor that keeps
+behaviour prints the same object for the parent tree and for the change.
 """
 
 import hashlib
@@ -70,9 +71,9 @@ WIDE_D_HIDDEN, WIDE_STEPS = "2048", 40
 WIDE_SAMPLES = "8200"
 # the run that repeats eval-wide with the BLAS thread variables taken out of
 # the child's environment, so that with two or more CPUs BLAS threads its own
-# products and generate_samples and the Parzen distances keep to one block
-# and the caller's thread, while every other command's BLAS is serial and
-# they take the pool; its files are the same bytes as eval-wide's
+# products and generate_samples makes one forward, while every other
+# command's BLAS is serial and its generation takes the pool; its files are
+# the same bytes as eval-wide's
 UNPINNED_RUN = "eval-wide-unpinned"
 # one file for a train and an eval on mixture-3x2: d_steps is train's,
 # q_steps pretrain-q's and sigma_mode eval's

@@ -436,19 +436,16 @@ def test_pooled_generate_samples_match_a_graph_building_forward(count, monkeypat
         assert len({call[1] for call in calls}) == 2
 
 
-def test_generate_samples_with_threaded_blas_is_one_forward(monkeypatch):
-    """When BLAS has threads of its own, the whole count is one forward, whose
-    array is returned as it is, and the distance GEMMs take no pool range."""
-    monkeypatch.setattr(tensor, "BLAS_SERIAL", False)
-    monkeypatch.setattr(tensor, "WORKERS", 2)
-    monkeypatch.setattr(parzen, "DIST_BLOCK", 4 * 2 * 8)
+@pytest.mark.parametrize("serial, workers", [(False, 2), (True, 1)])
+def test_generate_samples_is_one_forward_unless_split(serial, workers, monkeypatch):
+    """When BLAS has threads of its own, or there is one worker, the whole
+    count is one forward, whose array is returned as it is."""
+    monkeypatch.setattr(tensor, "BLAS_SERIAL", serial)
+    monkeypatch.setattr(tensor, "WORKERS", workers)
     calls = record_generate_calls(monkeypatch)
-    spans = record_parzen_spans(monkeypatch)
     g = build_generator((1, 1, 2), 3, 4, NetworkSpec([8]), RngStream(5, ("g",)))
     samples = generate_samples(g, 1, 2001, RngStream(9, ("s",)))
     assert len(calls) == 1 and calls[0][0] == 2001 and np.shares_memory(samples, calls[0][3])
-    parzen._sq_dists(samples[:30], samples)
-    assert spans["_dist_span"] == [(0, 2001)] and len(spans["_sort_span"]) == 2
 
 
 def generate_peak_and_output(pooled, monkeypatch) -> tuple:
@@ -603,7 +600,6 @@ def test_conditional_eval_rows_do_not_depend_on_the_workers(tiny_setup, monkeypa
     the threads interleave as often as they can."""
     _, valid_ds, test_ds, g = tiny_setup
     monkeypatch.setattr(parzen, "DIST_BLOCK", 4 * 2 * 8)
-    monkeypatch.setattr(tensor, "BLAS_SERIAL", True)
     calls = record_parzen_spans(monkeypatch)
     cfg = ParzenConfig(samples_per_condition=30, sigma_mode=mode)
     rows = {}

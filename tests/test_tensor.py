@@ -23,19 +23,17 @@ mpmath.mp.dps = 50
 # who owns the cores
 
 
-@pytest.mark.parametrize("environ, cpus, serial", [
-    ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
-    ({"OMP_NUM_THREADS": "1"}, 2, True),
-    ({"MKL_NUM_THREADS": "1"}, 2, False),  # OpenBLAS does not read it
-    ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 2, False),
-    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, True),  # 0 is passed over
-    ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "2"}, 2, False),
-    ({}, 2, False),
-    ({}, 1, True),
-    ({"OPENBLAS_NUM_THREADS": "2"}, 1, True),
+@pytest.mark.parametrize("environ, serial", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, True),
+    ({"OMP_NUM_THREADS": "1"}, True),
+    ({"MKL_NUM_THREADS": "1"}, False),  # OpenBLAS does not read it
+    ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, False),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),  # 0 is passed over
+    ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "2"}, False),
+    ({}, False),
 ])
-def test_blas_is_serial_follows_openblas_thread_variables(environ, cpus, serial):
-    assert tensor.blas_is_serial(environ, cpus) is serial
+def test_blas_is_serial_follows_openblas_thread_variables(environ, serial):
+    assert tensor.blas_is_serial(environ) is serial
 
 
 def test_cli_records_the_one_list_of_blas_thread_variables():
@@ -620,7 +618,6 @@ def test_adam_split_update_runs_in_a_forked_child(rng, monkeypatch):
     from cganlab import parzen
 
     monkeypatch.setattr(tensor, "WORKERS", 2)
-    monkeypatch.setattr(tensor, "BLAS_SERIAL", True)
     # 16 samples of 64 dimensions per distance block: 100 samples are 7 blocks,
     # and the 50 rows of 100 distances are 5 sweep blocks of 10 rows
     monkeypatch.setattr(parzen, "DIST_BLOCK", 16 * 64 * 8)
