@@ -37,11 +37,11 @@ from .checkpoint import MAX_NAME_BYTES, is_report_name, load_model, save_model, 
 from .data import atomic_write
 from .errors import CganlabError, ConfigError, DataError
 from .models import NetworkSpec, Variant, classifier_accuracy, pretrain_approximator
-from .parzen import (ParzenConfig, conditional_eval, default_sigma_grid, format_table,
+from .parzen import (SIGMA_MODES, ParzenConfig, conditional_eval, default_sigma_grid, format_table,
                      generate_samples, report_csv)
 from .rng import RngStream
 from .tensor import BLAS_THREAD_VARS
-from .training import TrainConfig, TrainLog, train
+from .training import GENERATOR_LOSS_MODES, TrainConfig, TrainLog, train
 
 # ----------------------------------------------------------------------
 # datasets
@@ -735,7 +735,7 @@ def cmd_pretrain_q(config_file, out, **flags):
 @click.option("--g-hidden", type=str, default=None)
 @click.option("--d-hidden", type=str, default=None)
 @click.option("--d-steps", type=int, default=None)
-@click.option("--loss-mode", type=click.Choice(["non_saturating", "minimax"]), default=None)
+@click.option("--loss-mode", type=click.Choice(GENERATOR_LOSS_MODES), default=None)
 @click.option("--checkpoint-every", type=int, default=None)
 @click.option("--resume", type=click.Path(), default=None,
               help="Directory with g.ckpt/d.ckpt to continue from.")
@@ -755,7 +755,7 @@ def cmd_train(config_file, out, **flags):
 @click.option("--sigma-grid", type=str, default=None,
               help="'lo:hi:count' (log-spaced) or explicit 'a,b,c'.")
 @click.option("--samples-per-condition", type=int, default=None)
-@click.option("--sigma-mode", type=click.Choice(["per_condition", "global"]), default=None)
+@click.option("--sigma-mode", type=click.Choice(SIGMA_MODES), default=None)
 @click.option("--condition-shift", type=int, default=None,
               help="Cyclically shift generator conditions (control experiments).")
 @click.option("--config", "config_file", type=click.Path(), default=None)

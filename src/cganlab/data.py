@@ -138,9 +138,12 @@ def epoch_batches(count: int, batch_size: int, stream: RngStream, start: int, st
 
     Each epoch draws a fresh permutation of range(count) from
     stream.split(f"epoch-{epoch}"), so batch i depends only on i and the
-    stream; a partial trailing batch is dropped.
+    stream; a partial trailing batch is dropped. DataError, even for no
+    batches, when count cannot fill one.
     """
     per_epoch = count // batch_size
+    if per_epoch == 0:
+        raise DataError(f"dataset of {count} samples cannot fill batches of {batch_size}")
     order, current = None, -1
     for i in range(start, stop):
         epoch, bi = divmod(i, per_epoch)

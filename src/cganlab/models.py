@@ -370,10 +370,6 @@ def pretrain_approximator(train, valid, spec: NetworkSpec, budget: int,
     if budget < 0 or batch_size < 1:
         raise ConfigError(f"pretraining needs a non-negative budget and a positive batch size, "
                           f"got {budget} steps of {batch_size}")
-    if train.count == 0 or valid.count == 0:
-        raise DataError("pretraining needs non-empty train and validation sets")
-    if train.count < batch_size:
-        raise DataError(f"dataset of {train.count} samples cannot fill batches of {batch_size}")
     if train.cond_dim != valid.cond_dim:
         raise DataError(f"label widths disagree: {train.cond_dim} vs {valid.cond_dim}")
     params = build_approximator(train.image_shape, train.cond_dim, spec,

@@ -23,14 +23,13 @@ k - m ascends, so the leading columns where every row of a block is below
 UNDERFLOW, whose exp is exactly +0.0, are written as 0.0 without calling
 exp; the sum still runs over the whole row. The distance blocks, the row
 sorts and the sweep's row blocks are split over the CPUs with
-tensor.split_rows. So is the generator's no-grad forward that draws the
-samples, in blocks of GEN_BLOCK rows, but only when BLAS is serial
-(tensor.BLAS_SERIAL) and there are two or more CPUs: otherwise BLAS's own
-threads take the cores, or blocks would only cost time. Each piece of work
-sees the same operands whichever thread runs it, so every LL has the bits
-of the whole-matrix formula, whatever the blocks, threads or CPUs; the
-samples have the bits of the whole-batch forward where BLAS gives a block's
-rows the whole product's bits (see generate_samples).
+tensor.split_rows. The generator's no-grad forward that draws the samples
+is one forward unless BLAS is serial (tensor.BLAS_SERIAL) and its blocks of
+GEN_BLOCK rows split over two or more workers (tensor.split_workers). Each
+piece of work sees the same operands whichever thread runs it, so every LL
+has the bits of the whole-matrix formula, whatever the blocks, threads or
+CPUs; the samples have the bits of the whole-batch forward where BLAS gives
+a block's rows the whole product's bits (see generate_samples).
 
 The evaluation protocol mirrors the usual conditional setup: per condition,
 fit the window to generator samples, pick sigma on validation data by grid
@@ -49,7 +48,7 @@ from . import tensor
 from .errors import ConfigError, ContractError, DataError, DimensionError
 from .models import generator_forward, sample_noise
 from .rng import RngStream
-from .tensor import Tensor, no_grad, one_hot, split_rows
+from .tensor import Tensor, no_grad, one_hot, split_rows, split_workers
 
 
 def default_sigma_grid(n=20, lo=0.01, hi=1.0) -> np.ndarray:
@@ -68,17 +67,20 @@ def check_sigma_grid(grid, error) -> np.ndarray:
     return grid
 
 
+SIGMA_MODES = ("per_condition", "global")  # one bandwidth per condition, or one for all
+
+
 @dataclass
 class ParzenConfig:
     sigma_grid: np.ndarray = field(default_factory=default_sigma_grid)
     samples_per_condition: int = 2000
-    sigma_mode: str = "per_condition"  # or "global"
+    sigma_mode: str = "per_condition"  # one of SIGMA_MODES
 
     def validate(self):
         check_sigma_grid(self.sigma_grid, ConfigError)
         if self.samples_per_condition < 1:
             raise ConfigError("samples_per_condition must be positive")
-        if self.sigma_mode not in ("per_condition", "global"):
+        if self.sigma_mode not in SIGMA_MODES:
             raise ConfigError(f"unknown sigma mode {self.sigma_mode!r}")
 
 
@@ -105,9 +107,9 @@ class ParzenRow:
 DIST_BLOCK = 1024 * 1024
 
 # Rows of generator output per no-grad forward in generate_samples when BLAS
-# is serial and there are two or more CPUs. On OpenBLAS a GEMM of 4 or more
-# rows gives each row the bits of the whole product at G's shapes; 1-3 rows
-# do not, so a tail never stands alone. On two CPUs the mnist-eval benchmark
+# is serial and the blocks split. On OpenBLAS a GEMM of 4 or more rows gives
+# each row the bits of the whole product at G's shapes; 1-3 rows do not, so
+# a tail never stands alone. On two CPUs the mnist-eval benchmark
 # (2000 samples, G 512,512) peaked at 114.7 MB RSS with one forward per
 # thread's whole range, and at 101.7 MB with 256-row blocks, at the same
 # 28.5 ms per condition.
@@ -167,8 +169,7 @@ def _sq_dists(queries: np.ndarray, samples: np.ndarray) -> np.ndarray:
     s_norms = np.einsum("nd,nd->n", samples, samples)
     order = _canonical_order(samples, s_norms)
     d2 = np.empty((t, n))
-    split_rows(_dist_span, n, max(1, min(n, DIST_BLOCK // (8 * max(dim, 1)))),
-               queries, samples, order, q_norms, s_norms, d2)
+    split_rows(_dist_span, n, _query_rows(dim), queries, samples, order, q_norms, s_norms, d2)
     split_rows(_sort_span, t, _query_rows(n), d2)
     return d2
 
@@ -194,7 +195,7 @@ def _sort_span(rows, lo, hi, d2):
 
 
 def _query_rows(n: int) -> int:
-    """Query rows of n distances in DIST_BLOCK bytes (one row when a single row is larger)."""
+    """Rows of n floats in DIST_BLOCK bytes (one row when a single row is larger)."""
     return max(1, DIST_BLOCK // (8 * max(n, 1)))
 
 
@@ -330,12 +331,12 @@ def select_sigma(samples, validation_queries, grid) -> tuple:
 def generate_samples(g_params, condition: int, count: int, stream: RngStream) -> np.ndarray:
     """Draw `count` generator outputs for a fixed condition, flattened to rows.
 
-    Each block of rows is one no-grad generator_forward. When BLAS is serial
-    (tensor.BLAS_SERIAL) and there are two or more workers, the blocks hold
-    GEN_BLOCK rows, a shorter tail joining the block before it, and are cut
-    into ranges on tensor.split_rows's threads, each writing its rows of one
-    [count, dim] array. Otherwise, or when the count is under two blocks,
-    the whole count is one forward and its own array is returned. A block's
+    The whole count is one no-grad generator_forward, whose own array is
+    returned, unless BLAS is serial (tensor.BLAS_SERIAL) and blocks of
+    GEN_BLOCK rows split over two or more workers (tensor.split_workers).
+    Then each block, a shorter tail joining the block before it, is one
+    forward, and the blocks are cut into ranges on tensor.split_rows's
+    threads, each writing its rows of one [count, dim] array. A block's
     products are its rows of the whole batch's products, the first of them
     a GEMM of at least 4 rows. The OpenBLAS build this was tested on gives
     such a GEMM's rows the bits of the whole product's at G's shapes, so
@@ -348,11 +349,10 @@ def generate_samples(g_params, condition: int, count: int, stream: RngStream) ->
         raise ConfigError(f"condition index {condition} out of range 0..{m - 1}")
     z = sample_noise(stream, count, k).data
     c = one_hot(np.full(count, condition), m)
-    rows = GEN_BLOCK if tensor.BLAS_SERIAL and tensor.WORKERS > 1 else count
-    if count < 2 * rows:
+    if not (tensor.BLAS_SERIAL and split_workers(count, GEN_BLOCK) >= 2):
         return _generate(z, c, g_params).reshape(count, -1)
     out = np.empty((count, int(np.prod(g_params.meta["image_shape"]))))
-    split_rows(_generate_span, count, rows, z, c, g_params, out)
+    split_rows(_generate_span, count, GEN_BLOCK, z, c, g_params, out)
     return out
 
 

@@ -27,18 +27,20 @@ the same form and gives the weight the bits the full gradient would.
 
 adam_step updates a parameter of more than ADAM_WHOLE_MAX elements in
 place, one block of leading-axis rows at a time through reused scratch, and
-splits a parameter of at least two blocks per worker into one row range per
-CPU of the process's affinity (split_rows, which Parzen scoring and sample
-generation share). The other ranges run on the package's one thread pool,
+cuts the blocks into row ranges with split_rows, which Parzen scoring and
+sample generation share. One rule, split_workers, says when work splits: n
+rows in blocks of `rows` go to min(WORKERS, ceil(n / rows) // 2) workers,
+one per CPU of the process's affinity, when that is 2 or more; otherwise
+they run inline. The other ranges run on the package's one thread pool,
 which starts on first use; numpy's ufunc loops release the GIL, so the
 ranges run at once. Every element sees the whole-array expressions'
 operations in their order, so the bits do not depend on the blocks, ranges
 or CPUs.
 
-Parzen's generate_samples splits the generator's forward only with two or
-more workers and BLAS_SERIAL: OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS,
-is 1, read once, at import, as BLAS reads those variables. Otherwise BLAS
-threads that forward's products itself and the pool leaves the cores to it.
+Parzen's generate_samples makes one forward unless BLAS_SERIAL holds
+(OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, is 1, read once at import, as
+BLAS reads them) and its blocks split. Otherwise BLAS threads that forward's
+products itself, or one thread would only run the blocks in turn.
 
 Inside `with no_grad():` nodes record no parents and no closure, so each
 intermediate array is freed as soon as nothing else holds it. The forward
@@ -500,8 +502,8 @@ ADAM_WHOLE_MAX = 8192
 ADAM_BLOCK = 32768
 
 # threads that split_rows cuts a large piece of work over (Adam's update of a
-# large parameter; Parzen's distance blocks, row sorts and sigma sweep): one
-# per CPU this process may run on, worked out from its affinity, not a setting
+# large parameter; Parzen's distances, row sorts, sigma sweep and samples):
+# one per CPU this process may run on, from its affinity, not a setting
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
     os.cpu_count() or 1)
 
@@ -531,10 +533,10 @@ def blas_is_serial(environ) -> bool:
 
 # who owns the cores, read once at import as BLAS reads its variables: the
 # generator's forward in generate_samples is split over split_rows's threads
-# only when BLAS runs each product on one thread; otherwise BLAS's own
-# threads take the cores, and a second layer of threads would oversubscribe
-# them (unpinned on two CPUs, mnist-eval read 33.5 ms per condition with one
-# forward and 38.9 ms with the split)
+# only when BLAS runs each product on one thread and the blocks split (see
+# split_workers); otherwise BLAS's own threads take the cores, and a second
+# layer of threads would oversubscribe them (unpinned on two CPUs, mnist-eval
+# read 33.5 ms per condition with one forward and 38.9 ms with the split)
 BLAS_SERIAL = blas_is_serial(os.environ)
 
 # the threads beside the caller's that run the other workers' row ranges;
@@ -601,12 +603,10 @@ def adam_step(param, grad, state: AdamState, hyper: AdamHyper):
     whole leading-axis rows, of at most ADAM_BLOCK elements each. m and v are
     written in place, and every temporary goes into two float scratch blocks
     and one bool block reused from block to block, so no full-size array is
-    allocated. With at least two blocks per worker, the rows are cut into one
-    contiguous range of whole blocks per worker (split_rows), and the ranges
-    run at once on a thread pool that starts on first use; with one CPU no
-    thread starts. A non-finite result in any range raises ContractError
-    here. Every element gets exactly the value of the whole-array
-    expressions, however the rows are cut.
+    allocated. split_rows cuts the blocks into ranges that run at once. A
+    non-finite result in any range raises ContractError here. Every element
+    gets exactly the value of the whole-array expressions, however the rows
+    are cut.
 
     A parameter of at most ADAM_WHOLE_MAX elements keeps the whole-array
     update with fresh m and v arrays: updating those in place left a
@@ -723,21 +723,25 @@ def _split(span, data, *args):
     split_rows(span, n, max(1, ADAM_BLOCK * n // data.size), *args)
 
 
+def split_workers(n, rows) -> int:
+    """Workers split_rows cuts n rows in blocks of `rows` over; 2 or more means it splits."""
+    return min(WORKERS, -(-n // rows) // 2)
+
+
 def split_rows(span, n, rows, *args):
     """Run span(rows, lo, hi, *args) over rows 0..n-1, which span takes `rows` at a time.
 
-    Work of at least two blocks of `rows` rows per worker is cut into one
-    contiguous range of whole blocks per worker, up to WORKERS of them: the
-    caller runs the first and the pool the rest. numpy releases the GIL
-    inside its ufunc loops, sorts and BLAS calls, so the ranges run at once.
-    With fewer blocks, or one CPU, span runs inline and no thread starts. An
-    error in any range is raised here, once every range has ended.
+    When split_workers(n, rows) is 2 or more, the rows are cut into that many
+    contiguous ranges of whole blocks, the caller running the first and the
+    pool the rest; numpy releases the GIL inside its ufunc loops, sorts and
+    BLAS calls, so they run at once. Otherwise span runs inline and no thread
+    starts. An error in any range is raised here, once every range has ended.
     """
-    blocks = -(-n // rows)
-    workers = min(WORKERS, blocks // 2)
+    workers = split_workers(n, rows)
     if workers < 2:
         span(rows, 0, n, *args)
         return
+    blocks = -(-n // rows)
     cuts = [rows * (blocks * i // workers) for i in range(workers)] + [n]
     pool = _executor()
     futures = [pool.submit(span, rows, lo, hi, *args) for lo, hi in zip(cuts[1:], cuts[2:])]

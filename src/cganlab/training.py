@@ -246,10 +246,6 @@ def train(cfg: TrainConfig, dataset, q_params=None, g=None, d=None,
         raise ConfigError("the irgan variant needs pretrained approximator parameters")
     if cfg.variant is not Variant.IRGAN and q_params is not None:
         raise ConfigError(f"approximator parameters are only used by irgan, not {cfg.variant.value}")
-    if dataset.count == 0:
-        raise DataError("training dataset is empty")
-    if dataset.count < cfg.batch_size:
-        raise DataError(f"dataset of {dataset.count} samples cannot fill batches of {cfg.batch_size}")
     root = RngStream(cfg.seed, ("train", cfg.variant.value))
     if g is None or d is None:
         g, d = build_models(cfg, dataset.image_shape, dataset.cond_dim, root)

@@ -397,8 +397,10 @@ def test_generate_samples_match_a_graph_building_forward():
 
 
 # counts around multiples of GEN_BLOCK (256): a tail of 1-255 rows, which
-# joins the block before it, none, and counts under two blocks
-POOLED_COUNTS = [1, 3, 4, 255, 256, 511, 512, 513, 1023, 1024, 1025, 2000, 2001]
+# joins the block before it, none, and counts under two blocks; on two workers
+# up to three blocks (768 rows) do not split, and four (769 rows) do
+POOLED_COUNTS = [1, 3, 4, 255, 256, 511, 512, 513, 700, 768, 769, 1023, 1024, 1025, 2000,
+                 2001]
 
 
 def record_generate_calls(monkeypatch) -> list:
@@ -417,9 +419,11 @@ def record_generate_calls(monkeypatch) -> list:
 
 @pytest.mark.parametrize("count", POOLED_COUNTS)
 def test_pooled_generate_samples_match_a_graph_building_forward(count, monkeypatch):
-    """With BLAS serial and two workers, blocks of GEN_BLOCK rows, a short tail
-    joined to the block before it, run on both threads without a graph and
-    give the bytes of one whole-batch forward that builds one."""
+    """With BLAS serial and two workers, a count whose GEN_BLOCK-row blocks
+    split (tensor.split_workers) runs them, a short tail joined to the block
+    before it, on both threads without a graph; any other count is one
+    forward whose array is returned uncopied. Either way the samples are the
+    bytes of one whole-batch forward that builds a graph."""
     monkeypatch.setattr(tensor, "BLAS_SERIAL", True)
     monkeypatch.setattr(tensor, "WORKERS", 2)
     calls = record_generate_calls(monkeypatch)
@@ -430,22 +434,26 @@ def test_pooled_generate_samples_match_a_graph_building_forward(count, monkeypat
     assert want.parents and got.tobytes() == want.data.reshape(count, -1).tobytes()
     blocks = [call[0] for call in calls]
     assert sum(blocks) == count and not any(call[2] for call in calls)
-    assert blocks == [count] if count < 2 * parzen.GEN_BLOCK else (
-        min(blocks) >= parzen.GEN_BLOCK and max(blocks) < 2 * parzen.GEN_BLOCK)
-    if count > 3 * parzen.GEN_BLOCK:  # four blocks or more: one range per worker
+    if tensor.split_workers(count, parzen.GEN_BLOCK) < 2:
+        assert blocks == [count] and np.shares_memory(got, calls[0][3])
+    else:
+        assert min(blocks) >= parzen.GEN_BLOCK and max(blocks) < 2 * parzen.GEN_BLOCK
         assert len({call[1] for call in calls}) == 2
 
 
-@pytest.mark.parametrize("serial, workers", [(False, 2), (True, 1)])
+@pytest.mark.parametrize("serial, workers", [(False, 2), (True, 1), (True, 2)])
 def test_generate_samples_is_one_forward_unless_split(serial, workers, monkeypatch):
-    """When BLAS has threads of its own, or there is one worker, the whole
-    count is one forward, whose array is returned as it is."""
+    """When BLAS has threads of its own, or there is one worker, or the
+    blocks would not split (with BLAS serial on two workers, 600 rows are
+    three blocks, under two per worker), the whole count is one forward,
+    whose array is returned as it is."""
+    count = 600 if serial and workers == 2 else 2001
     monkeypatch.setattr(tensor, "BLAS_SERIAL", serial)
     monkeypatch.setattr(tensor, "WORKERS", workers)
     calls = record_generate_calls(monkeypatch)
     g = build_generator((1, 1, 2), 3, 4, NetworkSpec([8]), RngStream(5, ("g",)))
-    samples = generate_samples(g, 1, 2001, RngStream(9, ("s",)))
-    assert len(calls) == 1 and calls[0][0] == 2001 and np.shares_memory(samples, calls[0][3])
+    samples = generate_samples(g, 1, count, RngStream(9, ("s",)))
+    assert len(calls) == 1 and calls[0][0] == count and np.shares_memory(samples, calls[0][3])
 
 
 def generate_peak_and_output(pooled, monkeypatch) -> tuple:

@@ -591,6 +591,27 @@ def test_adam_split_over_more_workers_than_cpus_keeps_the_bits(rng, monkeypatch)
     assert_ranges_tile(calls, "_adam_span", shape[0], 4)
 
 
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_split_workers_counts_the_ranges_split_rows_runs(workers, monkeypatch):
+    """split_rows runs one range inline unless split_workers is 2 or more, and
+    then that many ranges of whole blocks, which tile the rows."""
+    monkeypatch.setattr(tensor, "WORKERS", workers)
+    monkeypatch.setattr(tensor, "_pool", None)  # a pool of workers - 1 threads
+    calls = []
+    try:
+        for n in (0, 1, 7, 8, 9, 16, 17, 31, 32, 33, 100):
+            for rows in (1, 4, 8, 300):
+                calls.clear()
+                tensor.split_rows(lambda rows, lo, hi: calls.append(("span", lo, hi)), n, rows)
+                count = tensor.split_workers(n, rows)
+                assert count == min(workers, -(-n // rows) // 2)
+                assert_ranges_tile(calls, "span", n, count if count >= 2 else 1)
+                assert all(lo % rows == 0 for _, lo, _ in calls)
+    finally:
+        if tensor._pool is not None:
+            tensor._pool.shutdown()
+
+
 def test_adam_with_one_worker_starts_no_thread(rng, monkeypatch):
     monkeypatch.setattr(tensor, "WORKERS", 1)
     monkeypatch.setattr(tensor, "_pool", None)

@@ -355,6 +355,33 @@ def test_empty_and_undersized_dataset_rejected(tiny_mixture):
         train(small_cfg(batch_size=100000), tiny_mixture)
 
 
+@pytest.mark.parametrize("steps", [0, 3])
+def test_a_batch_the_dataset_cannot_fill_is_refused_before_any_adam_step(
+        tiny_mixture, steps, monkeypatch):
+    """train and pretrain_approximator both get epoch_batches's one error,
+    even for 0 steps, and no network has taken an Adam step."""
+    n = tiny_mixture.count
+    refused = f"dataset of {n} samples cannot fill batches of {n + 1}"
+    cfg = small_cfg(steps=steps, batch_size=n + 1)
+    g, d = build_models(cfg, tiny_mixture.image_shape, tiny_mixture.cond_dim,
+                        RngStream(0, ("train", "sbp")))
+    with pytest.raises(DataError, match=refused):
+        train(cfg, tiny_mixture, g=g, d=d)
+    built = []
+
+    def build(*args, make=models.build_approximator):
+        built.append(make(*args))
+        return built[-1]
+
+    monkeypatch.setattr(models, "build_approximator", build)
+    with pytest.raises(DataError, match=refused):
+        pretrain_approximator(tiny_mixture, tiny_mixture, NetworkSpec([8], head="softmax"),
+                              steps, RngStream(2, ("q",)), batch_size=n + 1)
+    assert len(built) == 1
+    for net in (g, d, *built):
+        assert set(net.steps().values()) == {0}
+
+
 def test_step_failure_names_the_step(tiny_mixture, monkeypatch):
     import cganlab.training as tr
 
