@@ -9,15 +9,16 @@ On mixture-3x2 and tiny-digits-3 it runs `pretrain-q --steps 200 --seed 3`,
 on tiny-digits-3; irgan uses that Q), one `eval --seed 5
 --samples-per-condition 400` of the four generators in each sigma mode, and
 `sample --condition 1 --count 16 --seed 3` of the sbp generator, then the
-same with `--count 700` (`sample-700`, see SAMPLE_ROWS). Those 700 rows are
-three blocks of 256, which generate_samples ran one after another on the
-caller's thread until it made them one forward, so their digests tie the
-bits across that change. It also runs cgan for half the steps with
+same with `--count 700` (`sample-700`, see SAMPLE_ROWS). Those rows are too
+few to split over two workers; generate_samples ran them as 256-row blocks
+one after another on the caller's thread until it made them one forward, so
+their digests tie the bits across that change. It also runs cgan for half the steps with
 `--checkpoint-every` a quarter of the steps, so its mid-run
-`g_step*`/`d_step*` checkpoints are hashed too, a `--resume` of that run to the full step count, a `--resume` of it that
-trains no step (`train-cgan-reloaded`, whose files are the half run's when
-loading and saving keep every byte, cgan's tied Adam moments included),
-and a `rerun` of the sbp run's manifest. On tiny-digits-3 it also trains
+`g_step*`/`d_step*` checkpoints are hashed too, a `--resume` of that run to
+the full step count, a `--resume` of it that trains no step
+(`train-cgan-reloaded`, whose files are the half run's when loading and
+saving keep every byte, cgan's tied Adam moments included), and a `rerun`
+of the sbp run's manifest. On tiny-digits-3 it also trains
 sbp with `--batch-size 256`, which hashes sbp's per-condition product at a
 second batch size. That run also took the loop under the earlier rule,
 which built pooled inputs of up to 2^15 elements, so its digests are the
@@ -72,9 +73,9 @@ WIDE_D_HIDDEN, WIDE_STEPS = "2048", 40
 # = 2048 samples, so 8200 are five blocks; the 100 validation rows of a
 # condition are seven blocks of the sweep's 15 rows of 8200 distances
 WIDE_SAMPLES = "8200"
-# rows of the second sbp sample run: three blocks of parzen.GEN_BLOCK, under
-# two per worker on two CPUs (tensor.split_workers), so with BLAS serial
-# generate_samples makes them one forward
+# rows of the second sbp sample run: ceil(700 / parzen.GEN_BLOCK) = 3 blocks,
+# under two per worker on two CPUs (tensor.split_workers), so with BLAS
+# serial generate_samples makes them one forward
 SAMPLE_ROWS = "700"
 # the run that repeats eval-wide with the BLAS thread variables taken out of
 # the child's environment, so that with two or more CPUs BLAS threads its own
