@@ -671,8 +671,6 @@ def do_sample(res: dict, out_dir: Path, digests=None) -> dict:
     path = res["g_checkpoint"]
     params, meta, digest = load_fitting_model(path, "generator", records=[digests])
     condition, count = res["condition"], res["count"]
-    if count < 1:
-        raise ConfigError(f"count must be positive, got {count}")
     stream = RngStream(res["seed"], ("sample",))
     flat = generate_samples(params, condition, count, stream)
     h, w, d = params.meta["image_shape"]

@@ -105,7 +105,7 @@ class LabeledDataset:
         if not is_one_hot(self.labels):
             raise DataError("every label row must be one-hot")
         lo, hi = self.images.min(), self.images.max()
-        if lo < -1.0 or hi > 1.0:
+        if not -1.0 <= lo <= hi <= 1.0:  # false for NaN, which min and max carry
             raise DataError(f"pixel values outside [-1, 1]: range [{lo}, {hi}]")
 
     @property

@@ -347,6 +347,8 @@ def generate_samples(g_params, condition: int, count: int, stream: RngStream) ->
     k = g_params.meta["noise_dim"]
     if not 0 <= condition < m:
         raise ConfigError(f"condition index {condition} out of range 0..{m - 1}")
+    if count < 1:
+        raise ConfigError(f"count must be positive, got {count}")
     z = sample_noise(stream, count, k).data
     c = one_hot(np.full(count, condition), m)
     if not (tensor.BLAS_SERIAL and split_workers(count, GEN_BLOCK) >= 2):

@@ -25,17 +25,16 @@ blocks of rows share their gradient: spatial replicate-concat's weight gets a
 TiedRows, which stores those rows once. adam_step takes it with moments of
 the same form and gives the weight the bits the full gradient would.
 
-adam_step updates a parameter of more than ADAM_WHOLE_MAX elements in
-place, one block of leading-axis rows at a time through reused scratch, and
-cuts the blocks into row ranges with split_rows, which Parzen scoring and
-sample generation share. One rule, split_workers, says when work splits: n
-rows in blocks of `rows` go to min(WORKERS, ceil(n / rows) // 2) workers,
-one per CPU of the process's affinity, when that is 2 or more; otherwise
-they run inline. The other ranges run on the package's one thread pool,
-which starts on first use; numpy's ufunc loops release the GIL, so the
-ranges run at once. Every element sees the whole-array expressions'
-operations in their order, so the bits do not depend on the blocks, ranges
-or CPUs.
+adam_step updates every parameter in place, one block of leading-axis rows
+at a time through scratch reused from block to block, and cuts the blocks
+into row ranges with split_rows, which Parzen scoring and sample generation
+share. One rule, split_workers, says when work splits: n rows in blocks of
+`rows` go to min(WORKERS, ceil(n / rows) // 2) workers, one per CPU of the
+process's affinity, when that is 2 or more; otherwise they run inline. The
+other ranges run on the package's one thread pool, which starts on first
+use; numpy's ufunc loops release the GIL, so the ranges run at once. Every
+element sees the whole-array expressions' operations in their order, so the
+bits do not depend on the blocks, ranges or CPUs.
 
 Parzen's generate_samples makes one forward unless BLAS_SERIAL holds
 (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, is 1, read once at import, as
@@ -48,6 +47,9 @@ arithmetic is unchanged, so the values are the same bits as with a graph.
 
 All values are float64. Every op checks its output for NaN/Inf and raises
 instead of letting a non-finite value escape.
+
+Importing the module tells glibc's malloc to keep its heap (_hold_heap), so
+no training step faults the heap top's pages in again.
 """
 
 from __future__ import annotations
@@ -493,10 +495,6 @@ def softmax_cross_entropy(logits, target) -> Tensor:
 # ----------------------------------------------------------------------
 # Adam
 
-# largest parameter, in elements, that Adam updates as one array with fresh
-# moments (see adam_step)
-ADAM_WHOLE_MAX = 8192
-
 # elements per Adam update block: a block's slices and scratch fit in L2, and
 # its ufunc loops, which run without the GIL, outlast the Python between them
 ADAM_BLOCK = 32768
@@ -553,6 +551,30 @@ def _forget_pool():
 
 os.register_at_fork(after_in_child=_forget_pool)
 
+# mallopt(3)'s M_MMAP_THRESHOLD, M_TRIM_THRESHOLD and M_TOP_PAD, and their
+# values: any one turns off glibc's dynamic mmap threshold, so all three are
+# set (the last two alone slowed an MNIST-shape step by 31%)
+_MALLOPT = ((-3, 32 << 20), (-1, 256 << 20), (-2, 64 << 20))
+
+
+def _hold_heap():
+    """Give glibc's malloc the _MALLOPT values over any MALLOC_*_ variable (no-op
+    without glibc), whose defaults trim and re-fault the heap top every training step."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except ValueError:  # a name this platform's confstr does not know
+        return
+    if not (libc or "").startswith("glibc"):
+        return
+    import ctypes  # numpy has imported it already
+
+    mallopt = ctypes.CDLL(None).mallopt
+    for param, value in _MALLOPT:
+        mallopt(param, value)
+
+
+_hold_heap()
+
 
 @dataclass(frozen=True)
 class AdamHyper:
@@ -599,19 +621,14 @@ def adam_step(param, grad, state: AdamState, hyper: AdamHyper):
     theta -= lr * m_hat / (sqrt(v_hat) + eps) with m_hat, v_hat the
     bias-corrected first and second moments.
 
-    A parameter larger than ADAM_WHOLE_MAX elements is updated in blocks of
-    whole leading-axis rows, of at most ADAM_BLOCK elements each. m and v are
-    written in place, and every temporary goes into two float scratch blocks
-    and one bool block reused from block to block, so no full-size array is
-    allocated. split_rows cuts the blocks into ranges that run at once. A
-    non-finite result in any range raises ContractError here. Every element
-    gets exactly the value of the whole-array expressions, however the rows
-    are cut.
-
-    A parameter of at most ADAM_WHOLE_MAX elements keeps the whole-array
-    update with fresh m and v arrays: updating those in place left a
-    small-array training step with no allocation that outlives it, and glibc
-    then trimmed and re-faulted the heap top every step.
+    Every parameter is updated in blocks of whole leading-axis rows, of at
+    most ADAM_BLOCK elements each; a 0-d parameter is one row of a (1,) view.
+    m and v are written in place, and every temporary goes into two float
+    scratch blocks and one bool block reused from block to block, so no
+    full-size array is allocated. split_rows cuts the blocks into ranges that
+    run at once. A non-finite result in any range raises ContractError here.
+    Every element gets exactly the value of the whole-array expressions,
+    however the rows are cut.
 
     A TiedRows gradient needs TiedRows moments of the same layout. Its free
     rows are updated as above, through their strided view of the parameter;
@@ -637,26 +654,37 @@ def adam_step(param, grad, state: AdamState, hyper: AdamHyper):
     c1 = 1.0 - hyper.beta1 ** state.step
     c2 = 1.0 - hyper.beta2 ** state.step
     if not tied:
-        state.m, state.v = _adam_rows(data, grad, state.m, state.v, hyper, c1, c2)
+        views = np.atleast_1d(data, grad, state.m, state.v)
+        _split(_adam_span, views[0], *views, hyper, c1, c2)
         return param, state
     m, v = state.m, state.v
     blocks, d, k = grad.free.shape
     w3 = data.reshape(blocks, -1, k)
-    m.free, v.free = _adam_rows(w3[:, :d], grad.free, m.free, v.free, hyper, c1, c2)
-    m.tied, v.tied = _moments(grad.tied, m.tied, v.tied, hyper)
+    free = w3[:, :d]
+    _split(_adam_span, free, free, grad.free, m.free, v.free, hyper, c1, c2)
+    delta = _adam_block(grad.tied, m.tied, v.tied, hyper, c1, c2,
+                        *np.empty((2,) + grad.tied.shape))
     copies = w3[:, d:]
-    _split(_subtract_span, copies, copies, _adam_delta(m.tied, v.tied, hyper, c1, c2))
+    _split(_subtract_span, copies, copies, delta)
     return param, state
 
 
-def _moments(g, m, v, h: AdamHyper):
-    """Adam's new first and second moments, as fresh arrays."""
-    return h.beta1 * m + (1.0 - h.beta1) * g, h.beta2 * v + (1.0 - h.beta2) * g * g
-
-
-def _adam_delta(m, v, h: AdamHyper, c1, c2):
-    """The amount Adam subtracts, from moments m, v and bias corrections c1, c2."""
-    return h.lr * (m / c1) / (np.sqrt(v / c2) + h.epsilon)
+def _adam_block(g, m, v, h: AdamHyper, c1, c2, a, b):
+    """Update m and v in place from g and return, in scratch a, the amount Adam
+    subtracts: the whole-array expressions' operations, in their order, with
+    every temporary in the float scratch a and b, of g's shape."""
+    b1, b2 = h.beta1, h.beta2
+    # m = beta1 * m + (1 - beta1) * g, and v = beta2 * v + (1 - beta2) * g * g
+    m *= b1
+    m += np.multiply(1.0 - b1, g, out=a)
+    v *= b2
+    np.multiply(1.0 - b2, g, out=b)
+    v += np.multiply(b, g, out=b)
+    # lr * (m / c1) / (sqrt(v / c2) + eps)
+    np.multiply(h.lr, np.divide(m, c1, out=a), out=a)
+    np.sqrt(np.divide(v, c2, out=b), out=b)
+    b += h.epsilon
+    return np.divide(a, b, out=a)
 
 
 def _check_finite(data, ok=None):
@@ -665,46 +693,16 @@ def _check_finite(data, ok=None):
         raise ContractError("adam update produced non-finite parameters")
 
 
-def _adam_rows(data, g, m, v, h: AdamHyper, c1, c2):
-    """Update data in place from gradient g and moments m, v; returns the new m and v.
-
-    Whole-array with fresh moments up to ADAM_WHOLE_MAX elements, else in blocks
-    of leading-axis rows with the moments written in place (see adam_step).
-    """
-    if data.size <= ADAM_WHOLE_MAX:
-        m, v = _moments(g, m, v, h)
-        data -= _adam_delta(m, v, h, c1, c2)
-        _check_finite(data)
-        return m, v
-    _split(_adam_span, data, data, g, m, v, h, c1, c2)
-    return m, v
-
-
 def _adam_span(rows, lo, hi, data, g, m, v, h: AdamHyper, c1, c2):
-    """_adam_rows's update of rows lo..hi-1, `rows` of them at a time.
-
-    Each block runs the whole-array expressions' operations in their order,
-    through two float scratch blocks and one bool block reused with out=.
-    """
+    """adam_step's update of data's rows lo..hi-1, `rows` of them at a time,
+    through two float scratch blocks and one bool block reused with out=."""
     shape = (min(rows, hi - lo),) + data.shape[1:]
     a, b, ok = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
-    b1, b2 = h.beta1, h.beta2
     for r in range(lo, hi, rows):
         s = slice(r, min(r + rows, hi))
-        gs, ms, vs, ds = g[s], m[s], v[s], data[s]
+        ds = data[s]
         n = ds.shape[0]
-        ta, tb = a[:n], b[:n]
-        # m = beta1 * m + (1 - beta1) * g, and v = beta2 * v + (1 - beta2) * g * g
-        ms *= b1
-        ms += np.multiply(1.0 - b1, gs, out=ta)
-        vs *= b2
-        np.multiply(1.0 - b2, gs, out=tb)
-        vs += np.multiply(tb, gs, out=tb)
-        # data -= lr * (m / c1) / (sqrt(v / c2) + eps)
-        np.multiply(h.lr, np.divide(ms, c1, out=ta), out=ta)
-        np.sqrt(np.divide(vs, c2, out=tb), out=tb)
-        tb += h.epsilon
-        ds -= np.divide(ta, tb, out=ta)
+        ds -= _adam_block(g[s], m[s], v[s], h, c1, c2, a[:n], b[:n])
         _check_finite(ds, ok[:n])
 
 

@@ -2,6 +2,7 @@ import datetime
 import json
 import os
 import stat
+import sys
 import tempfile
 
 import numpy as np
@@ -369,8 +370,6 @@ def test_a_checkpoints_digest_is_that_of_the_bytes_loaded(trained_dir, tmp_path,
 
 
 def test_manifest_records_the_build(trained_dir):
-    import sys
-
     from cganlab import __version__
     from cganlab.cli import BLAS_THREAD_VARS, build_info
 
@@ -382,6 +381,17 @@ def test_manifest_records_the_build(trained_dir):
     assert build["python"] == "%d.%d.%d" % sys.version_info[:3]
     assert build["numpy"] == np.__version__
     assert isinstance(build["blas"], str) and isinstance(build["blas_version"], str)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
+def test_package_and_project_declare_one_version():
+    import tomllib
+    from pathlib import Path
+
+    from cganlab import __version__
+
+    project = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    assert project["project"]["version"] == __version__
 
 
 def test_rerun_warns_once_per_differing_build_field(runner, trained_dir, tmp_path):

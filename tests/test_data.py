@@ -237,6 +237,13 @@ def test_dataset_validation():
         LabeledDataset(np.zeros((2, 2, 2, 1)), np.array([[1.0, 0.0]]), {})
 
 
+def test_dataset_refuses_nan_pixels():
+    images = np.zeros((3, 1, 1, 2))
+    images[1, 0, 0, 1] = np.nan
+    with pytest.raises(DataError, match="outside"):
+        LabeledDataset(images, np.eye(3), {})
+
+
 # ----------------------------------------------------------------------
 # mixtures
 

@@ -388,6 +388,13 @@ def tiny_setup():
     return train_ds, valid_ds, test_ds, g
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_generate_samples_refuses_a_count_below_one(count):
+    g = build_generator((2, 2, 1), 3, 4, NetworkSpec([8]), RngStream(5, ("g",)))
+    with pytest.raises(ConfigError, match=f"count must be positive, got {count}"):
+        generate_samples(g, 0, count, RngStream(9, ("s",)))
+
+
 def test_generate_samples_match_a_graph_building_forward():
     g = build_generator((28, 28, 1), 10, 16, NetworkSpec([64, 64]), RngStream(5, ("g",)))
     got = generate_samples(g, 3, 500, RngStream(9, ("s",)))

@@ -11,12 +11,30 @@ import pytest
 from cganlab import tensor
 from cganlab.conditioning import vector_concat
 from cganlab.errors import ConfigError, ContractError, DimensionError
-from cganlab.tensor import (_SIG_HI, _SIG_LO, ADAM_BLOCK, ADAM_WHOLE_MAX, LOG_FLOOR, AdamHyper,
+from cganlab.tensor import (_SIG_HI, _SIG_LO, ADAM_BLOCK, LOG_FLOOR, AdamHyper,
                             AdamState, Tensor, TiedRows, _accum, activation, adam_step, backward, is_one_hot, log,
                             matmul, no_grad, one_hot, rows, softmax, softmax_cross_entropy)
 from conftest import assert_grads_match, projection, reference_leaky_relu
 
 mpmath.mp.dps = 50
+
+
+# ----------------------------------------------------------------------
+# the heap setting
+
+
+@pytest.mark.parametrize("confstr", [None, ValueError("unrecognized configuration name")])
+def test_hold_heap_does_nothing_where_confstr_names_no_glibc(confstr, monkeypatch):
+    import ctypes
+
+    def fake_confstr(name):
+        if isinstance(confstr, Exception):
+            raise confstr
+        return confstr
+
+    monkeypatch.setattr(os, "confstr", fake_confstr)
+    monkeypatch.setattr(ctypes, "CDLL", lambda *args: pytest.fail("loaded the C library"))
+    tensor._hold_heap()
 
 
 # ----------------------------------------------------------------------
@@ -530,12 +548,9 @@ def test_adam_blocks_match_whole_array_formula(shape, rng, monkeypatch):
             adam_step(p, grad, st, hyper)
             assert p.data.tobytes() == want.tobytes()
             assert st.m.tobytes() == want_m.tobytes() and st.v.tobytes() == want_v.tobytes()
-        if p.size > ADAM_WHOLE_MAX:  # updated in place
-            assert st.m is m_array and st.v is v_array
-            spans = workers if shape in SPLIT_SHAPES else 1
-            assert_ranges_tile(calls, "_adam_span", shape[0], spans)
-        else:
-            assert not calls
+        assert st.m is m_array and st.v is v_array  # updated in place
+        spans = workers if shape in SPLIT_SHAPES else 1
+        assert_ranges_tile(calls, "_adam_span", shape[0] if shape else 1, spans)
         assert st.step == 3
 
 
@@ -693,7 +708,6 @@ def test_adam_on_checkpoint_loaded_model_matches_formula(tmp_path, rng):
         adam_step(t, rng.normal(size=t.shape), g.adam[name], g.hyper)
     save_model(tmp_path / "g.ckpt", g)
     loaded, _ = load_model(tmp_path / "g.ckpt")
-    assert loaded.weights[0].size > ADAM_WHOLE_MAX
     for name, t in loaded.named().items():
         st = loaded.adam[name]
         grad = rng.normal(size=t.shape)

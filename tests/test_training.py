@@ -1,4 +1,9 @@
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -437,3 +442,40 @@ def test_nodes_per_train_step_at_the_mixture_preset(variant, mixture_data, monke
     training.train_step(train_ds.images[:256], train_ds.labels[:256], g, d, q, cfg, label_probs,
                         root.split("step-0"), 0)
     assert built == PRESET_STEP_NODES[variant]
+
+
+def glibc_present() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except ValueError:
+        return False
+
+
+# trains cgan and fcgan at the mixture preset and prints each one's mean
+# minor page faults per step after 8 warm-up steps, between progress callbacks
+HEAP_PROBE = """
+import json, resource
+from cganlab.data import mixture_3x2
+from cganlab.training import TrainConfig, train
+
+train_ds, faults = mixture_3x2(2024)[0], {}
+for variant in ("cgan", "fcgan"):
+    marks = []
+    cfg = TrainConfig(variant=variant, total_steps=40, batch_size=256, lr=1.5e-3, seed=3,
+                      noise_dim=8, g_hidden=[64, 64], d_hidden=[64, 64])
+    train(cfg, train_ds,
+          progress=lambda r: marks.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt))
+    faults[variant] = (marks[-1] - marks[8]) / (len(marks) - 9)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(not glibc_present(), reason="the heap setting is glibc's")
+def test_training_steps_do_not_fault_the_heap_in_again():
+    """In a fresh process; glibc's default heap settings read tens to hundreds a step."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", HEAP_PROBE], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    faults = json.loads(proc.stdout)
+    assert all(f < 5 for f in faults.values()), faults
